@@ -1,8 +1,8 @@
 """Shared helpers for the experiment benchmarks.
 
-Every benchmark regenerates one table/figure-equivalent of the paper
-(see DESIGN.md, experiment index) and prints its rows so the numbers can be
-copied into EXPERIMENTS.md.
+Every benchmark regenerates one table/figure-equivalent of the paper (E1-E14;
+each ``bench_e*.py`` docstring names the claim it reproduces) and prints its
+rows.
 """
 
 from __future__ import annotations

@@ -82,30 +82,14 @@ echo "== tick-gating smoke (gating off vs on, fingerprints) =="
 # with gating forced off has to produce a byte-identical fingerprint,
 # including delivered memory words.
 python - <<'EOF'
-import math
-
 from repro.api import scenarios
 from repro.sim.clock import gating_default, ungated
-
-
-def normalize(obj):
-    if isinstance(obj, float):
-        return "NaN" if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {key: normalize(value) for key, value in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [normalize(value) for value in obj]
-    return obj
 
 
 def fingerprint(name, cycles):
     system = scenarios.build(name)
     system.run_flit_cycles(cycles)
-    digest = system.fingerprint()
-    digest["memory_words"] = {
-        mem_name: dict(handle.memory._data)
-        for mem_name, handle in system.memories.items()}
-    return normalize(digest)
+    return system.deep_fingerprint()
 
 
 assert gating_default(), "repo default must be tick gating on"
@@ -125,7 +109,7 @@ echo "== perf smoke (benchmarks/perf/run_perf.py --quick --compare) =="
 # The quick tier gates against the tracked full-run baseline: wall times are
 # not comparable across regimes, so --compare gates the deterministic
 # events-per-cycle rate (and absolute events for constant-event scenarios).
-# A >20% jump means the engine stopped batching/sleeping somewhere.
+# A >20% jump means the engine stopped sleeping/gating somewhere.
 python benchmarks/perf/run_perf.py --quick --output "$quick_json" \
     --compare BENCH_PERF.json
 
@@ -162,13 +146,11 @@ echo "== BENCH_PERF.json staleness =="
 # the channel-dependency analysis on that same timed path; src/repro/faults
 # because its hooks sit on the link/kernel/shell hot paths even when no
 # fault is declared; src/repro/config because the slot allocation policy
-# (spread vs contiguous) decides the burst shapes the batched pipeline can
-# form, which directly moves the saturated_* numbers; src/repro/sim covers
-# the batching primitives (sim/batching.py), clock fusion and next-action
-# tick gating (sim/clock.py)
-# and the columnar stats layer (sim/stats.py); src/repro/obs because the
-# sampler's burst barrier shapes the batched pipeline in observed runs (and
-# must stay a no-op when no observers are declared).
+# (spread vs contiguous) decides the GT packet lengths, which directly moves
+# the saturated_* numbers; src/repro/sim covers clock fusion and next-action
+# tick gating (sim/clock.py) and the stats layer (sim/stats.py);
+# src/repro/obs because the sampler sits on the flit clock in observed runs
+# (and must stay a no-op when no observers are declared).
 ENGINE_PATHS=(src/repro/sim src/repro/core src/repro/network src/repro/api
               src/repro/design src/repro/ip src/repro/mem src/repro/analysis
               src/repro/faults src/repro/config src/repro/protocol

@@ -7,7 +7,7 @@ registry.  Each module encodes one family of documented contracts:
 * :mod:`.wake` — the wake()/notify_active() protocol
 * :mod:`.hotpath` — hot-path authoring discipline (``__slots__``,
   allocation-free tick bodies)
-* :mod:`.counters` — counter exactness and burst-barrier guarding
+* :mod:`.counters` — counter exactness
 * :mod:`.obs` — probe-network entry points stay free when disabled
 """
 

@@ -1,13 +1,12 @@
-"""Counter-exactness and burst-guard rules.
+"""Counter-exactness rules.
 
 The stats registry is part of the reproduction's observable output:
 counters must be exact across engine modes, which means (a) the registry
 a component captured at construction is never rebound, (b) hot
 tick-reachable code uses cached ``Counter`` objects (``self._ctr_x =
 stats.counter(...)`` once, then ``self._ctr_x.value += n``) rather than
-re-resolving string keys per cycle, (c) counter values are reset through
-the ``Counter``/``CounterColumn`` API, and (d) every ``send_burst`` call
-site sits behind a barrier-aware guard (PR 7's truncation invariants).
+re-resolving string keys per cycle, and (c) counter values are reset
+through the ``Counter`` API.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.analysis.lint.framework import (
     LintRule,
     ModuleUnderLint,
     Violation,
-    call_name,
     identifiers_in,
     receiver_root,
     register_rule,
@@ -114,7 +112,7 @@ class RawCounterResetRule(LintRule):
 
     rule_id = "ctr-raw-reset"
     title = "raw assignment to a counter's .value"
-    contract = "sim/stats.py: Counter/CounterColumn API"
+    contract = "sim/stats.py: Counter API"
 
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
@@ -126,8 +124,8 @@ class RawCounterResetRule(LintRule):
                     continue
                 receiver = target.value
                 if isinstance(receiver, ast.Name) and receiver.id == "self":
-                    # A literal `self.value = ...` is the Counter/
-                    # CounterColumn API implementing itself.
+                    # A literal `self.value = ...` is the Counter API
+                    # implementing itself.
                     continue
                 names = " ".join(identifiers_in(receiver)).lower()
                 if "ctr" in names or "counter" in names:
@@ -135,48 +133,3 @@ class RawCounterResetRule(LintRule):
                         module, node,
                         "raw assignment to a counter's .value bypasses "
                         "Counter.reset(); use the API")
-
-
-#: Identifier substrings that indicate a barrier-aware burst guard.
-_BURST_GUARDS = ("burst_length", "burst_barrier", "stop_barrier",
-                 "staged_burst", "busy_until", "burst_allowance",
-                 "burst_cap")
-
-
-@register_rule
-class UnguardedBurstRule(LintRule):
-    """``send_burst`` call sites must sit in barrier-aware code.
-
-    A burst delivered past a fault window, stop barrier, or tracer
-    breakpoint diverges from per-flit semantics.  Every function calling
-    ``send_burst`` must compute or consult a burst guard
-    (``_burst_length``, ``burst_barrier``, ``busy_until`` windows, …) —
-    the defining method itself is exempt.
-    """
-
-    rule_id = "ctr-burst-unguarded"
-    title = "send_burst call without a barrier-aware guard"
-    contract = "PERFORMANCE.md: burst-granularity simulation"
-
-    def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node,
-                              (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name == "send_burst":
-                continue  # the primitive itself
-            burst_calls = [
-                call for call in ast.walk(node)
-                if isinstance(call, ast.Call)
-                and call_name(call) == "send_burst"]
-            if not burst_calls:
-                continue
-            mentioned = set(identifiers_in(node))
-            if any(any(guard in ident for guard in _BURST_GUARDS)
-                   for ident in mentioned):
-                continue
-            yield self.violation(
-                module, burst_calls[0],
-                f"{node.name} calls send_burst without consulting a burst "
-                "barrier/guard; bursts must truncate at fault, stop and "
-                "tracer barriers (PERFORMANCE.md: burst-granularity)")

@@ -1,8 +1,8 @@
 """Determinism rules.
 
 The engine's headline guarantee is byte-identical output across engine
-modes (always-tick vs. activity-driven vs. batched; see
-``tests/test_batching_equivalence.py``).  That only holds if no model
+modes (always-tick vs. idle-skip vs. tick-gated; see
+``tests/test_regime_equivalence.py``).  That only holds if no model
 code reads wall-clock time, draws from unseeded global randomness,
 iterates hash-ordered containers on timing-relevant paths, or lets float
 rounding into cycle/picosecond arithmetic.

@@ -28,7 +28,7 @@ from repro.analysis.lint.framework import (
 
 #: Mutating calls on ``self``-rooted state that change what tick() would do.
 _PRODUCER_CALLS = {
-    "append", "appendleft", "extend", "push", "push_many", "push_run",
+    "append", "appendleft", "extend", "push", "push_many",
     "add", "insert", "update", "reserve", "put",
 }
 
@@ -39,8 +39,8 @@ _WAKE_CALLS = {
     "notify_active", "wake",
     "add_credit", "add_space", "request_flush", "flush",
     "on_push", "_notify_tx", "notify_rx",
-    "write_register", "push", "push_many", "push_run",
-    "submit", "enqueue", "issue", "send", "send_burst", "_rx_stimulus",
+    "write_register", "push", "push_many",
+    "submit", "enqueue", "issue", "send", "_rx_stimulus",
 }
 
 #: Methods that are wiring-time by convention: they run before the engine

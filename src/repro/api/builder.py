@@ -36,6 +36,7 @@ shortcuts.  See ``BUILDING.md`` for the full pipeline walk-through and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -97,6 +98,18 @@ DEFAULT_PORT_CLOCK_MHZ = 500.0
 #: CNIP destination queues must hold a whole configuration sequence (no
 #: credits return before the response channel is enabled — Figure 9).
 MIN_CNIP_QUEUE_WORDS = 16
+
+
+def _nan_normalized(obj):
+    """Deep copy with NaN replaced, so two digests compare with ``==``
+    (an empty latency recorder reports a NaN mean)."""
+    if isinstance(obj, float):
+        return "NaN" if math.isnan(obj) else obj
+    if isinstance(obj, dict):
+        return {key: _nan_normalized(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_normalized(value) for value in obj]
+    return obj
 
 
 class BuilderError(ValueError):
@@ -461,6 +474,15 @@ class System:
                          for name, handle in self.memories.items()},
         }
 
+    def deep_fingerprint(self) -> dict:
+        """:meth:`fingerprint` plus the words every memory holds — byte
+        identity must cover the delivered *words*, not just the counters
+        that summarize them — NaN-normalised so digests compare with ``==``."""
+        digest = self.fingerprint()
+        digest["memory_words"] = {name: handle.memory.words()
+                                  for name, handle in self.memories.items()}
+        return _nan_normalized(digest)
+
     def trace_events(self, kind: Optional[str] = None,
                      source: Optional[str] = None):
         """Recorded trace events (requires ``SystemBuilder.trace``)."""
@@ -676,9 +698,8 @@ class SystemBuilder:
         ``"spread"`` (default) spaces each channel's slots evenly over the
         table, minimizing injection jitter; ``"contiguous"`` reserves
         consecutive runs, letting the NI packetize one header per run
-        (longer packets, lower header overhead) and the batched pipeline
-        forward whole bursts.  Falls back per channel to the spread choice
-        when no long-enough contiguous run is free.
+        (longer packets, lower header overhead).  Falls back per channel to
+        the spread choice when no long-enough contiguous run is free.
         """
         if policy not in ("spread", "contiguous"):
             raise BuilderError(f"unknown slot policy {policy!r}")
@@ -1354,11 +1375,6 @@ class SystemBuilder:
                 deadlock_check=self._deadlock_check)
             injector = FaultInjector(fault_manager, self._fault_plan)
             model.noc.flit_clock.add_component(injector)
-            # Batched bursts must fully drain before any scheduled fault
-            # event applies: hand every kernel the injector's barrier so
-            # burst formation truncates at the event horizon.
-            for kernel in model.kernels.values():
-                kernel.burst_barrier = injector.barrier
 
         # Per-link flits/cycle sliding-window meters feeding
         # ``System.health_report()["links"]``.
@@ -1367,7 +1383,7 @@ class SystemBuilder:
 
         # The probe network — like faults, instantiated only when declared,
         # so no-obs builds stay byte-identical (no sampler on the clock, no
-        # burst barrier, no probe state).
+        # probe state).
         observatory: Optional[Observatory] = None
         if self._obs is not None:
             dram_controllers = {
@@ -1380,11 +1396,6 @@ class SystemBuilder:
                 series_cap=self._obs.series_cap,
                 dram_controllers=dram_controllers)
             model.noc.flit_clock.add_component(observatory.sampler)
-            # Samples must observe drained pipelines: hand every kernel the
-            # sampler's barrier so batched bursts truncate at the next
-            # sample cycle (the same invariant fault events rely on).
-            for kernel in model.kernels.values():
-                kernel.obs_barrier = observatory.sampler.barrier
             if fault_manager is not None:
                 observatory.bind_faults(fault_manager)
 

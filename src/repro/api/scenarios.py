@@ -653,7 +653,7 @@ def _idle_mesh(rows: int = 4, cols: int = 4,
 register("saturated_mix", _gt_be_mix,
          description="The E10 GT+BE mix at saturating injection rates "
                      "(perf-suite shape of gt_be_mix; contiguous slot "
-                     "runs so GT traffic packetizes and travels as bursts).",
+                     "runs so GT traffic packetizes into long packets).",
          tags=("perf",),
          num_gt=2, num_be=2, gt_slots=2,
          gt_pattern_period=8, be_pattern_period=4, burst_words=4,

@@ -67,8 +67,7 @@ class CentralizedSlotAllocator:
       its slot comes up);
     * ``"contiguous"`` — as one run of consecutive slots when available.
       Consecutive slots let the NI packetize one header for the whole run
-      (``FLIT_WORDS * run - 1`` payload words), cutting header overhead,
-      and are what the batched flit pipeline forwards as single bursts.
+      (``FLIT_WORDS * run - 1`` payload words), cutting header overhead.
       Falls back to the spread choice when no long-enough run is free.
     """
 

@@ -262,16 +262,9 @@ class Channel:
     # --------------------------------------------------------------- helpers
     @property
     def status_word(self) -> int:
-        """REG_STATUS value: source fill in the top half, dest fill in the bottom.
-
-        The destination half reads :attr:`HardwareFifo.arrived_fill` — the
-        words physically delivered by now — so a batched burst deposit
-        (which dates each word with its per-flit arrival time) is invisible
-        to software polling this register: batched and per-flit runs return
-        identical values at every read point.
-        """
+        """REG_STATUS value: source fill in the top half, dest fill in the bottom."""
         return ((self.source_queue.total_fill & 0xFFFF) << 16 |
-                (self.dest_queue.arrived_fill & 0xFFFF))
+                (self.dest_queue.total_fill & 0xFFFF))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "GT" if self.regs.gt else "BE"

@@ -59,13 +59,7 @@ from repro.network.packet import (
     packet_to_flits,
 )
 from repro.network.slot_table import SlotTable
-from repro.sim.batching import (
-    FAR_FUTURE,
-    NO_BARRIER,
-    batching_default,
-    burst_cap,
-)
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -107,33 +101,6 @@ class NIKernel(ClockedComponent):
         self._gt_flits: Deque[Flit] = deque()
         self._be_flits: Deque[Flit] = deque()
         self._cycle = 0
-        # ------------------------------------------------------- batching
-        #: Captured process-wide default (repro.sim.batching): when True the
-        #: kernel moves whole packet bursts per event; when False it runs
-        #: the per-flit reference pipeline.  Both produce identical results.
-        self._batching = batching_default()
-        #: Maximum burst length; longer packets split into burst + per-flit
-        #: remainder (property tests sweep this boundary).
-        self._burst_cap = burst_cap()
-        #: Next scheduled fault-event cycle (shared, mutable); bursts must
-        #: fully drain before it.  Installed by the system builder when a
-        #: fault plan exists.
-        self.burst_barrier = NO_BARRIER
-        #: End cycle of the current bounded run (shared, mutable; installed
-        #: by ``SystemModel``): no burst may straddle a run boundary, so
-        #: counter totals at every observation point equal the per-flit
-        #: pipeline's.
-        self._stop_barrier = NO_BARRIER
-        #: Next metrics-sample cycle (shared, mutable; installed by the
-        #: system builder when observers are declared): no burst may be in
-        #: flight when the sampler reads, so sampled series equal the
-        #: per-flit pipeline's at every sample point.
-        self.obs_barrier = NO_BARRIER
-        #: First cycle a new transmit decision is due: while a burst's
-        #: flits stream mechanically, the scheduler has nothing to decide
-        #: (exactly the cycles the per-flit path spent in its continuation
-        #: branches).
-        self._tx_busy_until = 0
         # ------------------------------------------------------- hot path
         # (see PERFORMANCE.md "hot path": invariants a ClockedComponent
         # author must preserve when touching any of this state)
@@ -311,38 +278,30 @@ class NIKernel(ClockedComponent):
         """Next-action horizon — the TDMA frame macro-stepping rule.
 
         With a static slot table and a quiescent best-effort side, the only
-        cycles a tick can change state are (a) the cycle a new transmit
-        decision is due (``_tx_busy_until`` after a burst) and (b) cycles
-        whose TDM slot is *owned*: an owned slot either transmits or bumps
-        ``gt_slots_unused`` — both observable — while an unowned slot with
-        nothing pending is a proven no-op.  Scanning the cached slot->owner
-        list for the next owned slot therefore steps whole slot-table
-        revolutions in one edge (one per reservation run), which is the
-        analytic macro-step; the burst machinery already packetizes the
-        owner run when that edge fires.
+        cycles a tick can change state are those whose TDM slot is *owned*:
+        an owned slot either transmits or bumps ``gt_slots_unused`` — both
+        observable — while an unowned slot with nothing pending is a proven
+        no-op.  Scanning the cached slot->owner list for the next owned
+        slot therefore steps whole slot-table revolutions in one edge (one
+        per reservation run), which is the analytic macro-step.
 
         Exactness notes (why each branch is dense):
 
         * flits in flight on ``from_network`` — receive work happens every
-          tick, even inside a transmit-busy window;
+          tick;
         * a stale slot cache — purity forbids refreshing it here, and the
           horizon must not be computed from stale owners;
         * continuation flits or a non-empty BE ready overlay — per-flit
           sends, BE arbitration and ``be_stalls``/CDC-visibility polling
-          all happen cycle by cycle once the busy window ends.
+          all happen cycle by cycle.
         """
         link = self.from_network
         if link is not None and (
-                link._stage is not None or link._incoming is not None
-                or link._staged_burst is not None
-                or link._incoming_burst is not None
-                or link._trickle is not None):
+                link._stage is not None or link._incoming is not None):
             return cycle + 1
         if self._slot_cache_version != self.slot_table.version:
             return cycle + 1
-        nxt = self._tx_busy_until
-        if nxt <= cycle:
-            nxt = cycle + 1
+        nxt = cycle + 1
         if self._gt_flits or self._be_flits or self._be_ready:
             return nxt
         owners = self._slot_owners
@@ -378,11 +337,6 @@ class NIKernel(ClockedComponent):
     def _receive(self, cycle: int) -> None:
         link = self.from_network
         if link is None:
-            return
-        burst = link._staged_burst
-        if burst is not None:
-            link._staged_burst = None
-            self._receive_burst(burst, cycle)
             return
         flit = link.take()
         if flit is None:
@@ -429,75 +383,6 @@ class NIKernel(ClockedComponent):
         else:
             self._ctr_be_flits_received.value += 1
 
-    def _receive_burst(self, burst: List[Flit], cycle: int) -> None:
-        """Depacketize a whole GT burst in one event.
-
-        Word visibility stays flit-exact: flit ``j`` of the burst arrives at
-        ``cycle + j``, so its words enter the destination queue dated
-        ``now + j*flit_period + cdc`` — readers observe the identical word
-        stream the per-flit pipeline delivers, just with the kernel-side
-        events collapsed.  Credits post at the head (their real cycle);
-        tail bookkeeping uses the tail's real arrival cycle.
-        """
-        head = burst[0]
-        packet = head.packet
-        qid = packet.header.remote_qid
-        if qid >= len(self.channels):
-            raise RegisterError(
-                f"{self.name}: packet addressed to unknown queue {qid}")
-        channel = self.channels[qid]
-        credits = packet.header.credits
-        if credits:
-            channel.add_space(credits)
-            self._ctr_credits_received.value += credits
-        count = len(burst)
-        nwords = -1  # the head flit's first word is the header
-        for flit in burst:
-            nwords += flit.num_words
-        if nwords:
-            dest = channel.dest_queue
-            if not dest.can_push(nwords):
-                raise FlowControlError(
-                    f"{self.name}: destination queue of channel {qid} "
-                    f"overflowed (end-to-end flow control violated)")
-            # Burst flits cover a contiguous payload prefix (only a
-            # packet's last flit can be short, and a split burst is always
-            # a head-aligned prefix of the packet).
-            words = packet.payload[:nwords]
-            now = self.sim.now
-            period = self.flit_period_ps
-            cdc = dest.cdc_delay_ps
-            pairs = []
-            append = pairs.append
-            index = 0
-            for j, flit in enumerate(burst):
-                n = flit.num_words - 1 if j == 0 else flit.num_words
-                visible = now + j * period + cdc
-                for _ in range(n):
-                    append((visible, words[index]))
-                    index += 1
-            dest.push_run(pairs)
-            self._ctr_words_received.value += nwords
-            channel._ctr_words_received.value += nwords
-            if packet.poisoned:
-                channel.note_poisoned_words(nwords)
-        if burst[count - 1].is_tail:
-            tail_cycle = cycle + count - 1
-            packet.delivered_cycle = tail_cycle
-            self._ctr_packets_received.value += 1
-            if packet.injected_cycle is not None:
-                self._lat_network.record(packet.injected_cycle, tail_cycle)
-            if self.tracer.enabled:
-                # Bursts only form while the tracer is disabled, but one
-                # already in flight when a tracer arms still records its
-                # delivery (at the tail's real arrival time).
-                self.tracer.record(self.sim.now + (count - 1)
-                                   * self.flit_period_ps,
-                                   self.name, "packet_delivered",
-                                   packet=packet.packet_id,
-                                   channel=qid, gt=True)
-        self._ctr_gt_flits_received.value += count
-
     @staticmethod
     def _flit_payload(flit: Flit) -> List[int]:
         payload = flit.packet.payload
@@ -510,42 +395,10 @@ class NIKernel(ClockedComponent):
     def _transmit(self, cycle: int) -> None:
         if self.to_network is None:
             return
-        if cycle < self._tx_busy_until:
-            # A previously sent burst's flits are streaming mechanically;
-            # the per-flit pipeline would spend these cycles in its
-            # continuation branches with no new decision (and no counter
-            # the batched path has not already accounted).
-            return
         slot = cycle % self.num_slots
         if self._transmit_gt(cycle, slot):
             return
         self._transmit_be(cycle)
-
-    def _burst_length(self, cycle: int, nflits: int, path_len: int) -> int:
-        """Flits of a freshly formed packet that may travel as one burst.
-
-        Truncation invariants (PERFORMANCE.md "Burst-granularity
-        simulation"): the burst cap splits the packet, an armed/enabled
-        tracer forces per-flit fallback, and a scheduled fault event
-        truncates so the burst fully drains every hop strictly before the
-        event applies.
-        """
-        if not self._batching or self.tracer.enabled:
-            return 1
-        length = nflits
-        if self._burst_cap < length:
-            length = self._burst_cap
-        barrier = self.burst_barrier.cycle
-        stop = self._stop_barrier.cycle
-        if stop < barrier:
-            barrier = stop
-        obs = self.obs_barrier.cycle
-        if obs < barrier:
-            barrier = obs
-        allowance = barrier - cycle - path_len - 2
-        if allowance < length:
-            length = allowance
-        return length
 
     def _transmit_gt(self, cycle: int, slot: int) -> bool:
         # Continue an in-flight GT packet: its length was bounded by the
@@ -569,19 +422,6 @@ class NIKernel(ClockedComponent):
                                    max_payload=min(self.max_packet_words,
                                                    FLIT_WORDS * run - 1))
         flits = packet_to_flits(packet)
-        nflits = len(flits)
-        if nflits > 1:
-            length = self._burst_length(cycle, nflits,
-                                        len(packet.header.path))
-            if length >= 2:
-                self.to_network.send_burst(
-                    flits if length == nflits else flits[:length], cycle)
-                self._tx_busy_until = cycle + length
-                if length < nflits:
-                    self._gt_flits.extend(flits[length:])
-                self._ctr_gt_flits_sent.value += length
-                self._ctr_gt_packets_sent.value += 1
-                return True
         self.to_network.send(flits[0])
         self._gt_flits.extend(flits[1:])
         self._ctr_gt_flits_sent.value += 1
@@ -633,36 +473,6 @@ class NIKernel(ClockedComponent):
         packet = self._form_packet(channel, gt=False, cycle=cycle,
                                    max_payload=self.max_packet_words)
         flits = packet_to_flits(packet)
-        nflits = len(flits)
-        if nflits > 1:
-            length = self._burst_length(cycle, nflits,
-                                        len(packet.header.path))
-            if length >= 2:
-                # BE bursts additionally stop at link credit exhaustion
-                # (space for the whole run must exist up front — it can
-                # only grow while this single source streams) and at the
-                # first reserved TDM slot in the window, where the per-flit
-                # scheduler could have preempted (or counted an unused
-                # slot).  The slot cache is fresh: _transmit_gt just ran.
-                capacity = self.to_network.be_send_capacity()
-                if capacity < length:
-                    length = capacity
-                owners = self._slot_owners
-                num_slots = self.num_slots
-                limit = 1
-                while (limit < length
-                       and owners[(cycle + limit) % num_slots] is None):
-                    limit += 1
-                length = limit
-            if length >= 2:
-                self.to_network.send_burst(
-                    flits if length == nflits else flits[:length], cycle)
-                self._tx_busy_until = cycle + length
-                if length < nflits:
-                    self._be_flits.extend(flits[length:])
-                self._ctr_be_flits_sent.value += length
-                self._ctr_be_packets_sent.value += 1
-                return
         self.to_network.send(flits[0])
         self._be_flits.extend(flits[1:])
         self._ctr_be_flits_sent.value += 1

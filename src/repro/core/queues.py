@@ -46,13 +46,6 @@ class HardwareFifo:
         # shell hot path).
         self._sync_count = 0
         self._sync_time = -1
-        # Arrival cursor: ``_arr_count`` items were *written by the producer*
-        # (visible_at - cdc_delay <= now).  Differs from the raw queue length
-        # only while a batched burst deposit (:meth:`push_run`) holds
-        # forward-dated words; register reads (status word, flush snapshots)
-        # use :attr:`arrived_fill` so batching stays observably identical.
-        self._arr_count = 0
-        self._arr_time = -1
         self.total_pushed = 0
         self.total_popped = 0
         self.max_fill_seen = 0
@@ -89,10 +82,6 @@ class HardwareFifo:
             # whole queue) is immediately visible to the reader.
             self._sync_count = len(self._items)
             self._sync_time = now
-        # The word is being written *now*, and producer write times are
-        # monotone, so the whole queue has arrived.
-        self._arr_count = len(self._items)
-        self._arr_time = now
         self.total_pushed += 1
         if len(self._items) > self.max_fill_seen:
             self.max_fill_seen = len(self._items)
@@ -107,31 +96,6 @@ class HardwareFifo:
         for word in words:
             self.push(word)
 
-    def push_run(self, pairs: List[Tuple[int, int]]) -> None:
-        """Deposit a run of ``(visible_at_ps, word)`` pairs in one call.
-
-        The batched NI receive path uses this to deliver a whole flit
-        burst's words with their exact per-flit visibility times (each
-        flit's arrival edge plus the CDC delay), so readers observe the
-        same word stream as the per-flit pipeline.  Visibility times must
-        be monotone and no earlier than any word already queued — true by
-        construction, since bursts deposit on head arrival and the next
-        packet cannot arrive before this one's tail.  Fires ``on_push``
-        once for the whole run.
-        """
-        count = len(pairs)
-        items = self._items
-        if len(items) + count > self.capacity:
-            raise QueueError(
-                f"fifo {self.name}: cannot push {count} words "
-                f"({self.space} free)")
-        items.extend(pairs)
-        self.total_pushed += count
-        if len(items) > self.max_fill_seen:
-            self.max_fill_seen = len(items)
-        if self.on_push is not None:
-            self.on_push()
-
     # --------------------------------------------------------------- reading
     @property
     def fill(self) -> int:
@@ -145,27 +109,6 @@ class HardwareFifo:
                 count += 1
             self._sync_count = count
             self._sync_time = now
-        return count
-
-    @property
-    def arrived_fill(self) -> int:
-        """Words the producer has physically written by now.
-
-        Equals :attr:`total_fill` except while a batched burst deposit
-        holds forward-dated words; exact-semantics readers (status word,
-        flush snapshots) use this so batched and per-flit runs agree at
-        every observation point.
-        """
-        now = self._now()
-        count = self._arr_count
-        if now != self._arr_time:
-            items = self._items
-            total = len(items)
-            limit = now + self.cdc_delay_ps
-            while count < total and items[count][0] <= limit:
-                count += 1
-            self._arr_count = count
-            self._arr_time = now
         return count
 
     def can_pop(self, count: int = 1) -> bool:
@@ -185,10 +128,8 @@ class HardwareFifo:
             raise QueueError(f"fifo {self.name}: pop on empty/unsynchronized fifo")
         _, word = self._items.popleft()
         # can_pop just synchronized the cache at the current time, so the
-        # popped word was counted (visible implies arrived).
+        # popped word was counted.
         self._sync_count -= 1
-        if self._arr_count:
-            self._arr_count -= 1
         self.total_popped += 1
         return word
 
@@ -196,8 +137,8 @@ class HardwareFifo:
         """Pop up to ``count`` visible words (may return fewer).
 
         Slice-style drain: one fill synchronization, then a straight run of
-        popleft calls with the cursors adjusted once (the batched packet
-        formation path drains whole payloads this way).
+        popleft calls with the cursor adjusted once (packet formation drains
+        whole payloads this way).
         """
         available = min(count, self.fill)
         if not available:
@@ -205,7 +146,6 @@ class HardwareFifo:
         popleft = self._items.popleft
         out = [popleft()[1] for _ in range(available)]
         self._sync_count -= available
-        self._arr_count = max(0, self._arr_count - available)
         self.total_popped += available
         return out
 
@@ -213,8 +153,6 @@ class HardwareFifo:
         self._items.clear()
         self._sync_count = 0
         self._sync_time = -1
-        self._arr_count = 0
-        self._arr_time = -1
 
     def __len__(self) -> int:
         return len(self._items)

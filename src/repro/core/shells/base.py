@@ -29,8 +29,7 @@ from repro.protocol.messages import (
     request_from_words,
     response_from_words,
 )
-from repro.sim.batching import FAR_FUTURE
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 

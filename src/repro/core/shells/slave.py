@@ -19,8 +19,7 @@ from typing import Deque, Optional, Tuple
 from repro.core.shells.base import ConnectionShell, ShellError
 from repro.protocol.messages import RequestMessage, ResponseMessage
 from repro.protocol.transactions import Command, Transaction
-from repro.sim.batching import FAR_FUTURE
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 

@@ -14,8 +14,7 @@ Since we cannot synthesize silicon here, the model decomposes the kernel area
 into per-queue-word, per-channel, per-port, per-slot and fixed contributions,
 with coefficients calibrated so the paper's reference instance reproduces the
 published figures exactly; other instances scale accordingly (the dominant
-term is the custom hardware FIFOs, as the paper notes).  This substitution is
-recorded in DESIGN.md.
+term is the custom hardware FIFOs, as the paper notes).
 """
 
 from __future__ import annotations

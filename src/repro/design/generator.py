@@ -20,7 +20,6 @@ from repro.core.ni import NetworkInterface
 from repro.design.spec import NISpec, NoCSpec, SpecError
 from repro.network.noc import NoC, NoCBuilder
 from repro.network.topology import Topology, make_topology
-from repro.sim.batching import FAR_FUTURE, BurstBarrier
 from repro.sim.clock import Clock, fuse_clocks
 from repro.sim.engine import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -36,11 +35,6 @@ class SystemModel:
     nis: Dict[str, NetworkInterface] = field(default_factory=dict)
     port_clocks: Dict[Tuple[str, str], Clock] = field(default_factory=dict)
     allocator: Optional[CentralizedSlotAllocator] = None
-    #: Run-boundary burst barrier shared by every NI kernel: bounded runs
-    #: (``run_flit_cycles`` / ``run_ns``) publish their stop cycle here so
-    #: no burst is ever in flight when the run ends — observations at run
-    #: boundaries see counter totals identical to the per-flit pipeline.
-    stop_barrier: BurstBarrier = field(default_factory=BurstBarrier)
     #: True once same-rate clocks were fused into groups (first ``start``).
     _fused: bool = False
 
@@ -80,29 +74,11 @@ class SystemModel:
     def run_flit_cycles(self, cycles: int) -> None:
         """Run the simulation for ``cycles`` network flit cycles."""
         self.start()
-        self._run_bounded(cycles * self.noc.flit_clock.period_ps)
+        self.sim.run_for(cycles * self.noc.flit_clock.period_ps)
 
     def run_ns(self, nanoseconds: float) -> None:
         self.start()
-        self._run_bounded(int(nanoseconds * 1000))
-
-    def _run_bounded(self, duration_ps: int) -> None:
-        """Run for a fixed duration with the stop cycle as a burst barrier.
-
-        The last flit edge of the run is ``(until - epoch) // period`` (an
-        edge landing exactly on ``until`` executes), so the first cycle the
-        run will never see is one past that.  Publishing it through
-        :attr:`stop_barrier` makes kernels truncate bursts that could not
-        fully drain inside this run — the trailing cycles go per-flit, and
-        every counter equals the per-flit pipeline's value at the boundary.
-        """
-        clock = self.noc.flit_clock
-        until = self.sim.now + duration_ps
-        self.stop_barrier.cycle = (until - clock._epoch) // clock.period_ps + 1
-        try:
-            self.sim.run_for(duration_ps)
-        finally:
-            self.stop_barrier.cycle = FAR_FUTURE
+        self.sim.run_for(int(nanoseconds * 1000))
 
     def functionally_idle(self) -> bool:
         """True when no component can change workload-visible state.
@@ -213,7 +189,6 @@ def _build_ni(ni_spec: NISpec, sim: Simulator, noc: NoC,
                       be_arbiter=ni_spec.be_arbiter,
                       flit_period_ps=noc.flit_clock.period_ps,
                       tracer=tracer)
-    kernel._stop_barrier = system.stop_barrier
     ni = NetworkInterface(name=ni_spec.name, kernel=kernel)
     for port_spec in ni_spec.ports:
         port_clock = Clock(sim, port_spec.clock_mhz,

@@ -136,7 +136,7 @@ class NoCSpec:
     routing: object = "auto"
     #: TDMA slot allocation policy: ``"spread"`` (even spacing, lowest
     #: jitter) or ``"contiguous"`` (consecutive runs — longer packets,
-    #: lower header overhead, burst-forwardable).
+    #: lower header overhead).
     slot_policy: str = "spread"
     topology_params: Dict[str, object] = field(default_factory=dict)
     nis: List[NISpec] = field(default_factory=list)

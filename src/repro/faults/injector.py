@@ -16,26 +16,16 @@ applied it goes idle and the clock may sleep again.
 from __future__ import annotations
 
 from repro.faults.plan import FaultPlan
-from repro.sim.batching import FAR_FUTURE, BurstBarrier
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 
 
 class FaultInjector(ClockedComponent):
-    """Applies the events of a :class:`FaultPlan` at their scheduled cycles.
-
-    Also owns the system's :class:`~repro.sim.batching.BurstBarrier`: the
-    barrier always holds the next unapplied event's cycle, and the NI
-    kernels truncate bursts so nothing is in flight anywhere on a path
-    when an event applies (the burst-truncation invariant of
-    PERFORMANCE.md "Burst-granularity simulation").
-    """
+    """Applies the events of a :class:`FaultPlan` at their scheduled cycles."""
 
     def __init__(self, manager, plan: FaultPlan) -> None:
         self.manager = manager
         self._events = plan.sorted_events()
         self._next = 0
-        self.barrier = BurstBarrier(
-            self._events[0].cycle if self._events else FAR_FUTURE)
 
     @property
     def exhausted(self) -> bool:
@@ -47,14 +37,9 @@ class FaultInjector(ClockedComponent):
 
     def tick(self, cycle: int) -> None:
         events = self._events
-        applied = False
         while self._next < len(events) and events[self._next].cycle <= cycle:
             self.manager.apply(events[self._next])
             self._next += 1
-            applied = True
-        if applied:
-            self.barrier.cycle = (events[self._next].cycle
-                                  if self._next < len(events) else FAR_FUTURE)
 
     def is_idle(self) -> bool:
         return self._next >= len(self._events)

@@ -14,8 +14,7 @@ from typing import Deque, List, Optional
 from repro.core.shells.master import MasterShell
 from repro.ip.traffic import TrafficPattern
 from repro.protocol.transactions import Transaction, TransactionStatus
-from repro.sim.batching import FAR_FUTURE
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry
 
 

@@ -49,5 +49,9 @@ class SharedMemory:
         for offset, word in enumerate(data):
             self.write(address + offset, word)
 
+    def words(self) -> Dict[int, int]:
+        """Every word written so far, by address (a copy)."""
+        return dict(self._data)
+
     def __len__(self) -> int:
         return len(self._data)

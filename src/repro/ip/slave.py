@@ -24,8 +24,7 @@ from repro.protocol.transactions import (
     Transaction,
     TransactionResponse,
 )
-from repro.sim.batching import FAR_FUTURE
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry
 
 

@@ -30,7 +30,7 @@ from repro.mem.timing import (
     resolve_timing,
 )
 from repro.protocol.transactions import Transaction, TransactionResponse
-from repro.sim.batching import FAR_FUTURE
+from repro.sim.clock import FAR_FUTURE
 from repro.sim.stats import StatsRegistry
 
 

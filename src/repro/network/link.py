@@ -30,11 +30,10 @@ per flit for all of this; no-fault runs stay byte-identical.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.network.packet import Flit
-from repro.sim.batching import FAR_FUTURE
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry, WindowedRate
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -63,18 +62,6 @@ class Link(ClockedComponent):
         self.source_port: int = 0
         self._stage: Optional[Flit] = None
         self._incoming: Optional[Flit] = None
-        # Burst pipeline state (see send_burst).  A GT burst is staged whole
-        # (``_incoming_burst`` -> ``_staged_burst``) and consumed in one
-        # event; a BE burst trickles through ``_stage`` one flit per cycle
-        # so the sink's per-flit arbitration path is unchanged.  While a
-        # burst occupies the wire, ``_busy_until`` is the first cycle a new
-        # send is legal — exactly the cycle the per-flit pipeline would
-        # have freed the link.
-        self._incoming_burst: Optional[List[Flit]] = None
-        self._staged_burst: Optional[List[Flit]] = None
-        self._trickle: Optional[List[Flit]] = None
-        self._trickle_next = 0
-        self._busy_until = 0
         #: Optional flits/cycle sliding-window meter (health_report).
         self.meter: Optional[WindowedRate] = None
         self.flits_carried = 0
@@ -112,44 +99,19 @@ class Link(ClockedComponent):
         self.sink_port = sink_port
 
     # --------------------------------------------------------------- sending
-    def _busy(self) -> bool:
-        """True while a previously sent burst still occupies the wire."""
-        return (self._busy_until > 0 and self._clock is not None
-                and self._clock._cycle < self._busy_until)
-
     def can_send(self) -> bool:
         """True when no flit has been offered this cycle."""
-        if self._incoming is not None or self._trickle is not None:
-            return False
-        if self._incoming_burst is not None or self._staged_burst is not None:
-            return False
-        return not self._busy()
+        return self._incoming is None
 
     def can_send_be(self) -> bool:
         """True when a best-effort flit may be sent without overflowing the sink."""
-        if self._incoming is not None or self._trickle is not None:
-            return False
-        if self._incoming_burst is not None or self._busy():
+        if self._incoming is not None:
             return False
         be_space = self._sink_be_space
         if be_space is None:
             return True
         in_flight = (1 if self._stage is not None else 0)
         return be_space(self.sink_port) - in_flight > 0
-
-    def be_send_capacity(self) -> int:
-        """Flits of best-effort sink space available to a burst right now.
-
-        The burst length bound for the BE fast path: space can only grow
-        while a single source streams (the sink input port is dedicated),
-        so reserving the whole burst up front is exact.
-        """
-        if not self.can_send_be():
-            return 0
-        be_space = self._sink_be_space
-        if be_space is None:
-            return 1
-        return be_space(self.sink_port) - (1 if self._stage is not None else 0)
 
     def send(self, flit: Flit) -> None:
         if self._unreliable and flit.is_head:
@@ -168,11 +130,14 @@ class Link(ClockedComponent):
         meter = self.meter
         if meter is not None and self._clock is not None:
             # Inlined WindowedRate.add — this runs once per flit on every
-            # link, and the method-call pair was measurable.
+            # link, and the method call was measurable.
             cycle = self._clock._cycle
-            if cycle > meter._last_cycle:
-                meter._advance(cycle)
-            meter._buckets[cycle % meter.window] += 1
+            index = cycle % meter.window
+            if meter._stamps[index] == cycle:
+                meter._buckets[index] += 1
+            else:
+                meter._stamps[index] = cycle
+                meter._buckets[index] = 1
             meter.total += 1
         # A link is registered on the same clock as its sink (wake-up
         # protocol contract): keeping this clock awake until the flit is
@@ -181,53 +146,6 @@ class Link(ClockedComponent):
         # Tick gating: the sink may hold a standing next-action gate
         # computed while this wire was empty; a flit in flight invalidates
         # it, and only the link knows the sink to tell.
-        if self._sink_clocked and self._sink._gate_until:
-            self._sink.notify_active()
-
-    def send_burst(self, flits: List[Flit], cycle: int) -> None:
-        """Offer a contiguous run of one packet's flits starting at ``cycle``.
-
-        The wire is occupied through ``cycle + len(flits) - 1`` — exactly
-        the cycles the per-flit pipeline would have used — and refuses new
-        sends until then (:meth:`can_send` / :meth:`can_send_be`).
-
-        GT bursts are staged whole at this cycle's commit and consumed by
-        the sink in a single event at ``cycle + 1`` (contention-free by
-        slot allocation).  BE bursts *trickle*: each flit enters the
-        register pipeline on its own cycle, so the sink's per-flit BE
-        arbitration and backpressure behave identically to unbatched
-        operation; only the sender-side events are batched.
-
-        Fault semantics match :meth:`send`: the head flit takes the
-        poison decision at this cycle, on this link.
-        """
-        if (self._incoming is not None or self._trickle is not None
-                or self._incoming_burst is not None):
-            raise LinkContentionError(
-                f"link {self.name}: burst offered while the wire is occupied")
-        head = flits[0]
-        if self._unreliable:
-            self._fault_mark(head)
-        count = len(flits)
-        self.flits_carried += count
-        words = 0
-        for flit in flits:
-            words += flit.num_words
-        self.words_carried += words
-        if head.is_gt:
-            self.gt_flits_carried += count
-            self._incoming_burst = flits
-        else:
-            self.be_flits_carried += count
-            # First flit enters the register now; the rest follow one per
-            # cycle from post_tick.
-            self._incoming = head
-            self._trickle = flits
-            self._trickle_next = 1
-        self._busy_until = cycle + count
-        if self.meter is not None:
-            self.meter.add_run(cycle, count)
-        self.notify_active()
         if self._sink_clocked and self._sink._gate_until:
             self._sink.notify_active()
 
@@ -259,10 +177,6 @@ class Link(ClockedComponent):
         for flit in (self._incoming, self._stage):
             if flit is not None and not flit.packet.poisoned:
                 self._poison(flit.packet)
-        for burst in (self._incoming_burst, self._staged_burst,
-                      self._trickle):
-            if burst and not burst[0].packet.poisoned:
-                self._poison(burst[0].packet)
 
     def repair(self) -> None:
         """Bring a failed link back up (poisoned packets stay poisoned)."""
@@ -314,13 +228,6 @@ class Link(ClockedComponent):
         self._stage = None
         return flit
 
-    def take_staged_burst(self) -> Optional[List[Flit]]:
-        """Consume the GT burst staged this cycle (None if no burst)."""
-        burst = self._staged_burst
-        if burst is not None:
-            self._staged_burst = None
-        return burst
-
     def attach_meter(self, window_cycles: int = 64) -> WindowedRate:
         """Install (or return) the flits/cycle sliding-window meter."""
         if self.meter is None:
@@ -328,39 +235,20 @@ class Link(ClockedComponent):
         return self.meter
 
     @property
-    def busy(self) -> bool:
-        """True while a previously sent burst still occupies the wire
-        (probe hook; see :meth:`can_send`)."""
-        return self._busy()
-
-    @property
     def occupancy(self) -> int:
         """Flits currently inside the link register stages."""
-        count = (1 if self._stage is not None else 0) + \
-                (1 if self._incoming is not None else 0)
-        if self._incoming_burst is not None:
-            count += len(self._incoming_burst)
-        if self._staged_burst is not None:
-            count += len(self._staged_burst)
-        if self._trickle is not None:
-            # Flits not yet moved into the register pipeline (the one in
-            # ``_incoming``/``_stage`` is already counted above).
-            count += len(self._trickle) - self._trickle_next
-        return count
+        return (1 if self._stage is not None else 0) + \
+               (1 if self._incoming is not None else 0)
 
     # ----------------------------------------------------------------- clock
     def is_idle(self) -> bool:
-        """Idle when the register stages and burst pipeline are empty.
+        """Idle when both register stages are empty.
 
-        Wake-protocol contract for batch delivery: a link holding any part
-        of a burst reports busy, which keeps the sink's clock ticking until
-        the last flit is consumed — a burst can never strand a sleeping
-        consumer mid-delivery.
+        Wake-protocol contract: a link holding a flit reports busy, which
+        keeps the sink's clock ticking until the flit is consumed — a send
+        can never strand a sleeping consumer.
         """
-        return (self._stage is None and self._incoming is None
-                and self._staged_burst is None
-                and self._incoming_burst is None
-                and self._trickle is None)
+        return self._stage is None and self._incoming is None
 
     def next_action_cycle(self, cycle: int) -> int:
         """Dense while any flit occupies the wire, never otherwise.
@@ -369,14 +257,9 @@ class Link(ClockedComponent):
         so its horizon is exactly its idleness — but reporting it lets a
         gating clock trust the standing FAR gate instead of re-polling
         ``is_idle`` on every edge, and new sends cancel the gate through
-        :meth:`send`'s ``notify_active``.  (``_busy_until`` is deliberately
-        not consulted: a spent burst window gates *senders*, and senders
-        are dense while they hold flits.)
+        :meth:`send`'s ``notify_active``.
         """
-        if (self._stage is None and self._incoming is None
-                and self._staged_burst is None
-                and self._incoming_burst is None
-                and self._trickle is None):
+        if self._stage is None and self._incoming is None:
             return FAR_FUTURE
         return cycle + 1
 
@@ -390,22 +273,6 @@ class Link(ClockedComponent):
                     f"link {self.name}: sink did not drain flit {self._stage!r}")
             self._stage = self._incoming
             self._incoming = None
-            trickle = self._trickle
-            if trickle is not None:
-                # Feed the next BE burst flit into the register, exactly as
-                # the per-flit sender would have on this cycle.
-                nxt = self._trickle_next
-                if nxt < len(trickle):
-                    self._incoming = trickle[nxt]
-                    self._trickle_next = nxt + 1
-                if self._trickle_next >= len(trickle):
-                    self._trickle = None
-        elif self._incoming_burst is not None:
-            if self._staged_burst is not None or self._stage is not None:
-                raise LinkContentionError(
-                    f"link {self.name}: sink did not drain the previous burst")
-            self._staged_burst = self._incoming_burst
-            self._incoming_burst = None
 
     def utilization(self, window_cycles: int) -> float:
         """Fraction of flit cycles the link carried a flit over ``window_cycles``."""

@@ -27,10 +27,9 @@ from typing import Deque, List, Optional
 from repro.network.link import Link
 from repro.network.packet import Flit
 from repro.network.slot_table import RouterSlotTable
-from repro.sim.batching import FAR_FUTURE
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.engine import Simulator
-from repro.sim.stats import CounterColumn, StatsRegistry
+from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -44,15 +43,9 @@ class BufferOverflowError(RuntimeError):
 
 @dataclass
 class _InputState:
-    """Per-input-port buffering and wormhole state.
+    """Per-input-port buffering and wormhole state."""
 
-    ``gt_queue`` entries are either single :class:`Flit` objects or whole
-    bursts (plain ``list`` of flits from one packet, head first) delivered
-    by a batched link; bursts are forwarded in one decision since the slot
-    allocation already guarantees the window.
-    """
-
-    gt_queue: Deque[object] = field(default_factory=deque)
+    gt_queue: Deque[Flit] = field(default_factory=deque)
     be_queue: Deque[Flit] = field(default_factory=deque)
     gt_active_output: Optional[int] = None
     be_active_output: Optional[int] = None
@@ -97,11 +90,6 @@ class Router(ClockedComponent):
         self._gt_first_port = [0] * num_ports
         self._gt_conflict_stamp = [-1] * num_ports
         self._tick_stamp = 0
-        # Per-output burst claim windows: a forwarded GT burst owns its
-        # output (and out-link) through cycle ``_gt_out_busy_until[o] - 1``;
-        # BE arbitration skips the output for the window exactly as it
-        # would have skipped the per-cycle GT claims.
-        self._gt_out_busy_until = [0] * num_ports
         #: Scratch: desired output of each input's BE queue head this cycle.
         self._be_desired: List[Optional[int]] = [-1] * num_ports
         # Hot counters cached as attributes (one registry lookup at
@@ -111,12 +99,6 @@ class Router(ClockedComponent):
         self._ctr_be_flits_in = stats_reg.counter("be_flits_in")
         self._ctr_gt_flits_out = stats_reg.counter("gt_flits_out")
         self._ctr_be_flits_out = stats_reg.counter("be_flits_out")
-        #: Columnar accumulator for the BE arbitration pass: each pass
-        #: records its batch of sends as one column entry, folded into
-        #: ``be_flits_out`` at the pass boundary so observers between
-        #: events always see exact totals while the per-flit inner loop
-        #: stays free of counter-object traffic.
-        self._col_be_flits_out = CounterColumn(self._ctr_be_flits_out)
         self._ctr_gt_conflicts = stats_reg.counter("gt_conflicts")
         self._ctr_be_backpressure = stats_reg.counter("be_backpressure_stalls")
         self._ctr_slot_mismatches = stats_reg.counter(
@@ -187,33 +169,19 @@ class Router(ClockedComponent):
         ``cycle + 1`` is attempted — the win is the FAR claim for the empty
         router, which lets a saturated run gate the routers a flow does not
         cross.  In-flight flits are covered by the in-link scan plus the
-        sender-side un-gate in :meth:`Link.send`; ``_gt_out_busy_until``
-        windows are deliberately ignored (a spent window changes nothing
-        until new flits arrive, and those arrive through a link).
+        sender-side un-gate in :meth:`Link.send`.
         """
         for state in self._inputs:
             if state.gt_queue or state.be_queue:
                 return cycle + 1
         for _port, link in self._wired_in_links:
-            if (link._stage is not None or link._incoming is not None
-                    or link._staged_burst is not None
-                    or link._incoming_burst is not None
-                    or link._trickle is not None):
+            if link._stage is not None or link._incoming is not None:
                 return cycle + 1
         return FAR_FUTURE
 
     # -------------------------------------------------------------- incoming
     def _accept_incoming(self, cycle: int) -> None:
         for port, link in self._wired_in_links:
-            burst = link._staged_burst
-            if burst is not None:
-                link._staged_burst = None
-                state = self._inputs[port]
-                state.gt_queue.append(burst)
-                self._ctr_gt_flits_in.value += len(burst)
-                if self.slot_table is not None:
-                    self._check_slot_reservation(port, burst[0], cycle)
-                continue
             # Inlined link.take(): one attribute read on the (very common)
             # idle-link path instead of a method call per link per cycle.
             flit = link._stage
@@ -271,35 +239,18 @@ class Router(ClockedComponent):
         claim = self._gt_claim_stamp
         first = self._gt_first_port
         conflicted = self._gt_conflict_stamp
-        busy = self._gt_out_busy_until
         any_request = False
         for port, state in enumerate(self._inputs):
             if not state.gt_queue:
                 continue
-            entry = state.gt_queue[0]
-            if type(entry) is list:
-                # A burst always starts at its packet's head flit.
-                output = entry[0].packet.peek_route()
-            elif entry.is_head:
-                output = entry.packet.peek_route()
+            flit = state.gt_queue[0]
+            if flit.is_head:
+                output = flit.packet.peek_route()
             else:
                 if state.gt_active_output is None:
                     raise SlotConflictError(
                         f"router {self.name}: GT body flit with no active output")
                 output = state.gt_active_output
-            if busy[output] > cycle:
-                # An earlier burst owns this output's window: with a sound
-                # slot allocation this cannot happen (the window is exactly
-                # the slots the packet owns), so it is the windowed
-                # equivalent of a per-cycle slot conflict.
-                if conflicted[output] != stamp:
-                    conflicted[output] = stamp
-                    self._ctr_gt_conflicts.value += 1
-                    if self.strict_gt:
-                        raise SlotConflictError(
-                            f"router {self.name}: GT burst window conflict on "
-                            f"output {output} in cycle {cycle}")
-                continue
             if claim[output] != stamp:
                 claim[output] = stamp
                 first[output] = port
@@ -311,8 +262,6 @@ class Router(ClockedComponent):
                     keys = []
                     for p in (first[output], port):
                         head = self._inputs[p].gt_queue[0]
-                        if type(head) is list:
-                            head = head[0]
                         keys.append(head.packet.header.channel_key)
                     raise SlotConflictError(
                         f"router {self.name}: GT slot conflict on output "
@@ -337,7 +286,6 @@ class Router(ClockedComponent):
         num_ports = self.num_ports
         claim = self._gt_claim_stamp
         stamp = self._tick_stamp
-        busy = self._gt_out_busy_until
         locked_by_output = self._be_output_locked_input
         desired_by_port = self._be_desired
         any_be = False
@@ -358,11 +306,8 @@ class Router(ClockedComponent):
             any_be = True
         if not any_be:
             return
-        sent = 0
         for output in range(num_ports):
             if claim[output] == stamp:       # GT used this output this cycle
-                continue
-            if busy[output] > cycle:         # inside a GT burst's window
                 continue
             link = self.out_links[output]
             if link is None:
@@ -382,7 +327,6 @@ class Router(ClockedComponent):
                     self._ctr_be_backpressure.value += 1
                     break
                 self._send_flit(port, output, gt=False, cycle=cycle)
-                sent += 1
                 # The pop may expose a flit for an output scanned later
                 # this cycle (e.g. a fresh head after a tail): refresh.
                 state = inputs[port]
@@ -402,12 +346,6 @@ class Router(ClockedComponent):
                     self._be_rr_pointer[output] = (
                         0 if pointer >= num_ports else pointer)
                 break
-        if sent:
-            # Pass boundary (the BE burst boundary): record this pass's
-            # batch in the column and fold it, so between-event observers
-            # see exact ``be_flits_out`` totals.
-            self._col_be_flits_out.append(sent)
-            self._col_be_flits_out.flush()
 
     def _send_flit(self, port: int, output: int, gt: bool, cycle: int) -> None:
         state = self._inputs[port]
@@ -417,9 +355,6 @@ class Router(ClockedComponent):
         if link is None:
             raise SlotConflictError(
                 f"router {self.name}: no link on output {output}")
-        if gt and type(flit) is list:
-            self._send_gt_burst(state, flit, output, link, cycle)
-            return
         if flit.is_head:
             taken = flit.packet.advance_route()
             if taken != output:
@@ -440,8 +375,8 @@ class Router(ClockedComponent):
         link.send(flit)
         if gt:
             self._ctr_gt_flits_out.value += 1
-        # BE sends are tallied by the caller's pass-level column entry
-        # (``_forward_be``) rather than per flit here.
+        else:
+            self._ctr_be_flits_out.value += 1
         self._rate_flits_out.add(cycle)
         if self.tracer.enabled:
             self.tracer.record(self._now_ps(), self.name, "forward",
@@ -449,60 +384,21 @@ class Router(ClockedComponent):
                                traffic="gt" if gt else "be",
                                packet=flit.packet.packet_id, flit=flit.index)
 
-    def _send_gt_burst(self, state: _InputState, burst: List[Flit],
-                       output: int, link: Link, cycle: int) -> None:
-        """Forward a whole GT burst: one slot-table consultation, one
-        route advance, one link event, counters bumped per burst."""
-        head = burst[0]
-        taken = head.packet.advance_route()
-        if taken != output:
-            raise SlotConflictError(
-                f"router {self.name}: route mismatch "
-                f"(expected {taken}, forwarding to {output})")
-        count = len(burst)
-        # A burst that does not carry the tail (a capped split) leaves the
-        # wormhole open for the per-flit remainder arriving right behind it.
-        state.gt_active_output = None if burst[count - 1].is_tail else output
-        self._gt_out_busy_until[output] = cycle + count
-        link.send_burst(burst, cycle)
-        self._ctr_gt_flits_out.value += count
-        self._rate_flits_out.add_run(cycle, count)
-        if self.tracer.enabled:
-            # Bursts already in flight when a tracer arms are recorded per
-            # flit at the forwarding decision's timestamp.
-            now_ps = self._now_ps()
-            for flit in burst:
-                self.tracer.record(now_ps, self.name, "forward",
-                                   input=self._inputs.index(state),
-                                   output=output, traffic="gt",
-                                   packet=flit.packet.packet_id,
-                                   flit=flit.index)
-
     # ------------------------------------------------------------- inspection
     def buffered_flits(self) -> int:
         """Total flits buffered in this router (cost metric of [21])."""
-        total = 0
-        for state in self._inputs:
-            for entry in state.gt_queue:
-                total += len(entry) if type(entry) is list else 1
-            total += len(state.be_queue)
-        return total
+        return sum(len(state.gt_queue) + len(state.be_queue)
+                   for state in self._inputs)
 
     def be_queue_depth(self, port: int) -> int:
         self._check_port(port)
         return len(self._inputs[port].be_queue)
 
     def input_fill(self, port: int, gt: bool = True) -> int:
-        """Flits buffered at one input port (probe hook; burst entries in
-        the GT queue count per flit, like :meth:`buffered_flits`)."""
+        """Flits buffered at one input port (probe hook)."""
         self._check_port(port)
         state = self._inputs[port]
-        if not gt:
-            return len(state.be_queue)
-        total = 0
-        for entry in state.gt_queue:
-            total += len(entry) if type(entry) is list else 1
-        return total
+        return len(state.gt_queue if gt else state.be_queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Router({self.name}, ports={self.num_ports})"

@@ -109,9 +109,8 @@ class SlotTable:
         (wrapping around the table) held by ``owners[s]``; free slots get a
         run of 1.  A run bounds how many flits one GT packet injected at
         slot ``s`` may occupy before the table's ownership changes — the
-        quantity both the NI packetizer and the batched pipeline's
-        burst-length computation need.  Callers cache the result keyed on
-        :attr:`version`.
+        quantity the NI packetizer needs.  Callers cache the result keyed
+        on :attr:`version`.
         """
         owners = list(self._entries)
         size = self.size

@@ -148,7 +148,6 @@ class LinkProbe(Probe):
         super().__init__(f"link.{link.name}", capture_depth)
         self._link = link
         self._add_reader("occupancy", self._read_occupancy, signal=True)
-        self._add_reader("busy", self._read_busy, signal=True)
         self._add_reader("flits_carried", self._read_flits, signal=False)
         self._add_reader("rate", self._read_rate, signal=False)
 
@@ -156,11 +155,6 @@ class LinkProbe(Probe):
         if not self.enabled:
             return 0
         return self._link.occupancy
-
-    def _read_busy(self, cycle: int) -> int:
-        if not self.enabled:
-            return 0
-        return 1 if self._link.busy else 0
 
     def _read_flits(self, cycle: int) -> int:
         if not self.enabled:

@@ -7,14 +7,7 @@ no-obs build instantiates nothing, so observability costs exactly nothing
 
 Determinism is cycle-anchored: samples are taken whenever
 ``cycle % stride == 0``, a pure function of the cycle index, so the series
-is identical across activity-driven vs always-tick engines.  Batched vs
-unbatched equivalence is bought the same way fault events buy it: the
-sampler owns a :class:`~repro.sim.batching.BurstBarrier` holding the next
-sample cycle, and the NI kernels truncate bursts so nothing is in flight
-anywhere on a path when a sample is read — every counter and queue fill at
-a sample cycle equals the per-flit pipeline's value (PERFORMANCE.md
-"Burst-granularity simulation", the same invariant the fault injector and
-run boundaries rely on).
+is identical across activity-driven vs always-tick engines.
 
 Memory is bounded: past ``series_cap`` retained samples the stride doubles
 and rows not on the new stride are dropped (fixed-stride decimation), so a
@@ -36,8 +29,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.obs.probes import ObsError, Probe
-from repro.sim.batching import FAR_FUTURE, BurstBarrier
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 
 
 class MetricsSampler(ClockedComponent):
@@ -56,9 +48,6 @@ class MetricsSampler(ClockedComponent):
         self.stride = period
         self.series_cap = series_cap
         self.enabled = True
-        #: Next sample cycle, shared with every NI kernel: bursts truncate
-        #: so nothing is in flight when a sample is read.
-        self.barrier = BurstBarrier(0)
         #: Sample cycles, one entry per retained row.
         self.cycles: List[int] = []
         self.samples_taken = 0
@@ -96,8 +85,6 @@ class MetricsSampler(ClockedComponent):
         self.samples_taken += 1
         if len(self.cycles) > self.series_cap:
             self._decimate()
-        stride = self.stride
-        self.barrier.cycle = cycle - (cycle % stride) + stride
 
     def _decimate(self) -> None:
         """Double the stride, keeping only rows on the new grid."""

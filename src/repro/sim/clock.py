@@ -58,7 +58,7 @@ The rules that make gating a pure optimization (byte-identical results):
   cancels the standing gate before waking the clock.  A standing gate is
   therefore trusted without recomputation: state feeding a pure horizon can
   only change through the component's own tick or through a notify.
-* A horizon at or beyond :data:`~repro.sim.batching.FAR_FUTURE` is an
+* A horizon at or beyond :data:`FAR_FUTURE` is an
   idleness claim ("this tick never changes state again absent stimulus");
   a clock whose components are all idle or FAR-gated goes to sleep without
   leaving a never-popping event in the heap.
@@ -71,8 +71,7 @@ The rules that make gating a pure optimization (byte-identical results):
 TDMA frame macro-stepping falls out of this layer: an NI kernel whose slot
 table is static and whose best-effort ready-set is empty reports the next
 *owned* slot as its horizon, so GT-only quiescent-BE phases execute one
-kernel event per slot-table revolution per reservation run (the burst
-machinery already packetizes whole owner runs; see
+kernel event per slot-table revolution per reservation run (see
 ``NIKernel.next_action_cycle`` and PERFORMANCE.md).
 
 Setting ``idle_skip=False`` on a clock (or globally via
@@ -88,8 +87,13 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Optional
 
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.engine import SimulationError, Simulator
+
+#: Sentinel cycle meaning "never": the next-action horizon of a component
+#: that will not act again absent stimulus.  A clock whose components all
+#: report it goes to sleep instead of scheduling an edge that would never
+#: pop.  Every cycle arithmetic in the simulator saturates at this ceiling.
+FAR_FUTURE = 1 << 60
 
 #: Each clock's tick callbacks run at a distinct priority allocated in clock
 #: creation order (see ``Simulator.next_clock_priority``), so coincident edges
@@ -105,16 +109,15 @@ _DEFAULT_IDLE_SKIP = True
 #: Module-wide default for ``Clock.tick_gating`` (the next-action layer).
 _DEFAULT_TICK_GATING = True
 
-#: Dense-recheck amortization span, in cycles.  A component whose
-#: ``next_action_cycle`` just answered "``cycle + 1``" (no skipping possible)
-#: is very likely to keep answering that while traffic stays dense, so the
-#: clock stops asking for this many cycles and treats the component as dense.
-#: This only ever *under*-gates — the component ticks instead of skipping,
-#: which is an observable no-op by contract — so results are unaffected; it
-#: bounds the horizon-query overhead in the saturated regime where there is
-#: nothing to skip.  Real standing gates (horizon beyond the next boundary)
-#: never set a recheck window, so their expiry always recomputes eagerly and
-#: TDMA macro-stepping is never delayed.
+#: Dense-window span, in cycles.  A clock whose horizon pass just concluded
+#: "tick the next boundary anyway" (no edge to skip) is very likely to keep
+#: concluding that while traffic stays dense, so it stops asking for this
+#: many cycles and schedules every edge unconditionally.  This only ever
+#: *under*-gates — a component ticks instead of skipping, which is an
+#: observable no-op by contract — so results are unaffected; it bounds the
+#: horizon-query overhead in the saturated regime where there is nothing to
+#: skip.  A pass that finds an edge to skip never opens a window, so TDMA
+#: macro-stepping is never delayed.
 _DENSE_RECHECK_SPAN = 32
 
 
@@ -191,10 +194,6 @@ class ClockedComponent:
     #: (cached by :meth:`Clock.add_component` so the per-edge horizon loop
     #: never pays a method-resolution check).
     _has_next_action: bool = False
-    #: Cycle until which the clock treats this component as dense without
-    #: re-querying :meth:`next_action_cycle` (see ``_DENSE_RECHECK_SPAN``).
-    #: Written only by the clock; under-gates, never over-gates.
-    _gate_recheck: int = 0
 
     def tick(self, cycle: int) -> None:  # pragma: no cover - interface default
         """Compute phase of the clock edge."""
@@ -218,7 +217,7 @@ class ClockedComponent:
         (and only then); the returned horizon stands until the component
         ticks again or a stimulus calls :meth:`notify_active`.  Must be
         pure — no attribute writes — and may under-estimate but never
-        over-estimate; :data:`~repro.sim.batching.FAR_FUTURE` means "never,
+        over-estimate; :data:`FAR_FUTURE` means "never,
         absent stimulus" and counts as an idleness claim.  The default
         (``cycle + 1``: no skipping) is always sound.
         """
@@ -506,13 +505,6 @@ class Clock:
         non-idle and nothing while idle — the idle-skip rules, per
         component.  A FAR_FUTURE result means every component is idle or
         FAR-gated: the clock can sleep.
-
-        A component whose horizon just came back as exactly ``cycle + 1``
-        gets a ``_gate_recheck`` window: for the next
-        ``_DENSE_RECHECK_SPAN`` cycles it is assumed dense without another
-        query.  This only under-gates (extra ticks are no-ops by the
-        idle/horizon contract), and only the "nothing to skip" answer is
-        cached — real gates expire into an immediate requery.
         """
         cycle1 = cycle + 1
         horizon = FAR_FUTURE
@@ -525,13 +517,9 @@ class Clock:
                     horizon = gate
                 continue
             if component._has_next_action:
-                if component._gate_recheck > cycle1:
-                    horizon = cycle1
-                    continue
                 gate = component.next_action_cycle(cycle)
                 component._gate_until = gate
                 if gate == cycle1:
-                    component._gate_recheck = cycle1 + _DENSE_RECHECK_SPAN
                     horizon = cycle1
                 else:
                     standing = True

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-try:  # NumPy accelerates the columnar paths when present; never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
+from typing import Dict, List, Optional
 
 
 class Counter:
@@ -152,21 +147,6 @@ class RateMeter:
         self._last_cycle = cycle
         self.items += amount
 
-    def add_run(self, first_cycle: int, count: int,
-                per_cycle: int = 1) -> None:
-        """Record ``count`` cycles of activity starting at ``first_cycle``.
-
-        The batched pipeline's one-call-per-burst replacement for ``count``
-        individual :meth:`add` calls: totals and the observation window end
-        up identical.
-        """
-        if count <= 0:
-            return
-        if self._first_cycle is None:
-            self._first_cycle = first_cycle
-        self._last_cycle = first_cycle + count - 1
-        self.items += count * per_cycle
-
     def rate_per_cycle(self, window_cycles: Optional[int] = None) -> float:
         """Items per cycle over the observation window (or a supplied window)."""
         if window_cycles is not None:
@@ -188,114 +168,51 @@ class RateMeter:
 class WindowedRate:
     """A sliding-window rate meter (items per cycle over the last N cycles).
 
-    Backed by a ring of per-cycle buckets.  A plain list deliberately — a
-    NumPy ring would turn the dominant operation (one scalar indexed add
-    per flit) into a boxed-scalar round trip, which benchmarks slower than
-    the list by an order of magnitude.  Per-link bandwidth meters
-    (``health_report()["links"]``) are instances of this; the batched link
-    feeds them one :meth:`add_run` per burst.
+    Backed by a ring of per-cycle buckets, each stamped with the cycle it
+    last counted: :meth:`add` overwrites a bucket whose stamp is stale and
+    :meth:`rate` counts only stamps inside the window, so nothing is zeroed
+    eagerly and the per-flit cost is one indexed compare and add.  Cycles
+    passed to :meth:`add` must not decrease.  Per-link bandwidth meters
+    (``health_report()["links"]``) are instances of this.
     """
 
-    __slots__ = ("window", "_buckets", "_last_cycle", "total")
+    __slots__ = ("window", "_buckets", "_stamps", "total")
 
     def __init__(self, window_cycles: int = 64) -> None:
         if window_cycles <= 0:
             raise ValueError("window must be positive")
         self.window = window_cycles
         self._buckets = [0] * window_cycles
-        self._last_cycle = -1
+        #: Cycle each bucket's count belongs to (-1: never written).
+        self._stamps = [-1] * window_cycles
         #: All items ever recorded (cumulative, like RateMeter.items).
         self.total = 0
 
-    def _advance(self, cycle: int) -> None:
-        """Zero the buckets for cycles between the last write and ``cycle``."""
-        last = self._last_cycle
-        if cycle <= last:
-            return
-        window = self.window
-        buckets = self._buckets
-        if cycle - last >= window:
-            for i in range(window):
-                buckets[i] = 0
-        else:
-            for c in range(last + 1, cycle + 1):
-                buckets[c % window] = 0
-        self._last_cycle = cycle
-
     def add(self, cycle: int, amount: int = 1) -> None:
-        self._advance(cycle)
-        self._buckets[cycle % self.window] += amount
+        index = cycle % self.window
+        if self._stamps[index] == cycle:
+            self._buckets[index] += amount
+        else:
+            self._stamps[index] = cycle
+            self._buckets[index] = amount
         self.total += amount
-
-    def add_run(self, first_cycle: int, count: int) -> None:
-        """Record one item per cycle for ``count`` consecutive cycles."""
-        if count <= 0:
-            return
-        self.total += count
-        last = first_cycle + count - 1
-        self._advance(last)
-        buckets = self._buckets
-        window = self.window
-        if count >= window:
-            # Only the window's worth of cycles is still observable.
-            first_cycle = last - window + 1
-        for c in range(first_cycle, last + 1):
-            buckets[c % window] += 1
 
     def rate(self, now_cycle: Optional[int] = None) -> float:
         """Items per cycle over the window ending at ``now_cycle`` (or the
-        last recorded cycle)."""
-        if now_cycle is not None:
-            self._advance(now_cycle)
-        filled = sum(self._buckets)
+        last recorded cycle, whichever is later)."""
+        stamps = self._stamps
+        newest = max(stamps)
+        if now_cycle is None or now_cycle < newest:
+            now_cycle = newest
+        oldest = now_cycle - self.window
+        filled = sum(count for stamp, count in zip(stamps, self._buckets)
+                     if stamp > oldest)
         return float(filled) / self.window
 
     def snapshot(self, now_cycle: Optional[int] = None) -> Dict[str, float]:
         return {"window": float(self.window),
                 "rate_per_cycle": self.rate(now_cycle),
                 "total": float(self.total)}
-
-
-class CounterColumn:
-    """Columnar accumulator: per-flit counter bumps become array appends.
-
-    The batched receive/forward paths accumulate amounts here (a plain
-    int-list column) and :meth:`flush` the sum into the real
-    :class:`Counter` at burst boundaries, so `Stats` totals are identical
-    while the per-flit cost drops to an append.
-    """
-
-    __slots__ = ("counter", "_column")
-
-    def __init__(self, counter: Counter) -> None:
-        self.counter = counter
-        self._column: List[int] = []
-
-    def append(self, amount: int = 1) -> None:
-        self._column.append(amount)
-
-    @property
-    def pending(self) -> int:
-        return len(self._column)
-
-    def flush(self) -> int:
-        """Fold the column into the counter; returns the flushed total."""
-        column = self._column
-        if not column:
-            return 0
-        if _np is not None and len(column) > 32:
-            total = int(_np.sum(_np.asarray(column, dtype=_np.int64)))
-        else:
-            total = sum(column)
-        self.counter.value += total
-        del column[:]
-        return total
-
-
-def flush_columns(columns: Sequence[CounterColumn]) -> None:
-    """Flush a set of columnar accumulators (burst-boundary hook)."""
-    for column in columns:
-        column.flush()
 
 
 @dataclass

@@ -80,9 +80,7 @@ class Tracer:
         ``counter`` is either a :class:`~repro.sim.stats.Counter` or a
         counter name looked up in ``registry`` (a
         :class:`~repro.sim.stats.StatsRegistry`).  The check runs only per
-        recorded event, so the simulation hot path pays nothing new; note
-        that an enabled tracer already forces the per-flit pipeline
-        (bursts are truncated at the arm point — see PERFORMANCE.md).
+        recorded event, so the simulation hot path pays nothing new.
         """
         if isinstance(counter, str):
             if registry is None:

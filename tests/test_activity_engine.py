@@ -342,36 +342,26 @@ class TestSlots:
 
 
 # ---------------------------------------------------------------------------
-# Burst delivery vs the wake protocol (batched pipeline invariant): a link
-# holding any part of a burst must report busy, so the consumer's clock
-# keeps ticking until the last flit is consumed.  PR 1's wake protocol is
-# the invariant batching most easily breaks — a link that reported idle
-# while a burst sat staged would let the clock sleep and strand the flits.
+# Link delivery vs the wake protocol: a link holding a flit must report
+# busy, so the consumer's clock keeps ticking until the flit is consumed.
+# A link that reported idle with a flit in its register would let the clock
+# sleep and strand it.
 # ---------------------------------------------------------------------------
-class TestBurstWakeProtocol:
-    def _gt_flits(self, count):
-        from repro.network.packet import Packet, PacketHeader, packet_to_flits
-        header = PacketHeader(path=(0,), remote_qid=0, is_gt=True)
-        # FLIT_WORDS is 3: one header word + 2 payload words per flit.
-        payload = list(range(3 * count - 1))
-        flits = packet_to_flits(Packet(header, payload))
-        assert len(flits) == count
-        return flits
-
-    def _build(self, burst_len):
+class TestLinkWakeProtocol:
+    def _build(self):
         from repro.network.link import Link
 
         class Producer(ClockedComponent):
-            """Sends one burst at cycle 1, then reports idle forever."""
+            """Sends one flit at cycle 1, then reports idle forever."""
 
-            def __init__(self, link, flits):
+            def __init__(self, link, flit):
                 self.link = link
-                self.flits = flits
+                self.flit = flit
                 self.sent = False
 
             def tick(self, cycle):
                 if not self.sent and cycle >= 1:
-                    self.link.send_burst(list(self.flits), cycle)
+                    self.link.send(self.flit)
                     self.sent = True
 
             def is_idle(self):
@@ -381,8 +371,8 @@ class TestBurstWakeProtocol:
             """Drains the link; deliberately always reports idle.
 
             Only the link's own busy state may hold the clock awake:
-            if Link.is_idle() lied, the clock would sleep mid-burst and
-            the received count would fall short.
+            if Link.is_idle() lied, the clock would sleep with the flit
+            still in the link and nothing would be received.
             """
 
             def __init__(self, link):
@@ -390,10 +380,6 @@ class TestBurstWakeProtocol:
                 self.received = []
 
             def tick(self, cycle):
-                burst = self.link.take_staged_burst()
-                if burst is not None:
-                    self.received.extend(burst)
-                    return
                 flit = self.link.take()
                 if flit is not None:
                     self.received.append(flit)
@@ -404,67 +390,52 @@ class TestBurstWakeProtocol:
         sim = Simulator()
         clock = Clock(sim, 500.0, name="flit")
         link = Link("l")
-        flits = self._gt_flits(burst_len)
-        producer = Producer(link, flits)
-        consumer = Consumer(link)
+        header = PacketHeader(path=(0,), remote_qid=0, is_gt=True)
+        flit, = packet_to_flits(Packet(header, [1, 2]))
         # Tick order mirrors the real pipeline: producer (kernel) first,
         # then the consumer (router); the link commits on post_tick.
-        clock.add_component(producer)
+        clock.add_component(Producer(link, flit))
+        consumer = Consumer(link)
         clock.add_component(consumer)
         clock.add_component(link)
-        return sim, clock, link, consumer, flits
+        return sim, clock, link, consumer, flit
 
-    def test_staged_burst_holds_clock_awake_until_drained(self):
-        sim, clock, link, consumer, flits = self._build(4)
+    def _run(self, sim, clock):
         clock.start()
         sim.run(until=sim.now + 40 * clock.period_ps)
-        assert consumer.received == flits
-        assert link.is_idle()
-        # With everything drained the clock must now be asleep (no events).
-        assert sim.pending_events() == 0
 
-    def test_trickled_be_burst_holds_clock_awake_until_drained(self):
-        from repro.network.link import Link
-        from repro.network.packet import Packet, PacketHeader, packet_to_flits
-        sim, clock, link, consumer, _ = self._build(1)
-        header = PacketHeader(path=(0,), remote_qid=0, is_gt=False)
-        be_flits = packet_to_flits(Packet(header, list(range(8))))
-        assert len(be_flits) > 2
-        # Replace the producer's single-flit burst with a BE burst, which
-        # the link delivers by trickling one flit per cycle.
-        producer = clock._components[0]
-        producer.flits = be_flits
-        clock.start()
-        sim.run(until=sim.now + 60 * clock.period_ps)
-        assert consumer.received == be_flits
-        assert link.is_idle()
-        assert sim.pending_events() == 0
-
-    def test_broken_idle_report_would_strand_the_burst(self):
-        """Negative control: prove the test pins Link.is_idle, not luck.
+    def test_broken_idle_report_would_strand_the_flit(self):
+        """A truthful link delivers and lets the clock sleep; a lying one
+        strands the flit — the negative control proving delivery rests on
+        ``Link.is_idle``, not luck.
 
         Runs ungated: this pins the *idle-skip* wake protocol, where the
         clock's only activity signal is ``is_idle``.  Under tick gating the
-        link's truthful ``next_action_cycle`` (dense while flits are staged)
+        link's truthful ``next_action_cycle`` (dense while a flit is staged)
         keeps the clock awake even with a lying ``is_idle`` — which the next
         test pins as the layered-contract behavior.
         """
         with ungated():
-            sim, clock, link, consumer, flits = self._build(4)
-        link.is_idle = lambda: True  # simulate the bug batching could add
-        clock.start()
-        sim.run(until=sim.now + 40 * clock.period_ps)
-        # The clock slept mid-burst: flits stranded inside the link.
-        assert len(consumer.received) < len(flits)
-        assert link.occupancy > 0
+            sim, clock, link, consumer, flit = self._build()
+        self._run(sim, clock)
+        assert consumer.received == [flit]
+        assert link.is_idle()
+        assert sim.pending_events() == 0
+
+        with ungated():
+            sim, clock, link, consumer, flit = self._build()
+        link.is_idle = lambda: True
+        self._run(sim, clock)
+        # The clock slept with the flit still inside the link.
+        assert consumer.received == []
+        assert link.occupancy == 1
 
     def test_gating_horizon_rescues_a_broken_idle_report(self):
         """With gating on, the link's dense next-action horizon keeps the
-        clock awake through the burst even if ``is_idle`` lies."""
-        sim, clock, link, consumer, flits = self._build(4)
+        clock awake until the flit is consumed even if ``is_idle`` lies."""
+        sim, clock, link, consumer, flit = self._build()
         assert clock.tick_gating
         link.is_idle = lambda: True
-        clock.start()
-        sim.run(until=sim.now + 40 * clock.period_ps)
-        assert consumer.received == flits
+        self._run(sim, clock)
+        assert consumer.received == [flit]
         assert link.occupancy == 0

@@ -16,25 +16,12 @@ PERFORMANCE.md "Tick gating & frame macro-stepping"):
   hook rely on.
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import scenarios
-from repro.sim.clock import Clock, ClockedComponent
+from repro.sim.clock import FAR_FUTURE, Clock, ClockedComponent
 from repro.sim.engine import Simulator
-
-
-def normalize(obj):
-    """NaN-tolerant deep normalization so fingerprints compare with ==."""
-    if isinstance(obj, float):
-        return "NaN" if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {key: normalize(value) for key, value in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [normalize(value) for value in obj]
-    return obj
 
 
 def _mangle_horizons(system, seed: int) -> None:
@@ -71,11 +58,7 @@ def run_fingerprint(name: str, cycles: int, mangle_seed=None) -> dict:
         system.start()  # wire the clocks before wrapping their components
         _mangle_horizons(system, mangle_seed)
     system.run_flit_cycles(cycles)
-    digest = system.fingerprint()
-    digest["memory_words"] = {
-        mem_name: dict(handle.memory._data)
-        for mem_name, handle in system.memories.items()}
-    return normalize(digest)
+    return system.deep_fingerprint()
 
 
 _REFERENCE = {}
@@ -143,7 +126,6 @@ def test_mid_skip_wake_from_sleep_restarts_a_far_gated_clock():
 
     class Parked(FarHorizon):
         def next_action_cycle(self, cycle):
-            from repro.sim.batching import FAR_FUTURE
             return FAR_FUTURE
 
     sim = Simulator()

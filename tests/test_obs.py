@@ -3,7 +3,7 @@
 Covers the observability contract end to end: probes attach only when
 declared (``SystemBuilder.observe``), captures and triggers behave like
 the tracer's migScope semantics, the sampled metric series is identical
-across every engine mode (batched/unbatched, activity/always-tick), and
+across engine modes (activity-driven/always-tick), and
 the VCD / Perfetto / JSON-lines exports are pure functions of the run
 (pinned by golden fingerprints).
 """
@@ -18,12 +18,11 @@ from repro.api import scenarios
 from repro.api.builder import BuilderError, SystemBuilder
 from repro.ip.traffic import ConstantBitRateTraffic
 from repro.obs import MetricsSampler, ObsError, Probe
-from repro.sim.batching import unbatched
 from repro.sim.clock import always_tick
 
 GOLDEN_VCD_SHA = \
-    "496dd6daae379f7ca890e06ddb103fca862f565bbd0a50b57cce84cfe26eed94"
-GOLDEN_VCD_SIGNALS = 84
+    "cf2deac4cbed7778775e9e48f53021bfdf29af97ea900a889c0f91a519aecf5d"
+GOLDEN_VCD_SIGNALS = 68
 GOLDEN_PERFETTO_SHA = \
     "9e52cd1c47c16359f3460536d9d37c09676816f7b3869e743d2b9e5fddaf24ea"
 GOLDEN_PERFETTO_EVENTS = 3924
@@ -166,7 +165,6 @@ class TestMetricsSampler:
         for cycle in range(17):
             sampler.tick(cycle)
         assert sampler.cycles == [0, 4, 8, 12, 16]
-        assert sampler.barrier.cycle == 20
         assert sampler.metric_names == ["fake.v", "fake.total"]
         assert sampler.column("fake.total") == [0, 4, 8, 12, 16]
 
@@ -223,11 +221,6 @@ class TestObsDeterminism:
         return (json.dumps(system.obs.series(), sort_keys=True),
                 json.dumps(system.obs.captures(), sort_keys=True),
                 json.dumps(system.fingerprint(), sort_keys=True))
-
-    def test_series_identical_batched_vs_unbatched(self):
-        base = self._golden()
-        with unbatched():
-            assert self._golden() == base
 
     def test_series_identical_activity_vs_always_tick(self):
         base = self._golden()

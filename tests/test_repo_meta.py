@@ -57,3 +57,27 @@ def test_ci_runs_reprolint():
         encoding="utf-8")
     assert "make lint" in text or "repro.analysis.lint" in text, (
         ".github/workflows/ci.yml no longer runs reprolint")
+
+
+#: Names of the burst-batching layer and the per-component dense recheck,
+#: deleted together with everything that kept them exact.
+_DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
+                  "unbatched", "_gate_recheck")
+
+
+def test_deleted_engine_names_stay_deleted():
+    """One per-flit pipeline: nothing may quietly reintroduce a name of the
+    removed batching layer (a second data path would need a second regime
+    axis in every equivalence suite)."""
+    this_file = Path(__file__).resolve()
+    offenders = []
+    for directory in ("src", "scripts", "examples", "benchmarks/perf",
+                      "tests"):
+        for path in sorted((REPO_ROOT / directory).rglob("*")):
+            if (not path.is_file() or path.suffix == ".pyc"
+                    or path == this_file):
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            offenders += [f"{path.relative_to(REPO_ROOT)}: {name}"
+                          for name in _DELETED_NAMES if name in text]
+    assert not offenders, offenders

@@ -248,21 +248,6 @@ FIXTURES = [
         """,
     ),
     (
-        "ctr-burst-unguarded",
-        """
-        class Kernel:
-            def transmit(self, link, flits):
-                link.send_burst(flits)
-        """,
-        """
-        class Kernel:
-            def transmit(self, link, flits, cycle):
-                length = self._burst_length(cycle, len(flits))
-                if length >= 2:
-                    link.send_burst(flits[:length])
-        """,
-    ),
-    (
         "obs-hot-disabled",
         """
         class BufferProbe:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.stats import Counter, Histogram, LatencyRecorder, RateMeter, StatsRegistry
 from repro.sim.trace import Tracer
@@ -303,21 +305,6 @@ class TestWindowedRate:
         assert meter.rate(10) == pytest.approx(0.0)
         assert meter.total == 1          # cumulative total never decays
 
-    def test_add_run_equals_per_cycle_adds(self):
-        burst, flat = self._rate(8), self._rate(8)
-        burst.add_run(3, 5)
-        for cycle in range(3, 8):
-            flat.add(cycle)
-        assert burst.total == flat.total
-        assert burst.rate(7) == flat.rate(7)
-        assert burst.snapshot(9) == flat.snapshot(9)
-
-    def test_add_run_longer_than_window(self):
-        meter = self._rate(4)
-        meter.add_run(0, 100)            # only the last 4 cycles observable
-        assert meter.total == 100
-        assert meter.rate(99) == pytest.approx(1.0)
-
     def test_snapshot_fields(self):
         meter = self._rate(16)
         meter.add(2, amount=3)
@@ -326,48 +313,27 @@ class TestWindowedRate:
                         "rate_per_cycle": pytest.approx(3 / 16),
                         "total": 3.0}
 
-
-# ---------------------------------------------------------------------------
-# Columnar counter accumulators (batched stats layer)
-# ---------------------------------------------------------------------------
-class TestCounterColumn:
-    def test_flush_folds_sum_into_counter(self):
-        from repro.sim.stats import CounterColumn
-        counter = Counter("flits")
-        column = CounterColumn(counter)
-        for amount in (1, 1, 3, 2):
-            column.append(amount)
-        assert counter.value == 0        # nothing visible until the flush
-        assert column.pending == 4
-        assert column.flush() == 7
-        assert counter.value == 7
-        assert column.pending == 0
-
-    def test_flush_empty_is_noop(self):
-        from repro.sim.stats import CounterColumn
-        counter = Counter("flits")
-        column = CounterColumn(counter)
-        assert column.flush() == 0
-        assert counter.value == 0
-
-    def test_large_column_matches_small(self):
-        # Exercises the NumPy fold branch (len > 32) when NumPy is present.
-        from repro.sim.stats import CounterColumn
-        counter = Counter("flits")
-        column = CounterColumn(counter)
-        for i in range(100):
-            column.append(i)
-        assert column.flush() == sum(range(100))
-        assert counter.value == sum(range(100))
-
-    def test_flush_columns_helper(self):
-        from repro.sim.stats import CounterColumn, flush_columns
-        counters = [Counter("a"), Counter("b")]
-        columns = [CounterColumn(c) for c in counters]
-        columns[0].append(2)
-        columns[1].append(5)
-        flush_columns(columns)
-        assert [c.value for c in counters] == [2, 5]
+    @settings(max_examples=200, deadline=None)
+    @given(window=st.integers(min_value=1, max_value=12),
+           steps=st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                                    st.integers(min_value=1, max_value=3),
+                                    st.integers(min_value=0, max_value=40)),
+                          min_size=1, max_size=30))
+    def test_matches_brute_force_count(self, window, steps):
+        """Against a list of every add: gaps shorter and longer than the
+        window, repeated adds in one cycle, reads at and past the last add."""
+        meter = self._rate(window)
+        adds = []
+        cycle = 0
+        for gap, amount, read_ahead in steps:
+            cycle += gap
+            meter.add(cycle, amount)
+            adds.append((cycle, amount))
+            for now in (None, cycle, cycle + read_ahead):
+                end = cycle if now is None else now
+                expected = sum(a for c, a in adds if end - window < c <= end)
+                assert meter.rate(now) == expected / window
+        assert meter.total == sum(a for _, a in adds)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +384,3 @@ class TestLinkBandwidthMeters:
         # Traffic flowed, and the busiest link shows a nonzero window rate.
         assert carried_total > 0
         assert max(info["rate_per_cycle"] for info in links.values()) > 0
-
-    def test_meter_totals_are_batching_invariant(self):
-        from repro.api import scenarios
-        from repro.sim.batching import unbatched
-
-        def totals():
-            system = scenarios.build("gt_be_mix")
-            system.run_flit_cycles(150)
-            return {name: info["total"]
-                    for name, info in system.health_report()["links"].items()}
-
-        batched = totals()
-        with unbatched():
-            reference = totals()
-        assert batched == reference
