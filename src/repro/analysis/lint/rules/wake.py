@@ -5,7 +5,8 @@ wakes it.  PERFORMANCE.md ("The wake-up protocol contract") requires
 every externally reachable state mutation of an ``is_idle()``-overriding
 component to go through a wake-hook primitive (``HardwareFifo.on_push``,
 ``Channel.add_credit``/``add_space``, ``NIKernel.write_register``, shell
-``submit``, ``Link.send``…) or to call ``notify_active()`` explicitly.
+``submit``, ``Link.send`` — which wakes the NoC's ``LinkCommit`` for the
+unclocked link…) or to call ``notify_active()`` explicitly.
 PR 7's negative-control test showed what a single miss costs: flits
 strand silently until an unrelated event happens to wake the clock.
 """

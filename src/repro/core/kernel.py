@@ -221,20 +221,11 @@ class NIKernel(ClockedComponent):
     # -------------------------------------------------------------- network
     def attach(self, attachment: Attachment) -> None:
         """Connect the kernel to its router-side links."""
-        self.to_network = attachment.to_network
-        self.from_network = attachment.from_network
-        self.from_network.sink = self
-        self.from_network.sink_port = 0
-        self.to_network.source = self
-        self.to_network.source_port = 0
+        self.attach_links(attachment.to_network, attachment.from_network)
 
     def attach_links(self, to_network: Link, from_network: Link) -> None:
-        """Directly attach raw links (used by back-to-back NI tests).
-
-        Performs the same wiring as :meth:`attach`, including the
-        ``sink_port``/``source_port`` assignment, so back-to-back kernels
-        exercise exactly the link configuration of the NoC path.
-        """
+        """Attach raw links (directly: back-to-back NI tests), including the
+        ``sink_port``/``source_port`` assignment."""
         self.to_network = to_network
         self.from_network = from_network
         self.from_network.sink = self
@@ -489,18 +480,6 @@ class NIKernel(ClockedComponent):
         self._slot_owners = owners
         self._slot_runs[:] = runs
         self._slot_cache_version = self.slot_table.version
-
-    def _consecutive_slots(self, owner: int, start_slot: int) -> int:
-        """Number of consecutive slots (starting at ``start_slot``) owned by
-        ``owner``; bounds the length of a GT packet."""
-        run = 0
-        for offset in range(self.num_slots):
-            slot = (start_slot + offset) % self.num_slots
-            if self.slot_table.owner(slot) == owner:
-                run += 1
-            else:
-                break
-        return max(run, 1)
 
     def _form_packet(self, channel: Channel, gt: bool, cycle: int,
                      max_payload: int) -> Packet:

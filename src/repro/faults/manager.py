@@ -438,7 +438,8 @@ class FaultManager:
                 and channel.degraded is None
         link_meters: Dict[str, dict] = {}
         flit_clock = getattr(self.noc, "flit_clock", None)
-        now_cycle = flit_clock._cycle if flit_clock is not None else None
+        # Time-derived: a sleeping clock must not freeze the rate window.
+        now_cycle = flit_clock.cycle_now if flit_clock is not None else None
         for link_id, link in self.noc.links.items():
             info = {"flits_carried": link.flits_carried}
             meter = link.meter

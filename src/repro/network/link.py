@@ -4,7 +4,9 @@ A link carries at most one flit per flit cycle in one direction (a flit is
 three words; the underlying 32-bit wires move one word per 500 MHz cycle).
 Links are modeled as a single register stage: a flit sent during cycle *t*
 becomes visible to the sink at cycle *t+1*, giving one cycle of link latency
-per hop.
+per hop.  A link is a wire, not a clocked component: :meth:`Link.send` puts
+it on the dirty list of its NoC's one :class:`LinkCommit`, so a flit-clock
+edge costs the links that carry a flit, not the links that are wired.
 
 Best-effort traffic uses link-level backpressure: the sender calls
 :meth:`Link.can_send_be` which queries the sink's free best-effort buffer
@@ -30,11 +32,11 @@ per flit for all of this; no-fault runs stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.network.packet import Flit
 from repro.sim.clock import FAR_FUTURE, ClockedComponent
-from repro.sim.stats import StatsRegistry, WindowedRate
+from repro.sim.stats import WindowedRate
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -42,14 +44,67 @@ class LinkContentionError(RuntimeError):
     """Two flits were offered to the same link in the same cycle."""
 
 
-class Link(ClockedComponent):
-    """A unidirectional link with one register stage."""
+class LinkCommit(ClockedComponent):
+    """The register stages of all links of one NoC, clocked as one component.
 
-    def __init__(self, name: str, tracer: Tracer = NULL_TRACER,
-                 stats: Optional[StatsRegistry] = None) -> None:
+    Sits on the flit clock after the routers and before the NI kernels.
+    Wake-protocol contract (PERFORMANCE.md): :meth:`Link.send` notifies
+    *this* component, and it reports busy (and a dense horizon) exactly while
+    some link holds a flit in either register, so the clock stays awake
+    until every flit is staged and its sink has consumed it.
+    """
+
+    def __init__(self) -> None:
+        #: Links offered a flit since the last commit (appended by send()).
+        self._dirty: List["Link"] = []
+        #: Links the last commit staged, or whose sink has not drained since.
+        self._staged: List["Link"] = []
+
+    def next_action_cycle(self, cycle: int) -> int:
+        if self._dirty:
+            return cycle + 1
+        for link in self._staged:
+            if link._stage is not None:
+                return cycle + 1
+        return FAR_FUTURE
+
+    def is_idle(self) -> bool:
+        return self.next_action_cycle(0) == FAR_FUTURE
+
+    def post_tick(self, cycle: int) -> None:
+        staged = self._staged
+        if staged:
+            # Forget the drained links, in place (no per-edge allocation).
+            undrained = 0
+            for link in staged:
+                if link._stage is not None:
+                    staged[undrained] = link
+                    undrained += 1
+            del staged[undrained:]
+        dirty = self._dirty
+        if dirty:
+            for link in dirty:
+                if link._stage is not None:
+                    # The sink failed to drain the previous flit.  GT flits
+                    # are always drained; BE senders check space first, so
+                    # this is a model bug, not a legal network condition.
+                    raise LinkContentionError(
+                        f"link {link.name}: sink did not drain flit "
+                        f"{link._stage!r}")
+                link._stage = link._incoming
+                link._incoming = None
+            staged.extend(dirty)
+            dirty.clear()
+
+
+class Link:
+    """A unidirectional link with one register stage, committed by ``commit``."""
+
+    def __init__(self, name: str, commit: LinkCommit,
+                 tracer: Tracer = NULL_TRACER) -> None:
         self.name = name
+        self.commit = commit
         self.tracer = tracer
-        self.stats = stats if stats is not None else StatsRegistry()
         self._sink: Optional[object] = None
         #: Sink's bound ``be_space`` method, cached at wiring time so the
         #: per-flit backpressure check skips the hasattr probe (hot path).
@@ -123,15 +178,16 @@ class Link(ClockedComponent):
         self._incoming = flit
         self.flits_carried += 1
         self.words_carried += flit.num_words
-        if flit.packet.header.is_gt:
+        if flit.is_gt:
             self.gt_flits_carried += 1
         else:
             self.be_flits_carried += 1
+        commit = self.commit
         meter = self.meter
-        if meter is not None and self._clock is not None:
+        if meter is not None and commit._clock is not None:
             # Inlined WindowedRate.add — this runs once per flit on every
             # link, and the method call was measurable.
-            cycle = self._clock._cycle
+            cycle = commit._clock.cycle_now
             index = cycle % meter.window
             if meter._stamps[index] == cycle:
                 meter._buckets[index] += 1
@@ -139,10 +195,10 @@ class Link(ClockedComponent):
                 meter._stamps[index] = cycle
                 meter._buckets[index] = 1
             meter.total += 1
-        # A link is registered on the same clock as its sink (wake-up
-        # protocol contract): keeping this clock awake until the flit is
-        # staged and consumed is what delivers it to an otherwise-idle sink.
-        self.notify_active()
+        # Wake-up protocol contract: the commit component shares the sink's
+        # clock and stays busy until the flit is staged and consumed.
+        commit._dirty.append(self)
+        commit.notify_active()
         # Tick gating: the sink may hold a standing next-action gate
         # computed while this wire was empty; a flit in flight invalidates
         # it, and only the link knows the sink to tell.
@@ -212,7 +268,8 @@ class Link(ClockedComponent):
         packet.poisoned = True
         self.packets_poisoned += 1
         self.words_poisoned += len(packet.payload)
-        now_ps = self._clock.sim.now if self._clock is not None else 0
+        clock = self.commit._clock
+        now_ps = clock.sim.now if clock is not None else 0
         self.tracer.record(now_ps, self.name, "packet_poisoned",
                            packet=packet.packet_id,
                            channel=packet.header.channel_key)
@@ -239,40 +296,6 @@ class Link(ClockedComponent):
         """Flits currently inside the link register stages."""
         return (1 if self._stage is not None else 0) + \
                (1 if self._incoming is not None else 0)
-
-    # ----------------------------------------------------------------- clock
-    def is_idle(self) -> bool:
-        """Idle when both register stages are empty.
-
-        Wake-protocol contract: a link holding a flit reports busy, which
-        keeps the sink's clock ticking until the flit is consumed — a send
-        can never strand a sleeping consumer.
-        """
-        return self._stage is None and self._incoming is None
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Dense while any flit occupies the wire, never otherwise.
-
-        A link's only tick work is the register move in :meth:`post_tick`,
-        so its horizon is exactly its idleness — but reporting it lets a
-        gating clock trust the standing FAR gate instead of re-polling
-        ``is_idle`` on every edge, and new sends cancel the gate through
-        :meth:`send`'s ``notify_active``.
-        """
-        if self._stage is None and self._incoming is None:
-            return FAR_FUTURE
-        return cycle + 1
-
-    def post_tick(self, cycle: int) -> None:
-        if self._incoming is not None:
-            if self._stage is not None:
-                # The sink failed to drain the previous flit.  GT flits are
-                # always drained; BE senders check space first, so this is a
-                # model bug rather than a legal network condition.
-                raise LinkContentionError(
-                    f"link {self.name}: sink did not drain flit {self._stage!r}")
-            self._stage = self._incoming
-            self._incoming = None
 
     def utilization(self, window_cycles: int) -> float:
         """Fraction of flit cycles the link carried a flit over ``window_cycles``."""

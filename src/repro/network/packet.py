@@ -157,12 +157,9 @@ class Flit:
     index: int
     is_head: bool
     is_tail: bool
+    is_gt: bool         # copy of packet.header.is_gt, read per hop
     num_words: int = FLIT_WORDS
     sent_cycle: Optional[int] = field(default=None, compare=False)
-
-    @property
-    def is_gt(self) -> bool:
-        return self.packet.header.is_gt
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         marks = ("H" if self.is_head else "") + ("T" if self.is_tail else "")
@@ -184,7 +181,7 @@ def packet_to_flits(packet: Packet) -> List[Flit]:
         words_remaining -= words
         flits.append(Flit(packet=packet, index=index,
                           is_head=(index == 0), is_tail=False,
-                          num_words=words))
+                          is_gt=packet.header.is_gt, num_words=words))
         index += 1
     if not flits:
         raise PacketError("packet produced no flits")

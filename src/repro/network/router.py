@@ -79,8 +79,12 @@ class Router(ClockedComponent):
         self._inputs = [_InputState() for _ in range(num_ports)]
         self._be_rr_pointer = [0] * num_ports
         self._be_output_locked_input: List[Optional[int]] = [None] * num_ports
-        self._cycle = 0
         # ------------------------------------------------------- hot path
+        #: Flits buffered over all inputs, per class; exact because every
+        #: queue append (``tick``) and pop (``_send_gt``/``_send_be``) is
+        #: counted, so idleness is two integer reads, not an input scan.
+        self._gt_buffered = 0
+        self._be_buffered = 0
         #: (port, link) pairs for the connected inputs only, so the per-cycle
         #: accept loop skips unwired ports without a None test each.
         self._wired_in_links: List[tuple] = []
@@ -110,6 +114,8 @@ class Router(ClockedComponent):
         self._check_port(port)
         link.sink = self
         link.sink_port = port
+        # Bounds-checked above, once: per-flit queries skip be_space's check.
+        link._sink_be_space = self._be_space
         self.in_links[port] = link
         self._wired_in_links = [(p, l) for p, l in enumerate(self.in_links)
                                 if l is not None]
@@ -128,38 +134,51 @@ class Router(ClockedComponent):
     def be_space(self, port: int) -> int:
         """Free best-effort buffer slots at input ``port`` (link flow control)."""
         self._check_port(port)
+        return self._be_space(port)
+
+    def _be_space(self, port: int) -> int:
         return self.be_buffer_flits - len(self._inputs[port].be_queue)
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:
-        self._cycle = cycle
-        self._accept_incoming(cycle)
+        for port, link in self._wired_in_links:
+            # Inlined link.take(): one attribute read on the (very common)
+            # idle-link path instead of a method call per link per cycle.
+            flit = link._stage
+            if flit is None:
+                continue
+            link._stage = None
+            state = self._inputs[port]
+            if flit.is_gt:
+                state.gt_queue.append(flit)
+                self._gt_buffered += 1
+                self._ctr_gt_flits_in.value += 1
+                if self.slot_table is not None:
+                    self._check_slot_reservation(port, flit, cycle)
+            else:
+                if len(state.be_queue) >= self.be_buffer_flits:
+                    raise BufferOverflowError(
+                        f"router {self.name}: BE buffer overflow at input {port}")
+                state.be_queue.append(flit)
+                self._be_buffered += 1
+                self._ctr_be_flits_in.value += 1
         # One stamp per cycle: claims from earlier cycles never leak into
         # this cycle's BE availability checks, even when the GT pass is
         # skipped outright.
         self._tick_stamp += 1
-        any_gt = any_be = False
-        for state in self._inputs:
-            if state.gt_queue:
-                any_gt = True
-            if state.be_queue:
-                any_be = True
-        if any_gt:
+        if self._gt_buffered:
             self._forward_gt(cycle)
-        if any_be:
+        if self._be_buffered:
             self._forward_be(cycle)
 
     def is_idle(self) -> bool:
         """Idle when no flit is buffered at any input.
 
-        Flits still inside an attached link keep that link's clock awake (a
-        link shares its sink's clock), so the router will be ticked to accept
-        them; it does not need to inspect the links here.
+        Flits still inside an attached link keep the NoC's ``LinkCommit``
+        busy (it shares this router's clock), so the router will be ticked
+        to accept them; it does not need to inspect the links here.
         """
-        for state in self._inputs:
-            if state.gt_queue or state.be_queue:
-                return False
-        return True
+        return not (self._gt_buffered or self._be_buffered)
 
     def next_action_cycle(self, cycle: int) -> int:
         """Dense while anything is buffered or in flight on an input link.
@@ -171,36 +190,14 @@ class Router(ClockedComponent):
         cross.  In-flight flits are covered by the in-link scan plus the
         sender-side un-gate in :meth:`Link.send`.
         """
-        for state in self._inputs:
-            if state.gt_queue or state.be_queue:
-                return cycle + 1
+        if self._gt_buffered or self._be_buffered:
+            return cycle + 1
         for _port, link in self._wired_in_links:
             if link._stage is not None or link._incoming is not None:
                 return cycle + 1
         return FAR_FUTURE
 
     # -------------------------------------------------------------- incoming
-    def _accept_incoming(self, cycle: int) -> None:
-        for port, link in self._wired_in_links:
-            # Inlined link.take(): one attribute read on the (very common)
-            # idle-link path instead of a method call per link per cycle.
-            flit = link._stage
-            if flit is None:
-                continue
-            link._stage = None
-            state = self._inputs[port]
-            if flit.packet.header.is_gt:
-                state.gt_queue.append(flit)
-                self._ctr_gt_flits_in.value += 1
-                if self.slot_table is not None:
-                    self._check_slot_reservation(port, flit, cycle)
-            else:
-                if len(state.be_queue) >= self.be_buffer_flits:
-                    raise BufferOverflowError(
-                        f"router {self.name}: BE buffer overflow at input {port}")
-                state.be_queue.append(flit)
-                self._ctr_be_flits_in.value += 1
-
     def _check_slot_reservation(self, port: int, flit: Flit, cycle: int) -> None:
         """In the distributed model, verify the arriving GT flit owns its slot."""
         if self.slot_table is None or not flit.is_head:
@@ -220,11 +217,6 @@ class Router(ClockedComponent):
         return self.sim.now if self.sim is not None else 0
 
     # ------------------------------------------------------------ forwarding
-    def _forward(self, cycle: int) -> None:
-        self._tick_stamp += 1
-        self._forward_gt(cycle)
-        self._forward_be(cycle)
-
     def _forward_gt(self, cycle: int) -> None:
         """Forward one GT flit per requested output.
 
@@ -270,125 +262,124 @@ class Router(ClockedComponent):
             return
         for output in range(self.num_ports):
             if claim[output] == stamp:
-                self._send_flit(first[output], output, gt=True, cycle=cycle)
+                self._send_gt(first[output], output, cycle)
 
     def _forward_be(self, cycle: int) -> None:
         """Wormhole-forward BE flits to every output GT left unused.
 
-        Rotating-index scan: instead of materializing a candidates list per
-        output per cycle, walk the input ports from the round-robin pointer
-        (or pin the scan to the locked input while a packet is in flight).
-        The desired output of each input's queue head is computed once per
-        cycle (``_be_desired``, refreshed after each send) rather than once
-        per (output, input) scan pair — the route peeks were measurable.
+        The output each input's queue head wants is computed once per cycle
+        (``_be_desired``, refreshed after each send); only wanted outputs are
+        visited, in port order.  A wormhole-locked output serves its locked
+        input only; otherwise the first wanting input at or after the
+        round-robin pointer wins, wrapping.
         """
-        inputs = self._inputs
         num_ports = self.num_ports
         claim = self._gt_claim_stamp
         stamp = self._tick_stamp
-        locked_by_output = self._be_output_locked_input
-        desired_by_port = self._be_desired
-        any_be = False
-        for port in range(num_ports):
-            state = inputs[port]
-            queue = state.be_queue
-            if not queue:
-                desired_by_port[port] = -1
-                continue
-            flit = queue[0]
-            if flit.is_head:
-                if state.be_active_output is not None:
-                    desired_by_port[port] = -1
-                    continue
-                desired_by_port[port] = flit.packet.peek_route()
-            else:
-                desired_by_port[port] = state.be_active_output
-            any_be = True
-        if not any_be:
-            return
+        desired = self._be_desired
+        for port, state in enumerate(self._inputs):
+            desired[port] = (self._be_head_output(state) if state.be_queue
+                             else -1)
         for output in range(num_ports):
-            if claim[output] == stamp:       # GT used this output this cycle
+            # Unwanted, or GT used this output this cycle.
+            if output not in desired or claim[output] == stamp:
                 continue
             link = self.out_links[output]
             if link is None:
                 continue
-            locked = locked_by_output[output]
+            locked = self._be_output_locked_input[output]
             if locked is not None:
-                start, count, rotate = locked, 1, False
-            else:
-                start, count, rotate = self._be_rr_pointer[output], num_ports, True
-            for offset in range(count):
-                port = start + offset
-                if port >= num_ports:
-                    port -= num_ports
-                if desired_by_port[port] != output:
+                port = locked
+                if desired[port] != output:
                     continue
-                if not link.can_send_be():
-                    self._ctr_be_backpressure.value += 1
-                    break
-                self._send_flit(port, output, gt=False, cycle=cycle)
-                # The pop may expose a flit for an output scanned later
-                # this cycle (e.g. a fresh head after a tail): refresh.
-                state = inputs[port]
-                queue = state.be_queue
-                if not queue:
-                    desired_by_port[port] = -1
-                else:
-                    head = queue[0]
-                    if head.is_head:
-                        desired_by_port[port] = (
-                            -1 if state.be_active_output is not None
-                            else head.packet.peek_route())
-                    else:
-                        desired_by_port[port] = state.be_active_output
-                if rotate:
-                    pointer = port + 1
-                    self._be_rr_pointer[output] = (
-                        0 if pointer >= num_ports else pointer)
-                break
+            else:
+                port = desired.index(output)
+                pointer = self._be_rr_pointer[output]
+                if port < pointer and desired.count(output) > 1:
+                    for later in range(pointer, num_ports):
+                        if desired[later] == output:
+                            port = later
+                            break
+            # Inlined Link.can_send_be (one flit may sit in the stage).
+            be_space = link._sink_be_space
+            if link._incoming is not None or (
+                    be_space is not None and be_space(link.sink_port)
+                    <= (link._stage is not None)):
+                self._ctr_be_backpressure.value += 1
+                continue
+            self._send_be(port, output, cycle)
+            # The pop may expose a head for an output scanned later: refresh.
+            desired[port] = self._be_head_output(self._inputs[port])
+            if locked is None:
+                port += 1
+                self._be_rr_pointer[output] = 0 if port >= num_ports else port
 
-    def _send_flit(self, port: int, output: int, gt: bool, cycle: int) -> None:
+    @staticmethod
+    def _be_head_output(state: _InputState) -> int:
+        """Output the head of an input's BE queue wants (-1: none)."""
+        queue = state.be_queue
+        if not queue:
+            return -1
+        flit = queue[0]
+        if not flit.is_head:
+            return state.be_active_output
+        if state.be_active_output is not None:
+            return -1
+        return flit.packet.peek_route()
+
+    def _send_gt(self, port: int, output: int, cycle: int) -> None:
         state = self._inputs[port]
-        queue = state.gt_queue if gt else state.be_queue
-        flit = queue.popleft()
+        flit = state.gt_queue.popleft()
+        self._gt_buffered -= 1
         link = self.out_links[output]
         if link is None:
             raise SlotConflictError(
                 f"router {self.name}: no link on output {output}")
         if flit.is_head:
-            taken = flit.packet.advance_route()
-            if taken != output:
-                raise SlotConflictError(
-                    f"router {self.name}: route mismatch "
-                    f"(expected {taken}, forwarding to {output})")
-            if gt:
-                state.gt_active_output = output
-            else:
-                state.be_active_output = output
-                self._be_output_locked_input[output] = port
+            self._take_route(flit, output)
+            state.gt_active_output = output
         if flit.is_tail:
-            if gt:
-                state.gt_active_output = None
-            else:
-                state.be_active_output = None
-                self._be_output_locked_input[output] = None
+            state.gt_active_output = None
         link.send(flit)
-        if gt:
-            self._ctr_gt_flits_out.value += 1
-        else:
-            self._ctr_be_flits_out.value += 1
+        self._ctr_gt_flits_out.value += 1
         self._rate_flits_out.add(cycle)
         if self.tracer.enabled:
-            self.tracer.record(self._now_ps(), self.name, "forward",
-                               input=port, output=output,
-                               traffic="gt" if gt else "be",
-                               packet=flit.packet.packet_id, flit=flit.index)
+            self._trace_forward(port, output, "gt", flit)
+
+    def _send_be(self, port: int, output: int, cycle: int) -> None:
+        state = self._inputs[port]
+        flit = state.be_queue.popleft()
+        self._be_buffered -= 1
+        if flit.is_head:
+            self._take_route(flit, output)
+            state.be_active_output = output
+            self._be_output_locked_input[output] = port
+        if flit.is_tail:
+            state.be_active_output = None
+            self._be_output_locked_input[output] = None
+        self.out_links[output].send(flit)
+        self._ctr_be_flits_out.value += 1
+        self._rate_flits_out.add(cycle)
+        if self.tracer.enabled:
+            self._trace_forward(port, output, "be", flit)
+
+    def _take_route(self, flit: Flit, output: int) -> None:
+        taken = flit.packet.advance_route()
+        if taken != output:
+            raise SlotConflictError(
+                f"router {self.name}: route mismatch "
+                f"(expected {taken}, forwarding to {output})")
+
+    def _trace_forward(self, port: int, output: int, traffic: str,
+                       flit: Flit) -> None:
+        self.tracer.record(self._now_ps(), self.name, "forward",
+                           input=port, output=output, traffic=traffic,
+                           packet=flit.packet.packet_id, flit=flit.index)
 
     # ------------------------------------------------------------- inspection
     def buffered_flits(self) -> int:
         """Total flits buffered in this router (cost metric of [21])."""
-        return sum(len(state.gt_queue) + len(state.be_queue)
-                   for state in self._inputs)
+        return self._gt_buffered + self._be_buffered
 
     def be_queue_depth(self, port: int) -> int:
         self._check_port(port)

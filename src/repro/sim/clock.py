@@ -35,8 +35,8 @@ The wake-up contract (see ``PERFORMANCE.md`` for the full protocol):
   pre-stimulus state; the first edge that can react is the next one.
 * Cycle indices are derived from simulation time (``(now - epoch) // period``)
   so TDMA slot alignment is preserved across skipped edges.
-* A link must be registered on the same clock as its sink: the link's
-  non-idleness is what keeps the sink ticking until the flit is consumed.
+* Links are not clocked: the NoC's one ``LinkCommit`` shares the clock of
+  every link's sink and stays busy until each flit in flight is consumed.
 
 Next-action tick gating
 -----------------------
@@ -358,6 +358,11 @@ class Clock:
         first edge).  With idle-skip, skipped edge instants do not appear
         here; indices stay aligned to the time grid regardless."""
         return self._cycle
+
+    @property
+    def cycle_now(self) -> int:
+        """Latest edge instant at or before now (executed or skipped)."""
+        return (self.sim.now - self._epoch) // self.period_ps
 
     @property
     def epoch_ps(self) -> int:

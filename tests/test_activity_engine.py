@@ -342,14 +342,14 @@ class TestSlots:
 
 
 # ---------------------------------------------------------------------------
-# Link delivery vs the wake protocol: a link holding a flit must report
-# busy, so the consumer's clock keeps ticking until the flit is consumed.
-# A link that reported idle with a flit in its register would let the clock
-# sleep and strand it.
+# Link delivery vs the wake protocol: while a link holds a flit its commit
+# component must report busy, so the consumer's clock keeps ticking until
+# the flit is consumed.  One that reported idle with a flit in a link
+# register would let the clock sleep and strand it.
 # ---------------------------------------------------------------------------
 class TestLinkWakeProtocol:
     def _build(self):
-        from repro.network.link import Link
+        from repro.network.link import Link, LinkCommit
 
         class Producer(ClockedComponent):
             """Sends one flit at cycle 1, then reports idle forever."""
@@ -370,9 +370,9 @@ class TestLinkWakeProtocol:
         class Consumer(ClockedComponent):
             """Drains the link; deliberately always reports idle.
 
-            Only the link's own busy state may hold the clock awake:
-            if Link.is_idle() lied, the clock would sleep with the flit
-            still in the link and nothing would be received.
+            Only the commit component's busy state may hold the clock
+            awake: if LinkCommit.is_idle() lied, the clock would sleep with
+            the flit still in the link and nothing would be received.
             """
 
             def __init__(self, link):
@@ -389,15 +389,16 @@ class TestLinkWakeProtocol:
 
         sim = Simulator()
         clock = Clock(sim, 500.0, name="flit")
-        link = Link("l")
+        wires = LinkCommit()
+        link = Link("l", wires)
         header = PacketHeader(path=(0,), remote_qid=0, is_gt=True)
         flit, = packet_to_flits(Packet(header, [1, 2]))
         # Tick order mirrors the real pipeline: producer (kernel) first,
-        # then the consumer (router); the link commits on post_tick.
+        # then the consumer (router); the links commit on post_tick.
         clock.add_component(Producer(link, flit))
         consumer = Consumer(link)
         clock.add_component(consumer)
-        clock.add_component(link)
+        clock.add_component(wires)
         return sim, clock, link, consumer, flit
 
     def _run(self, sim, clock):
@@ -405,37 +406,38 @@ class TestLinkWakeProtocol:
         sim.run(until=sim.now + 40 * clock.period_ps)
 
     def test_broken_idle_report_would_strand_the_flit(self):
-        """A truthful link delivers and lets the clock sleep; a lying one
-        strands the flit — the negative control proving delivery rests on
-        ``Link.is_idle``, not luck.
+        """A truthful commit component delivers and lets the clock sleep; a
+        lying one strands the flit — the negative control proving delivery
+        rests on ``LinkCommit.is_idle``, not luck.
 
         Runs ungated: this pins the *idle-skip* wake protocol, where the
         clock's only activity signal is ``is_idle``.  Under tick gating the
-        link's truthful ``next_action_cycle`` (dense while a flit is staged)
-        keeps the clock awake even with a lying ``is_idle`` — which the next
-        test pins as the layered-contract behavior.
+        truthful ``next_action_cycle`` (dense while a flit is staged) keeps
+        the clock awake even with a lying ``is_idle`` — which the next test
+        pins as the layered-contract behavior.
         """
         with ungated():
             sim, clock, link, consumer, flit = self._build()
         self._run(sim, clock)
         assert consumer.received == [flit]
-        assert link.is_idle()
+        assert link.commit.is_idle()
         assert sim.pending_events() == 0
 
         with ungated():
             sim, clock, link, consumer, flit = self._build()
-        link.is_idle = lambda: True
+        link.commit.is_idle = lambda: True
         self._run(sim, clock)
         # The clock slept with the flit still inside the link.
         assert consumer.received == []
         assert link.occupancy == 1
 
     def test_gating_horizon_rescues_a_broken_idle_report(self):
-        """With gating on, the link's dense next-action horizon keeps the
-        clock awake until the flit is consumed even if ``is_idle`` lies."""
+        """With gating on, the commit component's dense next-action horizon
+        keeps the clock awake until the flit is consumed even if ``is_idle``
+        lies."""
         sim, clock, link, consumer, flit = self._build()
         assert clock.tick_gating
-        link.is_idle = lambda: True
+        link.commit.is_idle = lambda: True
         self._run(sim, clock)
         assert consumer.received == [flit]
         assert link.occupancy == 0

@@ -19,7 +19,7 @@ from repro.api import SystemBuilder, scenarios
 from repro.core.channel import Channel
 from repro.faults import FaultAwareRouting, FaultError, FaultPlan
 from repro.ip.traffic import ConstantBitRateTraffic
-from repro.network.link import Link
+from repro.network.link import Link, LinkCommit
 from repro.network.noc import RouteError
 from repro.network.packet import Packet, PacketHeader, packet_to_flits
 from repro.network.topology import Topology
@@ -36,7 +36,7 @@ def send_packet(link, packet, start_cycle=0):
     cycle = start_cycle
     for flit in packet_to_flits(packet):
         link.send(flit)
-        link.post_tick(cycle)
+        link.commit.post_tick(cycle)
         link.take()
         cycle += 1
     return cycle
@@ -44,7 +44,7 @@ def send_packet(link, packet, start_cycle=0):
 
 class TestLinkPoisoning:
     def test_healthy_link_leaves_packets_alone(self):
-        link = Link("l")
+        link = Link("l", LinkCommit())
         packet = make_packet()
         send_packet(link, packet)
         assert not packet.poisoned
@@ -52,7 +52,7 @@ class TestLinkPoisoning:
         assert link.words_poisoned == 0
 
     def test_failed_link_poisons_new_packets_but_still_carries_them(self):
-        link = Link("l")
+        link = Link("l", LinkCommit())
         link.fail()
         packet = make_packet([1, 2, 3, 4])
         send_packet(link, packet)
@@ -63,14 +63,14 @@ class TestLinkPoisoning:
         assert link.flits_carried == len(packet_to_flits(packet))
 
     def test_fail_poisons_the_in_flight_packet(self):
-        link = Link("l")
+        link = Link("l", LinkCommit())
         packet = make_packet()
         link.send(packet_to_flits(packet)[0])
         link.fail()
         assert packet.poisoned
 
     def test_repair_restores_healthy_behaviour(self):
-        link = Link("l")
+        link = Link("l", LinkCommit())
         link.fail()
         link.repair()
         packet = make_packet()
@@ -86,7 +86,7 @@ class TestLinkPoisoning:
             def random(self):
                 return 1.0
 
-        link = Link("l")
+        link = Link("l", LinkCommit())
         link.set_lossy(0.5, AlwaysDrop())
         packet = make_packet()
         send_packet(link, packet)
@@ -102,7 +102,7 @@ class TestLinkPoisoning:
             def random(self):
                 return 0.0
 
-        link = Link("l")
+        link = Link("l", LinkCommit())
         link.set_lossy(1.0, AlwaysDrop())
         link.clear_lossy()
         packet = make_packet()
@@ -110,12 +110,13 @@ class TestLinkPoisoning:
         assert not packet.poisoned
 
     def test_set_lossy_validates_probability(self):
-        link = Link("l")
+        link = Link("l", LinkCommit())
         with pytest.raises(ValueError):
             link.set_lossy(1.5, None)
 
     def test_a_packet_is_poisoned_once(self):
-        link_a, link_b = Link("a"), Link("b")
+        wires = LinkCommit()
+        link_a, link_b = Link("a", wires), Link("b", wires)
         link_a.fail()
         link_b.fail()
         packet = make_packet()

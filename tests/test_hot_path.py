@@ -15,7 +15,7 @@ from repro.core.registers import (
     channel_register_address,
 )
 from repro.core.scheduler import RoundRobinArbiter, WeightedRoundRobinArbiter
-from repro.network.link import Link
+from repro.network.link import Link, LinkCommit
 from repro.network.noc import Attachment
 from repro.network.packet import packet_to_flits
 from repro.network.router import Router
@@ -49,15 +49,15 @@ class TestRouterTraceTimestamps:
         sim = Simulator()
         clock = Clock(sim, 500.0 / 3.0, name="flit")
         router = Router("R", 3, tracer=tracer, sim=sim)
-        in_link = Link("in0")
-        out_links = [Link(f"out{p}") for p in range(3)]
+        wires = LinkCommit()
+        in_link = Link("in0", wires)
+        out_links = [Link(f"out{p}", wires) for p in range(3)]
         router.connect_input(0, in_link)
         for port, link in enumerate(out_links):
             router.connect_output(port, link)
         clock.add_component(router)
-        clock.add_component(in_link)
+        clock.add_component(wires)
         for link in out_links:
-            clock.add_component(link)
             clock.add_component(_LinkDrain(link))
         return sim, clock, router, in_link, out_links
 
@@ -81,12 +81,13 @@ class TestRouterTraceTimestamps:
     def test_unclocked_router_still_records_time_zero(self):
         tracer = Tracer()
         router = Router("R", 2, tracer=tracer)   # no sim: harness mode
-        in_link, out_link = Link("in"), Link("out")
+        wires = LinkCommit()
+        in_link, out_link = Link("in", wires), Link("out", wires)
         router.connect_input(0, in_link)
         router.connect_output(1, out_link)
         in_link.send(packet_to_flits(make_packet(path=(1,),
                                                  payload_words=1))[0])
-        in_link.post_tick(0)
+        wires.post_tick(0)
         router.tick(0)
         events = tracer.filter(kind="forward")
         assert len(events) == 1
@@ -100,7 +101,8 @@ class TestAttachLinksWiring:
     def test_attach_links_fully_wires_both_links(self):
         sim = Simulator()
         kernel = NIKernel("K", sim)
-        to_net, from_net = Link("k->net"), Link("net->k")
+        wires = LinkCommit()
+        to_net, from_net = Link("k->net", wires), Link("net->k", wires)
         # Leave stale port indices behind to prove they are overwritten.
         to_net.source_port = 7
         from_net.sink_port = 7
@@ -114,8 +116,9 @@ class TestAttachLinksWiring:
         sim = Simulator()
         kernel_a = NIKernel("A", sim)
         kernel_b = NIKernel("B", sim)
-        links_a = (Link("a_to"), Link("a_from"))
-        links_b = (Link("b_to"), Link("b_from"))
+        wires = LinkCommit()
+        links_a = (Link("a_to", wires), Link("a_from", wires))
+        links_b = (Link("b_to", wires), Link("b_from", wires))
         kernel_a.attach(Attachment(name="A", router_node=(0, 0),
                                    local_index=0, local_port=0,
                                    to_network=links_a[0],
@@ -251,9 +254,20 @@ class TestSlotCacheInvalidation:
         pair.open_channel(gt=True, slots=(2, 3, 4))
         kernel = pair.a
         kernel._refresh_slot_cache()
+
+        def consecutive_slots(owner, start_slot):
+            """Reference: slots from ``start_slot`` on owned by ``owner``."""
+            run = 0
+            for offset in range(kernel.num_slots):
+                slot = (start_slot + offset) % kernel.num_slots
+                if kernel.slot_table.owner(slot) != owner:
+                    break
+                run += 1
+            return max(run, 1)
+
         for slot in range(kernel.num_slots):
             owner = kernel.slot_table.owner(slot)
             assert kernel._slot_owners[slot] == owner
             if owner is not None:
                 assert (kernel._slot_runs[slot]
-                        == kernel._consecutive_slots(owner, slot))
+                        == consecutive_slots(owner, slot))

@@ -9,7 +9,7 @@ import pytest
 from repro.core.channel import FlowControlError
 from repro.core.kernel import NIKernel
 from repro.core.registers import RegisterError
-from repro.network.link import Link
+from repro.network.link import Link, LinkCommit
 from repro.network.packet import MAX_HEADER_CREDITS
 from repro.sim.clock import Clock
 from repro.sim.engine import Simulator
@@ -34,11 +34,12 @@ class KernelPair:
             self.b.add_channel(queue_words, queue_words, cdc_cycles=0)
         self.a.add_port("p", list(range(channels)))
         self.b.add_port("p", list(range(channels)))
-        ab = Link("a->b")
-        ba = Link("b->a")
+        wires = LinkCommit()
+        ab = Link("a->b", wires)
+        ba = Link("b->a", wires)
         self.a.attach_links(to_network=ab, from_network=ba)
         self.b.attach_links(to_network=ba, from_network=ab)
-        for component in (self.a, self.b, ab, ba):
+        for component in (self.a, self.b, wires):
             self.clock.add_component(component)
 
     def open_channel(self, index=0, gt=False, slots=(), queue_words=8):

@@ -62,13 +62,19 @@ def test_ci_runs_reprolint():
 #: Names of the burst-batching layer and the per-component dense recheck,
 #: deleted together with everything that kept them exact.
 _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
-                  "unbatched", "_gate_recheck")
+                  "unbatched", "_gate_recheck",
+                  # Links are wires committed by one LinkCommit per NoC: the
+                  # idioms that clocked a link by itself stay gone too.
+                  "add_component(link", "add_component(in_link",
+                  "link.post_tick(", "Link.is_idle", "Link.next_action_cycle",
+                  "._consecutive_slots(")
 
 
 def test_deleted_engine_names_stay_deleted():
-    """One per-flit pipeline: nothing may quietly reintroduce a name of the
-    removed batching layer (a second data path would need a second regime
-    axis in every equivalence suite)."""
+    """One per-flit pipeline, one commit per NoC: nothing may quietly
+    reintroduce a name of the removed batching layer (a second data path
+    would need a second regime axis in every equivalence suite) or put a
+    link back on a clock."""
     this_file = Path(__file__).resolve()
     offenders = []
     for directory in ("src", "scripts", "examples", "benchmarks/perf",

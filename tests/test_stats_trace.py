@@ -384,3 +384,25 @@ class TestLinkBandwidthMeters:
         # Traffic flowed, and the busiest link shows a nonzero window rate.
         assert carried_total > 0
         assert max(info["rate_per_cycle"] for info in links.values()) > 0
+
+    @pytest.mark.parametrize("scenario", ["hotspot", "ring", "multicast"])
+    def test_window_rates_do_not_depend_on_the_engine_regime(self, scenario):
+        """The window ends at the current time, not at the last executed
+        edge: long after the traffic stopped every rate reads zero whether
+        the flit clock slept through the silence or ticked through it."""
+        import contextlib
+        import warnings
+
+        from repro.api import scenarios
+        from repro.sim.clock import always_tick, ungated
+        reports = []
+        for regime in (contextlib.nullcontext, ungated, always_tick):
+            with regime(), warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # ring's deadlock notice
+                system = scenarios.build(scenario)
+            system.run_until_idle()
+            system.run_flit_cycles(5000)
+            reports.append(system.health_report()["links"])
+        assert reports[0] == reports[1] == reports[2]
+        assert sum(info["total"] for info in reports[0].values()) > 0
+        assert {info["rate_per_cycle"] for info in reports[0].values()} == {0.0}
