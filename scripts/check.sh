@@ -76,14 +76,14 @@ print(f"  obs_tour: idle@{cycles}, samples={report['metrics']['samples']}, "
       f"perfetto_events={len(trace['traceEvents'])}")
 EOF
 
-echo "== tick-gating smoke (gating off vs on, fingerprints) =="
-# Next-action tick gating (PERFORMANCE.md "Tick gating & frame
-# macro-stepping") must be a pure optimization: a saturated scenario run
-# with gating forced off has to produce a byte-identical fingerprint,
-# including delivered memory words.
+echo "== tick-gating smoke (default vs always-tick reference, fingerprints) =="
+# Clock sleep and next-action tick gating (PERFORMANCE.md "Tick gating &
+# frame macro-stepping") must be a pure optimization: a saturated scenario
+# run under the always-tick reference has to produce a byte-identical
+# fingerprint, including delivered memory words.
 python - <<'EOF'
 from repro.api import scenarios
-from repro.sim.clock import gating_default, ungated
+from repro.sim.clock import always_tick
 
 
 def fingerprint(name, cycles):
@@ -92,14 +92,13 @@ def fingerprint(name, cycles):
     return system.deep_fingerprint()
 
 
-assert gating_default(), "repo default must be tick gating on"
 name, cycles = "saturated_grid", 150
 gated = fingerprint(name, cycles)
-with ungated():
+with always_tick():
     reference = fingerprint(name, cycles)
 assert gated == reference, \
-    f"{name}: gated run diverged from the ungated reference"
-print(f"  {name}: {cycles} cycles byte-identical with gating off vs on")
+    f"{name}: gated run diverged from the always-tick reference"
+print(f"  {name}: {cycles} cycles byte-identical, default vs always_tick()")
 EOF
 
 quick_json="$(mktemp /tmp/bench_quick.XXXXXX.json)"

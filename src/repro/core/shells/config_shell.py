@@ -59,9 +59,6 @@ class ConfigurationSlave:
             return self._responses.popleft()
         return None
 
-    def idle(self) -> bool:
-        return not self._responses
-
     def execute(self, transaction: Transaction) -> TransactionResponse:
         """Execute one MMIO transaction against the kernel register file."""
         try:

@@ -153,9 +153,6 @@ class MasterShell(ClockedComponent):
         """
         return len(self._completed)
 
-    def idle(self) -> bool:
-        return not self._pending and not self._outstanding and self.shell.idle()
-
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip.
 
@@ -179,7 +176,7 @@ class MasterShell(ClockedComponent):
         (``_pending`` is ready-ordered: FIFO with a constant delay) and the
         earliest retry deadline; the ``max(..., cycle + 1)`` clamp keeps a
         backpressure-deferred issue or retransmit dense, matching the
-        per-cycle ``issue_stalls`` accounting of an ungated run.  New
+        per-cycle ``issue_stalls`` accounting of an always-tick run.  New
         submissions and deliveries cancel the gate via ``notify_active`` /
         :attr:`ConnectionShell.on_deliver`.
         """

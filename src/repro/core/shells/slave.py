@@ -114,10 +114,6 @@ class SlaveShell(ClockedComponent):
                            write_data=list(message.write_data),
                            trans_id=message.trans_id)
 
-    def idle(self) -> bool:
-        return (not self._awaiting_response and not self._response_backlog
-                and self.shell.idle())
-
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip.
 

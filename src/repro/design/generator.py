@@ -87,10 +87,10 @@ class SystemModel:
         reservations, which by contract tick forever to sample
         ``gt_slots_unused``; those count as done once quiescent (nothing in
         flight, see ``NIKernel.is_quiescent``).  Components are scanned even
-        on sleeping clocks: under tick gating a clock sleeps whenever no
-        component will act *on its own* (a master blocked on a response is
-        non-idle yet has a far-future horizon), so "asleep" no longer
-        implies "every component idle" the way pure idle-skip did.
+        on sleeping clocks: a clock sleeps whenever no component will act
+        *on its own* (a master blocked on a response is non-idle yet has a
+        far-future horizon), so "asleep" does not imply "every component
+        idle".
         """
         clocks = [self.noc.flit_clock, *self.port_clocks.values()]
         for clock in clocks:

@@ -94,9 +94,6 @@ class MemorySlave(SlaveIP):
             return self._done.popleft()
         return None
 
-    def idle(self) -> bool:
-        return not self._pending and not self._done
-
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip: nothing queued, nothing to drain."""
         return not self._pending and not self._done
@@ -142,9 +139,6 @@ class RegisterSlave(SlaveIP):
         if self._done:
             return self._done.popleft()
         return None
-
-    def idle(self) -> bool:
-        return not self._done
 
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip: no responses awaiting drainage."""

@@ -86,9 +86,6 @@ class DRAMBackedSlave(SlaveIP):
             return self._done.popleft()
         return None
 
-    def idle(self) -> bool:
-        return not self._inbox and not self.controller.busy and not self._done
-
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip: no request anywhere in flight."""
         return not self._inbox and not self.controller.busy and not self._done

@@ -15,7 +15,6 @@ from repro.sim.clock import (
     ClockedComponent,
     always_tick,
     run_cycles,
-    set_default_idle_skip,
 )
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import (
@@ -32,7 +31,6 @@ __all__ = [
     "ClockedComponent",
     "always_tick",
     "run_cycles",
-    "set_default_idle_skip",
     "Counter",
     "Event",
     "Histogram",

@@ -12,9 +12,9 @@ Activity-driven scheduling
 --------------------------
 
 A cycle-accurate model that ticks every component every period spends almost
-all of its wall time doing nothing when the network is idle.  Clocks therefore
-stop rescheduling themselves when every registered component reports
-:meth:`ClockedComponent.is_idle`, and resume on an explicit
+all of its wall time doing nothing when the network is idle.  A clock is
+therefore not rescheduled once every registered component reports
+:meth:`ClockedComponent.is_idle`, and resumes on an explicit
 :meth:`Clock.wake` — delivered through :meth:`ClockedComponent.notify_active`
 by whatever injects new stimulus (a port accepting a message, a link carrying
 a flit, a configuration register write).
@@ -41,9 +41,11 @@ The wake-up contract (see ``PERFORMANCE.md`` for the full protocol):
 Next-action tick gating
 -----------------------
 
-Idle-skip is all-or-nothing per clock: a single busy component keeps every
-sibling ticking every cycle.  Tick gating refines the same contract to the
-component and to *future* cycles: a component may override
+Sleeping whole clocks is all-or-nothing: a single busy component would keep
+every sibling ticking every cycle.  Tick gating applies the same contract
+per component and to *future* cycles (a component without an override
+contributes ``cycle + 1`` while non-idle and nothing while idle, so clock
+sleep is the degenerate case): a component may override
 :meth:`ClockedComponent.next_action_cycle` to report the earliest future
 cycle at which its tick/post_tick could change observable state, and the
 clock skips it — and, when every component's horizon lies beyond the next
@@ -54,7 +56,7 @@ The rules that make gating a pure optimization (byte-identical results):
   may **under-estimate** (an early tick is an observable no-op by contract)
   but never over-estimate.  Returning ``cycle + 1`` is always sound.
 * Any stimulus that changes what a tick would do must reach the component's
-  ``notify_active()`` — the same wake hooks idle-skip relies on — which
+  ``notify_active()`` — the same wake hooks clock sleep relies on — which
   cancels the standing gate before waking the clock.  A standing gate is
   therefore trusted without recomputation: state feeding a pure horizon can
   only change through the component's own tick or through a notify.
@@ -64,8 +66,8 @@ The rules that make gating a pure optimization (byte-identical results):
   leaving a never-popping event in the heap.
 * Gating changes *which* edges execute, never what an executed edge does:
   within a timestamp, a component whose gate is cancelled after the tick
-  loop passed it behaves exactly like the ungated component whose tick had
-  already run and observed the pre-stimulus state (creation-order
+  loop passed it behaves exactly like an always-tick component whose tick
+  had already run and observed the pre-stimulus state (creation-order
   priorities make both see stimulus strictly after).
 
 TDMA frame macro-stepping falls out of this layer: an NI kernel whose slot
@@ -74,12 +76,23 @@ table is static and whose best-effort ready-set is empty reports the next
 kernel event per slot-table revolution per reservation run (see
 ``NIKernel.next_action_cycle`` and PERFORMANCE.md).
 
-Setting ``idle_skip=False`` on a clock (or globally via
-:func:`set_default_idle_skip` / the :func:`always_tick` context manager)
-restores the seed's unconditional rescheduling; benchmarks and the
-determinism tests use this to compare both modes.  Tick gating alone is
-disabled with :func:`set_default_tick_gating` / the :func:`ungated` context
-manager (always-tick mode implies gating off).
+One scheduler, two regimes
+--------------------------
+
+Every started clock is a member of a :class:`ClockGroup`, whose loop is the
+only edge / commit / reschedule code there is.  :func:`fuse_clocks` puts
+same-rate clocks with contiguous priorities into one group (one heap event
+per timestamp for all of them); a clock it leaves alone gets a group of one
+on :meth:`Clock.start`, which pushes exactly the events a self-scheduling
+clock would.
+
+Setting ``idle_skip=False`` on a clock (or, for every clock built inside
+it, the :func:`always_tick` context manager) gives the reference regime:
+the seed's unconditional rescheduling, no sleeping and no gating, which
+every equivalence test and benchmark compares the default against.
+Always-tick clocks never share a group — the reference keeps the seed's
+one tick event plus one commit event per clock per period, the event-count
+denominator of the perf harness.
 """
 
 from __future__ import annotations
@@ -102,12 +115,9 @@ FAR_FUTURE = 1 << 60
 #: ticks of a timestamp complete before any commit.
 _POST_TICK_PRIORITY_BASE = 1 << 20
 
-#: Module-wide default for ``Clock.idle_skip`` (benchmarks flip it to measure
-#: the always-tick baseline).
+#: Module-wide default for ``Clock.idle_skip``; :func:`always_tick` flips it
+#: to build the always-tick reference.
 _DEFAULT_IDLE_SKIP = True
-
-#: Module-wide default for ``Clock.tick_gating`` (the next-action layer).
-_DEFAULT_TICK_GATING = True
 
 #: Dense-window span, in cycles.  A clock whose horizon pass just concluded
 #: "tick the next boundary anyway" (no edge to skip) is very likely to keep
@@ -121,54 +131,16 @@ _DEFAULT_TICK_GATING = True
 _DENSE_RECHECK_SPAN = 32
 
 
-def set_default_idle_skip(enabled: bool) -> bool:
-    """Set the default ``idle_skip`` for newly created clocks.
-
-    Returns the previous default so callers can restore it.
-    """
-    global _DEFAULT_IDLE_SKIP
-    previous = _DEFAULT_IDLE_SKIP
-    _DEFAULT_IDLE_SKIP = bool(enabled)
-    return previous
-
-
-def set_default_tick_gating(enabled: bool) -> bool:
-    """Set the default ``tick_gating`` for newly created clocks.
-
-    Returns the previous default so callers can restore it.  Gating is
-    subordinate to idle-skip: an ``idle_skip=False`` (always-tick) clock
-    never gates regardless of this default, preserving the seed reference.
-    """
-    global _DEFAULT_TICK_GATING
-    previous = _DEFAULT_TICK_GATING
-    _DEFAULT_TICK_GATING = bool(enabled)
-    return previous
-
-
-def gating_default() -> bool:
-    """The current default for ``Clock.tick_gating``."""
-    return _DEFAULT_TICK_GATING
-
-
 @contextlib.contextmanager
 def always_tick() -> Iterator[None]:
     """Context manager: clocks built inside it use seed (always-tick) mode."""
-    previous = set_default_idle_skip(False)
+    global _DEFAULT_IDLE_SKIP
+    previous = _DEFAULT_IDLE_SKIP
+    _DEFAULT_IDLE_SKIP = False
     try:
         yield
     finally:
-        set_default_idle_skip(previous)
-
-
-@contextlib.contextmanager
-def ungated() -> Iterator[None]:
-    """Context manager: clocks built inside it skip idle clocks but never
-    gate individual components (PR 9 activity-driven semantics)."""
-    previous = set_default_tick_gating(False)
-    try:
-        yield
-    finally:
-        set_default_tick_gating(previous)
+        _DEFAULT_IDLE_SKIP = previous
 
 
 class ClockedComponent:
@@ -241,6 +213,11 @@ class ClockedComponent:
 class Clock:
     """A periodic clock that drives registered components.
 
+    A clock owns its components, its time grid and its per-clock state
+    (``sleeping``, ``gated``, telemetry); its edges are executed by the
+    :class:`ClockGroup` it belongs to — a group of one unless
+    :func:`fuse_clocks` grouped it with same-rate neighbours.
+
     Parameters
     ----------
     sim:
@@ -253,20 +230,16 @@ class Clock:
     phase_ps:
         Offset of the first rising edge.
     idle_skip:
-        When True (the default, see :func:`set_default_idle_skip`) the clock
-        stops self-rescheduling while every component is idle and resumes on
-        :meth:`wake`.  When False the clock reschedules unconditionally.
-    tick_gating:
-        When True (the default, see :func:`set_default_tick_gating`) the
-        clock additionally honours component next-action horizons: gated
-        components are skipped inside edges, and edges with no due
-        component are not scheduled at all.  Requires ``idle_skip``;
-        an always-tick clock never gates.
+        When True (the default outside :func:`always_tick`) the clock is
+        activity-driven: components are skipped up to their next-action
+        horizons, edges with no due component are not scheduled, and the
+        clock sleeps while every component is idle or parked, resuming on
+        :meth:`wake`.  When False the clock ticks every component on every
+        edge — the seed schedule the default is tested against.
     """
 
     def __init__(self, sim: Simulator, frequency_mhz: float, name: str = "clk",
-                 phase_ps: int = 0, idle_skip: Optional[bool] = None,
-                 tick_gating: Optional[bool] = None) -> None:
+                 phase_ps: int = 0, idle_skip: Optional[bool] = None) -> None:
         if frequency_mhz <= 0:
             raise SimulationError(f"clock {name}: frequency must be positive")
         self.sim = sim
@@ -280,11 +253,6 @@ class Clock:
         self.phase_ps = int(phase_ps)
         self.idle_skip = (_DEFAULT_IDLE_SKIP if idle_skip is None
                           else bool(idle_skip))
-        self.tick_gating = (_DEFAULT_TICK_GATING if tick_gating is None
-                            else bool(tick_gating))
-        #: Effective gating mode: the next-action layer rides on idle-skip's
-        #: wake protocol, so always-tick clocks never gate.
-        self._gating = self.idle_skip and self.tick_gating
         #: Coincident edges of different clocks run earliest-created first;
         #: a clock receiving immediately visible cross-domain stimulus (the
         #: flit clock: credits, flushes, register writes) must therefore be
@@ -298,36 +266,24 @@ class Clock:
         self._started = False
         self._epoch = 0
         self._sleeping = False
-        #: True while the next scheduled edge lies beyond the next period
-        #: boundary (or, grouped, while this member's horizon does): a
-        #: notify must then wake the clock to pull the edge forward.
+        #: True while this clock's next edge lies beyond the next period
+        #: boundary: a notify must then wake it to pull the edge forward.
         self._gated = False
-        #: Absolute time of the pending edge event (-1 = none).  A gating
-        #: clock may leave superseded events in the heap (wake pulls the
-        #: edge forward without cancellation); ``_edge`` executes only the
-        #: event matching this time, so stale events are no-ops.
-        self._next_edge_time = -1
-        #: Grouped members only: this member's next-action horizon in
-        #: cycles (0 = due every edge; FAR_FUTURE = parked).
+        #: This clock's next-action horizon in cycles: the group skips it on
+        #: edges before that cycle (0 = due at whatever edge comes next).
         self._gate_cycle = 0
-        #: Clock-level dense window: while ``cycle + 1`` lies inside it the
-        #: whole horizon pass is skipped and the next edge is unconditional.
+        #: Dense window: while ``cycle + 1`` lies inside it the whole
+        #: horizon pass is skipped and the next edge is unconditional.
         #: Set by :meth:`_gate_horizon` whenever the pass concludes "next
         #: edge anyway" — dense traffic keeps answering that, so stop
         #: asking for a while.  Pure under-gating, results unaffected.
         self._dense_recheck = 0
-        #: True while any component may hold a standing gate beyond the
-        #: next boundary.  Only :meth:`_gate_horizon` sets gates, so a pass
-        #: that ends with none lets the edge loops drop the per-component
-        #: gate check entirely (the flag may be stale-True after a notify
-        #: cancels a gate — that only costs the check, never correctness).
-        self._gates_standing = False
         #: Edges actually executed (telemetry for the perf harness).
         self.edges_executed = 0
         #: Number of times the clock went to sleep.
         self.sleep_count = 0
-        #: Fused scheduling group (see :class:`ClockGroup`); None when this
-        #: clock schedules its own edges.
+        #: The scheduling group driving this clock; set by
+        #: :func:`fuse_clocks` or, failing that, by :meth:`start`.
         self._group: Optional["ClockGroup"] = None
 
     # ---------------------------------------------------------------- wiring
@@ -344,13 +300,6 @@ class Clock:
         # to tick; the next edge re-evaluates idleness and horizons.
         if self._sleeping or self._gated:
             self.wake()
-
-    def remove_component(self, component: ClockedComponent) -> None:
-        self._components.remove(component)
-        if component in self._post_tick_components:
-            self._post_tick_components.remove(component)
-        if component._clock is self:
-            component._clock = None
 
     @property
     def cycle(self) -> int:
@@ -371,7 +320,7 @@ class Clock:
 
     @property
     def sleeping(self) -> bool:
-        """True while the clock has stopped self-rescheduling."""
+        """True while no edge is scheduled for the clock (see :meth:`wake`)."""
         return self._sleeping
 
     @property
@@ -396,18 +345,11 @@ class Clock:
 
     # --------------------------------------------------------------- running
     def start(self) -> None:
-        """Schedule the first rising edge.  Idempotent."""
-        if self._started:
-            return
-        if self._group is not None:
-            self._group.start()
-            return
-        self._started = True
-        self._epoch = max(self.sim.now, self.phase_ps)
-        self._sleeping = False
-        self._next_edge_time = self._epoch
-        self.sim.schedule_at(self._epoch, self._edge,
-                             priority=self._tick_priority)
+        """Schedule the first rising edge (of every clock fused with this
+        one).  Idempotent."""
+        if self._group is None:
+            ClockGroup([self])
+        self._group.start()
 
     def wake(self) -> None:
         """Resume an idle-skipped (or gate-deferred) clock.
@@ -425,79 +367,7 @@ class Clock:
         self._sleeping = False
         self._gated = False
         self._gate_cycle = 0
-        if self._group is not None:
-            self._group._wake(self.sim.now)
-            return
-        index = (self.sim.now - self._epoch) // self.period_ps + 1
-        target = self.edge_time(index)
-        if self._gating:
-            if self._next_edge_time != -1 and self._next_edge_time <= target:
-                # The pending edge already fires at or before the boundary
-                # the stimulus needs; pulling it forward would
-                # double-schedule.
-                return
-            self._next_edge_time = target
-        self.sim._push(target, self._tick_priority, self._edge)
-
-    def _edge(self) -> None:
-        now = self.sim.now
-        if self._gating:
-            if now != self._next_edge_time:
-                return  # superseded by a wake that pulled the edge forward
-            self._next_edge_time = -1
-            self._gated = False
-            # Derive the cycle index from time so TDMA slot alignment
-            # survives skipped edges (an NI slot is `cycle % num_slots`).
-            cycle = (now - self._epoch) // self.period_ps
-            self._cycle = cycle
-            self.edges_executed += 1
-            if self._gates_standing:
-                for component in self._components:
-                    if component._gate_until > cycle:
-                        continue
-                    component.tick(cycle)
-            else:
-                for component in self._components:
-                    component.tick(cycle)
-        else:
-            cycle = (now - self._epoch) // self.period_ps
-            self._cycle = cycle
-            self.edges_executed += 1
-            for component in self._components:
-                component.tick(cycle)
-        if self._post_tick_components:
-            self.sim._push(now, self._commit_priority, self._commit_edge)
-        else:
-            # No component commits anything: skip the commit event entirely.
-            self._after_edge()
-
-    def _commit_edge(self) -> None:
-        cycle = self._cycle
-        if self._gating and self._gates_standing:
-            for component in self._post_tick_components:
-                if component._gate_until > cycle:
-                    continue
-                component.post_tick(cycle)
-        else:
-            for component in self._post_tick_components:
-                component.post_tick(cycle)
-        self._after_edge()
-
-    def _dense_window_active(self, cycle1: int) -> bool:
-        """Inside a dense window with at least one component still busy.
-
-        The scan (early-exit, the same test ungated idle-skip runs every
-        edge) closes the window the moment everything reports idle, so
-        quiescence — and the sleep transition tests and workloads rely
-        on — is never delayed by the amortization.
-        """
-        if self._dense_recheck <= cycle1:
-            return False
-        for component in self._components:
-            if not component.is_idle():
-                return True
-        self._dense_recheck = 0
-        return False
+        self._group._wake(self.sim.now)
 
     def _gate_horizon(self, cycle: int) -> int:
         """Min next-action horizon over all components after edge ``cycle``.
@@ -507,83 +377,32 @@ class Clock:
         change through the component's own tick (which expires the gate) or
         through a notify (which cancels it).  Components without a
         ``next_action_cycle`` override contribute ``cycle + 1`` while
-        non-idle and nothing while idle — the idle-skip rules, per
-        component.  A FAR_FUTURE result means every component is idle or
-        FAR-gated: the clock can sleep.
+        non-idle and nothing while idle.  A FAR_FUTURE result means every
+        component is idle or FAR-gated: the clock can sleep.
         """
         cycle1 = cycle + 1
         horizon = FAR_FUTURE
-        standing = False
         for component in self._components:
             gate = component._gate_until
-            if gate > cycle1:
-                standing = True
-                if gate < horizon:
-                    horizon = gate
-                continue
-            if component._has_next_action:
-                gate = component.next_action_cycle(cycle)
-                component._gate_until = gate
-                if gate == cycle1:
-                    horizon = cycle1
+            if gate <= cycle1:
+                if component._has_next_action:
+                    gate = component.next_action_cycle(cycle)
+                    component._gate_until = gate
+                elif component.is_idle():
+                    continue
                 else:
-                    standing = True
-                    if gate < horizon:
-                        horizon = gate
-            elif not component.is_idle():
-                horizon = cycle1
-        self._gates_standing = standing
+                    gate = cycle1
+            if gate < horizon:
+                horizon = gate
         if horizon == cycle1:
             # The pass concluded "tick the next boundary anyway": open a
-            # dense window so the callers skip the whole pass until it
+            # dense window so the group skips the whole pass until it
             # expires.  Components with standing gates keep their tick
             # skips (the edge loop still honours ``_gate_until``); whole
             # edges only ever skip when *every* component gates, and that
             # state never opens a window — macro-stepping is not delayed.
             self._dense_recheck = cycle1 + _DENSE_RECHECK_SPAN
         return horizon
-
-    def _after_edge(self) -> None:
-        """Reschedule the next edge — or go to sleep if everything is idle.
-
-        Runs after the commit phase so idleness and next-action horizons
-        reflect post_tick state (e.g. a link that just staged a flit is not
-        idle).
-        """
-        if self._gating:
-            cycle = self._cycle
-            cycle1 = cycle + 1
-            if self._dense_window_active(cycle1):
-                # Inside a dense window: the next edge is unconditional,
-                # skip the horizon pass (see ``_gate_horizon``).
-                self._gated = False
-                time = self.edge_time(cycle1)
-                self._next_edge_time = time
-                self.sim._push(time, self._tick_priority, self._edge)
-                return
-            horizon = self._gate_horizon(cycle)
-            if horizon >= FAR_FUTURE:
-                # All idle or FAR-gated: sleep without scheduling anything
-                # (a far-future heap event would never pop and only bloat
-                # the queue).  notify_active restarts the clock.
-                self._sleeping = True
-                self.sleep_count += 1
-                return
-            self._gated = horizon > cycle + 1
-            time = self.edge_time(horizon)
-            self._next_edge_time = time
-            self.sim._push(time, self._tick_priority, self._edge)
-            return
-        if self.idle_skip:
-            for component in self._components:
-                if not component.is_idle():
-                    break
-            else:
-                self._sleeping = True
-                self.sleep_count += 1
-                return
-        self.sim._push(self.edge_time(self._cycle + 1), self._tick_priority,
-                       self._edge)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "sleeping" if self._sleeping else (
@@ -592,38 +411,42 @@ class Clock:
 
 
 class ClockGroup:
-    """Fused scheduling for clocks that share a period and phase.
+    """The scheduler: one event per timestamp for clocks that share a
+    period and phase.
 
-    A system of N same-frequency port clocks pays N heap events (plus up to
-    N commit events) per period even though every edge lands on the same
-    timestamp.  A group fires **one** event per timestamp and ticks its
+    A system of N same-frequency port clocks would pay N heap events (plus
+    up to N commit events) per period even though every edge lands on the
+    same timestamp.  A group fires **one** event per timestamp and ticks its
     members in sequence — in clock-creation order, which is why members must
     hold *contiguous* tick priorities: the group event runs at the first
-    member's priority, so interleaving with any non-member clock on a shared
-    timestamp is exactly the unfused order.  (:func:`fuse_clocks` enforces
-    contiguity when forming groups.)
+    member's priority, so no non-member clock's edge on a shared timestamp
+    can fall between two members'.  (:func:`fuse_clocks` enforces
+    contiguity when forming groups; a group of one, which :meth:`Clock.start`
+    makes for a clock nothing fused, is trivially contiguous.)
 
-    Per-member semantics are preserved: each member keeps its own
-    ``idle_skip`` / ``tick_gating`` flags, ``sleeping`` state,
-    ``sleep_count`` and ``edges_executed`` telemetry; sleeping members are
-    skipped inside the group event (their edges neither execute nor count,
-    as when unfused), and gating members additionally skip edges their
-    next-action horizon (``_gate_cycle``) lies beyond.  The group schedules
-    its next event at the earliest awake member's horizon; any member's
-    :meth:`Clock.wake` pulls it back to the next period boundary — the same
-    boundary an unfused wake would have used.
+    Per-member state stays per member: each keeps its own ``sleeping`` /
+    ``gated`` state, ``sleep_count`` and ``edges_executed`` telemetry;
+    sleeping members are skipped inside the group event (their edges neither
+    execute nor count), and so are members whose next-action horizon
+    (``_gate_cycle``) lies beyond the edge.  The group schedules its next
+    event at the earliest awake member's horizon; any member's
+    :meth:`Clock.wake` pulls it back to the next period boundary.
 
-    The one observable difference is telemetry-only: executed-event counts
-    shrink (one event per timestamp instead of one per awake member), which
-    is the point.  Workload-visible state is untouched — ticks and commits
-    run in identical order at identical times.
+    Fusing changes telemetry only: executed-event counts shrink (one event
+    per timestamp instead of one per awake member), which is the point.
+    Workload-visible state is untouched — ticks and commits run in the same
+    order at the same times however the clocks are grouped.
     """
 
     def __init__(self, members: List[Clock]) -> None:
-        if len(members) < 2:
-            raise SimulationError("a clock group needs at least two members")
+        if not members:
+            raise SimulationError("a clock group needs at least one member")
         first = members[0]
-        for prev, member in zip(members, members[1:]):
+        prev = None
+        for member in members:
+            if member._started or member._group is not None:
+                raise SimulationError(
+                    f"clock {member.name} cannot join a group after start")
             if member.sim is not first.sim:
                 raise SimulationError("clock group members share a simulator")
             if (member.period_ps != first.period_ps
@@ -631,16 +454,12 @@ class ClockGroup:
                 raise SimulationError(
                     f"clock group members must share period and phase "
                     f"({member.name} vs {first.name})")
-            if member._tick_priority != prev._tick_priority + 1:
+            if prev is not None and (
+                    member._tick_priority != prev._tick_priority + 1):
                 raise SimulationError(
                     f"clock group members must hold contiguous tick "
                     f"priorities ({prev.name} -> {member.name})")
-            if member._started or member._group is not None:
-                raise SimulationError(
-                    f"clock {member.name} cannot join a group after start")
-        if first._started or first._group is not None:
-            raise SimulationError(
-                f"clock {first.name} cannot join a group after start")
+            prev = member
         self.sim = first.sim
         self.period_ps = first.period_ps
         self.members = list(members)
@@ -649,9 +468,9 @@ class ClockGroup:
         self._epoch = 0
         self._started = False
         #: Time of the pending (scheduled, not yet fired) group edge, or -1.
-        #: As with :attr:`Clock._next_edge_time`, superseded events stay in
-        #: the heap and no-op on execution; only the event matching this
-        #: exact time runs.
+        #: A wake pulls the edge forward without cancelling the event it
+        #: supersedes; ``_edge`` executes only the event matching this
+        #: exact time, so stale events are no-ops.
         self._next_scheduled = -1
         for member in members:
             member._group = self
@@ -666,12 +485,12 @@ class ClockGroup:
         for member in self.members:
             member._started = True
             member._epoch = epoch
-            member._sleeping = False
         self._next_scheduled = epoch
         self.sim._push(epoch, self._tick_priority, self._edge)
 
     def _schedule(self, time: int) -> None:
         if self._next_scheduled != -1 and self._next_scheduled <= time:
+            # The pending edge already fires at or before ``time``.
             return
         self._next_scheduled = time
         self.sim._push(time, self._tick_priority, self._edge)
@@ -686,6 +505,8 @@ class ClockGroup:
         if now != self._next_scheduled:
             return  # superseded by a wake that pulled the edge forward
         self._next_scheduled = -1
+        # Derive the cycle index from time so TDMA slot alignment survives
+        # skipped edges (an NI slot is `cycle % num_slots`).
         cycle = (now - self._epoch) // self.period_ps
         commit = False
         for member in self.members:
@@ -694,19 +515,16 @@ class ClockGroup:
             member._cycle = cycle
             member._gated = False
             member.edges_executed += 1
-            if member._gating and member._gates_standing:
-                for component in member._components:
-                    if component._gate_until > cycle:
-                        continue
-                    component.tick(cycle)
-            else:
-                for component in member._components:
-                    component.tick(cycle)
+            for component in member._components:
+                if component._gate_until > cycle:
+                    continue
+                component.tick(cycle)
             if member._post_tick_components:
                 commit = True
         if commit:
             self.sim._push(now, self._commit_priority, self._commit_edge)
         else:
+            # No member commits anything: skip the commit event entirely.
             self._after_edge(cycle)
 
     def _commit_edge(self) -> None:
@@ -715,64 +533,61 @@ class ClockGroup:
             # ``_cycle == cycle`` marks the members that ticked this edge
             # (a member woken mid-timestamp by another's stimulus has not
             # ticked and must not commit).
-            if member._cycle == cycle and member._post_tick_components:
-                if member._gating and member._gates_standing:
-                    for component in member._post_tick_components:
-                        if component._gate_until > cycle:
-                            continue
-                        component.post_tick(cycle)
-                else:
-                    for component in member._post_tick_components:
-                        component.post_tick(cycle)
+            if member._cycle == cycle:
+                for component in member._post_tick_components:
+                    if component._gate_until > cycle:
+                        continue
+                    component.post_tick(cycle)
         self._after_edge(cycle)
 
     def _after_edge(self, cycle: int) -> None:
-        """Per-member horizon/idleness evaluation, then one reschedule."""
+        """Per-member horizon/idleness evaluation, then one reschedule.
+
+        Runs after the commit phase so idleness and next-action horizons
+        reflect post_tick state (e.g. a link that just staged a flit is not
+        idle).
+        """
         cycle1 = cycle + 1
         group_horizon = FAR_FUTURE
         for member in self.members:
             if member._sleeping:
                 continue
-            if member._cycle != cycle and member._gate_cycle <= cycle:
-                # Woken mid-timestamp without ticking: the next edge is
-                # unconditional, exactly as an unfused wake schedules.
-                if cycle1 < group_horizon:
-                    group_horizon = cycle1
-                continue
-            if member._gate_cycle > cycle:
-                # Standing member horizon (this edge skipped the member).
-                if member._gate_cycle < group_horizon:
-                    group_horizon = member._gate_cycle
-                continue
-            if member._gating:
-                if member._dense_window_active(cycle1):
-                    # Inside the member's dense window (see
-                    # ``_gate_horizon``): next edge unconditional.
-                    member._gate_cycle = cycle1
-                    member._gated = False
-                    group_horizon = cycle1
-                    continue
+            if member._cycle != cycle:
+                # Did not tick this edge: skipped under a standing horizon,
+                # or woken mid-timestamp (wake cancelled the horizon), in
+                # which case the next edge is unconditional.
+                horizon = (member._gate_cycle if member._gate_cycle > cycle1
+                           else cycle1)
+            elif not member.idle_skip:
+                horizon = cycle1
+            else:
+                if member._dense_recheck > cycle1:
+                    # Inside a dense window (see ``_gate_horizon``): skip
+                    # the horizon pass while anything is still busy.  The
+                    # early-exit scan closes the window the moment
+                    # everything reports idle, so quiescence — and the
+                    # sleep transition — is never delayed by it.
+                    for component in member._components:
+                        if not component.is_idle():
+                            break
+                    else:
+                        member._dense_recheck = 0
+                    if member._dense_recheck:   # still open
+                        group_horizon = cycle1
+                        continue
                 horizon = member._gate_horizon(cycle)
                 if horizon >= FAR_FUTURE:
+                    # All idle or FAR-gated: sleep without scheduling
+                    # anything (a far-future heap event would never pop
+                    # and only bloat the queue); a notify restarts it.
                     member._sleeping = True
                     member._gate_cycle = 0
                     member.sleep_count += 1
                     continue
                 member._gate_cycle = horizon
                 member._gated = horizon > cycle1
-                if horizon < group_horizon:
-                    group_horizon = horizon
-                continue
-            if member.idle_skip:
-                for component in member._components:
-                    if not component.is_idle():
-                        break
-                else:
-                    member._sleeping = True
-                    member.sleep_count += 1
-                    continue
-            if cycle1 < group_horizon:
-                group_horizon = cycle1
+            if horizon < group_horizon:
+                group_horizon = horizon
         if group_horizon < FAR_FUTURE:
             self._schedule(self._epoch + group_horizon * self.period_ps)
 
@@ -787,11 +602,11 @@ def fuse_clocks(clocks: List[Clock]) -> List[ClockGroup]:
     Groups are maximal runs of not-yet-started clocks with equal period and
     phase holding contiguous tick priorities (creation order with no other
     clock in between — a gap would let a non-member's edge interleave, so
-    the run splits there).  Runs of one stay unfused.  Clocks already
-    started or already grouped are left alone.  Always-tick clocks
-    (``idle_skip=False``) never fuse: that mode reproduces the seed
-    engine's event schedule, which benchmarks use as the event-count
-    denominator.  Returns the groups formed.
+    the run splits there).  A run of one is left for :meth:`Clock.start`
+    to wrap.  Clocks already started or already grouped are left alone.
+    Always-tick clocks (``idle_skip=False``) never fuse: that mode
+    reproduces the seed engine's event schedule, which benchmarks use as
+    the event-count denominator.  Returns the groups formed.
     """
     groups: List[ClockGroup] = []
     run: List[Clock] = []

@@ -85,8 +85,8 @@ class Simulator:
         self._clock_priorities: int = 0
         #: High-water mark of the heap size (telemetry).  Gating clocks may
         #: leave superseded edge events in the heap instead of cancelling
-        #: them (see ``Clock._next_edge_time``); this makes the cost of that
-        #: design observable in the perf harness instead of guessed at.
+        #: them (see ``ClockGroup._next_scheduled``); this makes the cost of
+        #: that design observable in the perf harness instead of guessed at.
         self.peak_queue_len: int = 0
         #: Optional observer called as ``hook(time, priority, seq)`` right
         #: before each event executes; used by determinism tests to compare

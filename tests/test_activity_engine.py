@@ -1,5 +1,6 @@
 """Tests for activity-driven scheduling: idle-skip clocks, wake-ups, the
-tuple-based event heap, and the slotted hot-path objects."""
+one clock scheduler (``ClockGroup``), the tuple-based event heap, and the
+slotted hot-path objects."""
 
 import pytest
 
@@ -7,12 +8,13 @@ from repro.design.generator import build_system
 from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
 from repro.network.packet import Flit, Packet, PacketHeader, packet_to_flits
 from repro.sim.clock import (
+    FAR_FUTURE,
     Clock,
     ClockedComponent,
+    ClockGroup,
     always_tick,
+    fuse_clocks,
     run_cycles,
-    set_default_idle_skip,
-    ungated,
 )
 from repro.sim.engine import SimulationError, Simulator
 
@@ -113,14 +115,12 @@ class TestIdleSkip:
         sim.run_for(10000)
         assert worker.ticks == [0, 1, 2, 3, 4, 5]
         assert not clock.sleeping
-
-    def test_set_default_idle_skip_returns_previous(self):
-        previous = set_default_idle_skip(False)
-        try:
-            assert previous is True
+        # Each exit restores what its own entry found, nested or not.
+        with always_tick():
+            with always_tick():
+                assert Clock(Simulator(), 500.0).idle_skip is False
             assert Clock(Simulator(), 500.0).idle_skip is False
-        finally:
-            set_default_idle_skip(previous)
+        assert Clock(Simulator(), 500.0).idle_skip is True
 
     def test_commit_event_skipped_without_post_tick_components(self):
         sim = Simulator()
@@ -208,6 +208,187 @@ class TestIdleSkip:
         with always_tick():
             seed = run()
         assert seed >= 10 * active
+
+
+# ---------------------------------------------------------------------------
+# The one scheduler: ClockGroup and fuse_clocks, with hand-built clocks
+# ---------------------------------------------------------------------------
+class Scripted(ClockedComponent):
+    """Busy for ``work`` more edges; logs every tick and commit as
+    ``(time, name, phase)`` and runs ``on_tick[cycle]`` (stimulus for a
+    component on another clock) inside that cycle's tick."""
+
+    def __init__(self, name, log, work=0, on_tick=None):
+        self.name = name
+        self.log = log
+        self.work = work
+        self.on_tick = on_tick or {}
+
+    def works_at(self, cycle):
+        return True
+
+    def tick(self, cycle):
+        self.log.append((self._clock.sim.now, self.name, "tick"))
+        if self.work and self.works_at(cycle):
+            self.work -= 1
+        if cycle in self.on_tick:
+            self.on_tick[cycle]()
+
+    def post_tick(self, cycle):
+        self.log.append((self._clock.sim.now, self.name, "commit"))
+
+    def is_idle(self):
+        return self.work == 0
+
+    def add_work(self, amount):
+        self.work += amount
+        self.notify_active()
+
+
+class Periodic(Scripted):
+    """Acts on every ``stride``-th cycle, ``work`` times, and says so
+    through its horizon; parked afterwards."""
+
+    stride = 4
+
+    def works_at(self, cycle):
+        return cycle % self.stride == 0
+
+    def next_action_cycle(self, cycle):
+        if not self.work:
+            return FAR_FUTURE
+        return (cycle // self.stride + 1) * self.stride
+
+
+class TestClockGroup:
+    def _clocks(self, count, sim=None):
+        sim = sim or Simulator()
+        return [Clock(sim, 500.0, name=f"c{i}") for i in range(count)]
+
+    def test_group_rejects_members_it_cannot_drive_as_one(self):
+        with pytest.raises(SimulationError, match="at least one"):
+            ClockGroup([])
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="period and phase"):
+            ClockGroup([Clock(sim, 500.0), Clock(sim, 250.0)])
+        with pytest.raises(SimulationError, match="period and phase"):
+            ClockGroup([Clock(sim, 500.0), Clock(sim, 500.0, phase_ps=500)])
+        first, _gap, third = self._clocks(3)
+        with pytest.raises(SimulationError, match="contiguous"):
+            ClockGroup([first, third])
+        with pytest.raises(SimulationError, match="share a simulator"):
+            ClockGroup([Clock(Simulator(), 500.0), Clock(Simulator(), 500.0)])
+        started, fresh = self._clocks(2)
+        started.start()
+        with pytest.raises(SimulationError, match="after start"):
+            ClockGroup([started, fresh])
+        grouped, other = self._clocks(2)
+        ClockGroup([grouped])
+        with pytest.raises(SimulationError, match="after start"):
+            ClockGroup([grouped, other])
+
+    def test_fuse_splits_at_a_priority_gap_and_at_an_always_tick_clock(self):
+        sim = Simulator()
+        a, b = self._clocks(2, sim)
+        Clock(sim, 500.0, name="outsider")      # holds the priority after b
+        c, d = self._clocks(2, sim)
+        reference = Clock(sim, 500.0, name="ref", idle_skip=False)
+        e, f = self._clocks(2, sim)
+        lone = Clock(sim, 250.0, name="lone")
+        groups = fuse_clocks([a, b, c, d, reference, e, f, lone])
+        assert [group.members for group in groups] == [[a, b], [c, d], [e, f]]
+        # What fusing left alone gets a group of one when it starts.
+        assert reference._group is None and lone._group is None
+        reference.start()
+        lone.start()
+        assert reference._group.members == [reference]
+        assert lone._group.members == [lone]
+        assert fuse_clocks([a, b, reference, lone]) == []
+
+    def _trio(self, fuse):
+        """Three same-rate clocks: ``sink`` (created first, as a clock
+        receiving same-timestamp stimulus must be) is woken from sleep by
+        the other two; ``driver`` drains eight edges of work; ``beat`` skips
+        from one multiple of four to the next, five times."""
+        sim = Simulator()
+        clocks = self._clocks(3, sim)
+        log = []
+        sink = Scripted("sink", log)
+        driver = Scripted("driver", log, work=8,
+                          on_tick={3: lambda: sink.add_work(2)})
+        beat = Periodic("beat", log, work=5,
+                        on_tick={12: lambda: sink.add_work(1)})
+        for clock, component in zip(clocks, (sink, driver, beat)):
+            clock.add_component(component)
+        if fuse:
+            group, = fuse_clocks(clocks)
+            assert group.members == clocks
+        for clock in clocks:
+            clock.start()
+        assert fuse or [c._group.members for c in clocks] == [
+            [c] for c in clocks]
+        sim.run(until=40 * 2000)
+        assert all(clock.sleeping for clock in clocks)
+        return (log,
+                [(c.edges_executed, c.sleep_count) for c in clocks],
+                sim.executed_events)
+
+    def test_fused_and_solo_clocks_run_the_same_schedule(self):
+        fused_log, fused_counts, fused_events = self._trio(fuse=True)
+        solo_log, solo_counts, solo_events = self._trio(fuse=False)
+        assert fused_log == solo_log
+        assert fused_counts == solo_counts
+        assert fused_events < solo_events
+        # Not vacuous: the sink slept and was woken twice, the beat skipped.
+        ticks = {name: [time // 2000 for time, who, phase in solo_log
+                        if who == name and phase == "tick"]
+                 for name in ("sink", "driver", "beat")}
+        assert ticks == {"sink": [0, 4, 5, 13],
+                         "driver": list(range(8)),
+                         "beat": [0, 4, 8, 12, 16]}
+        assert solo_counts == [(4, 3), (8, 1), (5, 1)]
+
+    def test_member_woken_mid_timestamp_waits_for_the_next_boundary(self):
+        sim = Simulator()
+        sleeper_clock, waker_clock = self._clocks(2, sim)
+        log = []
+        sleeper = Scripted("sleeper", log)
+        sleeper_clock.add_component(sleeper)
+        waker_clock.add_component(
+            Scripted("waker", log, work=8,
+                     on_tick={5: lambda: sleeper.add_work(1)}))
+        fuse_clocks([sleeper_clock, waker_clock])
+        sleeper_clock.start()
+        sim.run(until=5 * 2000 - 1)
+        assert sleeper_clock.sleeping
+        sim.run(until=5 * 2000)
+        # Woken by its sibling's tick at t=10000: awake, but it neither
+        # ticked nor committed in that group edge ...
+        assert not sleeper_clock.sleeping
+        assert sleeper_clock.cycle == 0 and sleeper_clock.cycle_now == 5
+        assert [entry for entry in log if entry[1] == "sleeper"] == [
+            (0, "sleeper", "tick"), (0, "sleeper", "commit")]
+        sim.run(until=20 * 2000)
+        # ... and runs its one edge of work at the next boundary.
+        assert [entry for entry in log if entry[1] == "sleeper"][2:] == [
+            (12000, "sleeper", "tick"), (12000, "sleeper", "commit")]
+
+    def test_clock_started_alone_is_a_group_of_one(self):
+        sim = Simulator()
+        clock, = self._clocks(1, sim)
+        beat = Periodic("beat", [], work=2)
+        clock.add_component(beat)
+        assert clock._group is None
+        clock.start()
+        assert clock._group.members == [clock]
+        sim.run(until=2 * 2000)
+        # Edge 0 ran, the next due edge is cycle 4: deferred, not asleep.
+        assert (clock.cycle, clock.cycle_now) == (0, 2)
+        assert clock.gated and not clock.sleeping
+        sim.run(until=10 * 2000)
+        assert (clock.cycle, clock.cycle_now) == (4, 10)
+        assert clock.sleeping and not clock.gated
+        assert clock.edges_executed == 2 and clock.sleep_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,38 +587,39 @@ class TestLinkWakeProtocol:
         sim.run(until=sim.now + 40 * clock.period_ps)
 
     def test_broken_idle_report_would_strand_the_flit(self):
-        """A truthful commit component delivers and lets the clock sleep; a
-        lying one strands the flit — the negative control proving delivery
-        rests on ``LinkCommit.is_idle``, not luck.
-
-        Runs ungated: this pins the *idle-skip* wake protocol, where the
-        clock's only activity signal is ``is_idle``.  Under tick gating the
-        truthful ``next_action_cycle`` (dense while a flit is staged) keeps
-        the clock awake even with a lying ``is_idle`` — which the next test
-        pins as the layered-contract behavior.
-        """
-        with ungated():
-            sim, clock, link, consumer, flit = self._build()
+        """A truthful commit component delivers and lets the clock sleep.
+        (What a lying one does is pinned by the two tests below: the
+        clock's activity signal for ``LinkCommit`` is its horizon.)"""
+        sim, clock, link, consumer, flit = self._build()
         self._run(sim, clock)
         assert consumer.received == [flit]
         assert link.commit.is_idle()
         assert sim.pending_events() == 0
 
-        with ungated():
-            sim, clock, link, consumer, flit = self._build()
+    def test_gating_horizon_rescues_a_broken_idle_report(self):
+        """The commit component's dense next-action horizon keeps the clock
+        awake until the flit is consumed even if ``is_idle`` lies."""
+        sim, clock, link, consumer, flit = self._build()
         link.commit.is_idle = lambda: True
+        self._run(sim, clock)
+        assert consumer.received == [flit]
+        assert link.occupancy == 0
+
+    def test_broken_horizon_would_strand_the_flit(self):
+        """The negative control proving delivery rests on
+        ``LinkCommit.next_action_cycle``, not luck: one that claims
+        FAR_FUTURE with a flit staged lets the clock sleep on it — and the
+        always-tick reference, which never asks, still delivers."""
+        sim, clock, link, consumer, flit = self._build()
+        link.commit.next_action_cycle = lambda cycle: FAR_FUTURE
         self._run(sim, clock)
         # The clock slept with the flit still inside the link.
         assert consumer.received == []
         assert link.occupancy == 1
 
-    def test_gating_horizon_rescues_a_broken_idle_report(self):
-        """With gating on, the commit component's dense next-action horizon
-        keeps the clock awake until the flit is consumed even if ``is_idle``
-        lies."""
-        sim, clock, link, consumer, flit = self._build()
-        assert clock.tick_gating
-        link.commit.is_idle = lambda: True
+        with always_tick():
+            sim, clock, link, consumer, flit = self._build()
+        link.commit.next_action_cycle = lambda cycle: FAR_FUTURE
         self._run(sim, clock)
         assert consumer.received == [flit]
         assert link.occupancy == 0

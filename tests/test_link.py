@@ -7,12 +7,7 @@ import pytest
 from repro.api import scenarios
 from repro.network.link import Link, LinkCommit, LinkContentionError
 from repro.network.packet import Packet, PacketHeader, packet_to_flits
-from repro.sim.clock import (
-    Clock,
-    ClockedComponent,
-    always_tick,
-    ungated,
-)
+from repro.sim.clock import Clock, ClockedComponent, always_tick
 from repro.sim.engine import Simulator
 
 
@@ -160,8 +155,7 @@ class _Drain(ClockedComponent):
         return True
 
 
-@pytest.mark.parametrize("regime", [contextlib.nullcontext, ungated,
-                                    always_tick])
+@pytest.mark.parametrize("regime", [contextlib.nullcontext, always_tick])
 def test_send_to_a_sleeping_clock_is_delivered_one_cycle_later(regime):
     """A flit offered between edges, long after the clock went quiet, is
     staged at the first edge after the send and reaches its sink exactly

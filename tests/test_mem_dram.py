@@ -48,7 +48,7 @@ def drain(slave, max_cycles=20000):
     """Tick a stand-alone slave until idle; returns (responses, cycles)."""
     responses = []
     cycle = 0
-    while not slave.idle():
+    while not slave.is_idle():
         slave.tick(cycle)
         while True:
             produced = slave.pop_response()
@@ -292,7 +292,7 @@ class TestDRAMBackedSlave:
 
     def test_idle_protocol(self):
         slave = DRAMBackedSlave("d", timing="fast")
-        assert slave.is_idle() and slave.idle()
+        assert slave.is_idle()
         slave.enqueue(Transaction.write(0, [1]))
         assert not slave.is_idle()
         drain(slave)

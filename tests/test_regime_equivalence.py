@@ -1,25 +1,23 @@
 """Registry-wide engine-regime equivalence suite.
 
-The engine has two optimisation layers, each with a switch: idle-skip
-(:func:`repro.sim.clock.always_tick` turns it off) and next-action tick
-gating (:func:`repro.sim.clock.ungated`).  Both are only legal because they
-never change results.  This suite is the gate: **every registered
+The engine has two regimes: the default, activity-driven one (clocks sleep
+while idle and next-action gating skips components and whole edges) and the
+always-tick reference (:func:`repro.sim.clock.always_tick`: every component
+ticks on every edge, as in the seed).  The default is only legal because it
+never changes results.  This suite is the gate: **every registered
 scenario** — fault scenarios, DRAM scenarios and observed scenarios
-included — is run under the default regime, with gating off, and with
-idle-skip off (gating rides on idle-skip's wake protocol, so an always-tick
-clock never gates: this one run is both idle-skip-off cells of the 2x2
-regime matrix), asserting byte-identical
+included — is run under both regimes, asserting byte-identical
 :meth:`System.deep_fingerprint` digests: every counter, every latency
 summary and the words every memory holds.
 
-A scenario that is cheap to run three times sits in the fast tier; the rest
+A scenario that is cheap to run twice sits in the fast tier; the rest
 carry ``slow`` and run in ``make test-all`` / the full tier.
 """
 
 import pytest
 
 from repro.api import scenarios
-from repro.sim.clock import always_tick, gating_default, ungated
+from repro.sim.clock import always_tick
 
 
 def run_fingerprint(name: str, cycles: int) -> dict:
@@ -28,7 +26,7 @@ def run_fingerprint(name: str, cycles: int) -> dict:
     return system.deep_fingerprint()
 
 
-# Cheap enough to run three times per test-tier run; everything else is
+# Cheap enough to run twice per test-tier run; everything else is
 # slow.  link_failure_reroute and dram_scheduler_mix stay in the fast tier
 # on purpose: fault events and DRAM back-pressure are the paths where a
 # wrong horizon or a missed wake is most likely to show.
@@ -42,7 +40,7 @@ _FAST = {
 }
 
 #: Flit cycles per scenario (default 300): long enough for steady state,
-#: short enough to run the whole registry three times in the full tier.
+#: short enough to run the whole registry twice in the full tier.
 _CYCLES = {"saturated_grid": 200, "random_system": 200}
 
 
@@ -54,10 +52,7 @@ def _params():
 
 @pytest.mark.parametrize("name", _params())
 def test_regimes_are_byte_identical(name):
-    assert gating_default(), "suite must run with tick gating on by default"
     cycles = _CYCLES.get(name, 300)
     default = run_fingerprint(name, cycles)
-    with ungated():
-        assert run_fingerprint(name, cycles) == default
     with always_tick():
         assert run_fingerprint(name, cycles) == default

@@ -59,22 +59,32 @@ def test_ci_runs_reprolint():
         ".github/workflows/ci.yml no longer runs reprolint")
 
 
-#: Names of the burst-batching layer and the per-component dense recheck,
-#: deleted together with everything that kept them exact.
+#: Names of the burst-batching layer, the per-component dense recheck and
+#: the idle-skip-only regime, deleted together with everything that kept
+#: them exact.
 _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "unbatched", "_gate_recheck",
                   # Links are wires committed by one LinkCommit per NoC: the
                   # idioms that clocked a link by itself stay gone too.
                   "add_component(link", "add_component(in_link",
                   "link.post_tick(", "Link.is_idle", "Link.next_action_cycle",
-                  "._consecutive_slots(")
+                  "._consecutive_slots(",
+                  # One scheduler (every clock runs in a ClockGroup), two
+                  # regimes (default, always_tick()): the idle-skip-only
+                  # regime, its switches and the self-scheduling clock's
+                  # bookkeeping stay gone.
+                  "ungated(", "set_default_tick_gating", "gating_default",
+                  "tick_gating", "set_default_idle_skip", "_gates_standing",
+                  "_dense_window_active", "_next_edge_time",
+                  "remove_component")
 
 
 def test_deleted_engine_names_stay_deleted():
-    """One per-flit pipeline, one commit per NoC: nothing may quietly
-    reintroduce a name of the removed batching layer (a second data path
-    would need a second regime axis in every equivalence suite) or put a
-    link back on a clock."""
+    """One per-flit pipeline, one commit per NoC, one clock scheduler:
+    nothing may quietly reintroduce a name of the removed batching layer or
+    of the idle-skip-only regime (a second data path or a third regime
+    would need another axis in every equivalence suite), put a link back on
+    a clock, or give a clock its own edge loop."""
     this_file = Path(__file__).resolve()
     offenders = []
     for directory in ("src", "scripts", "examples", "benchmarks/perf",

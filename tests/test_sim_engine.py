@@ -187,16 +187,6 @@ class TestClock:
         # Only one edge per period despite the double start.
         assert recorder.ticks == [0, 1, 2]
 
-    def test_remove_component(self):
-        sim = Simulator()
-        clock = Clock(sim, 500.0)
-        recorder = Recorder()
-        clock.add_component(recorder)
-        clock.remove_component(recorder)
-        clock.start()
-        sim.run(until=10000)
-        assert recorder.ticks == []
-
     def test_cycle_time_conversions(self):
         clock = Clock(Simulator(), 500.0)
         assert clock.cycles_to_ps(3) == 6000

@@ -394,15 +394,15 @@ class TestLinkBandwidthMeters:
         import warnings
 
         from repro.api import scenarios
-        from repro.sim.clock import always_tick, ungated
+        from repro.sim.clock import always_tick
         reports = []
-        for regime in (contextlib.nullcontext, ungated, always_tick):
+        for regime in (contextlib.nullcontext, always_tick):
             with regime(), warnings.catch_warnings():
                 warnings.simplefilter("ignore")   # ring's deadlock notice
                 system = scenarios.build(scenario)
             system.run_until_idle()
             system.run_flit_cycles(5000)
             reports.append(system.health_report()["links"])
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
         assert sum(info["total"] for info in reports[0].values()) > 0
         assert {info["rate_per_cycle"] for info in reports[0].values()} == {0.0}
