@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all bench bench-quick check examples lint
 
-test:            ## fast test tier (tier-1 minus slow)
+test:            ## fast test tier (tier-1 minus slow; includes the E1-E14 benchmarks)
 	$(PYTHON) -m pytest -q -m "not slow"
 
 lint:            ## reprolint static contract checks over src/repro
@@ -18,11 +18,11 @@ examples:        ## run every example as a smoke test
 test-all:        ## full test suite including slow equivalence runs
 	$(PYTHON) -m pytest -q
 
-bench:           ## full perf suite; rewrites the tracked BENCH_PERF.json
-	$(PYTHON) benchmarks/perf/run_perf.py
+bench:           ## the performance ledger of BENCHMARK.json (~4 min, all five workloads)
+	$(PYTHON) benchmarks/ledger/run.py
 
-bench-quick:     ## perf smoke test (does not touch BENCH_PERF.json)
-	$(PYTHON) benchmarks/perf/run_perf.py --quick --output /tmp/bench_quick.json
+bench-quick:     ## ledger smoke: every workload and metric in a few seconds
+	$(PYTHON) benchmarks/ledger/run.py --smoke
 
-check:           ## fast tests + examples + perf smoke + floors + staleness (CI gate)
+check:           ## lint + fast tests + examples + fault/obs/tick-gating smokes (CI gate)
 	bash scripts/check.sh

@@ -8,25 +8,26 @@ link; the GT slot load is swept and the effect on the BE pair is measured.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
-from repro.testbench import build_gt_be_mix
+from benchmarks.helpers import print_table
+from repro.api import scenarios
 
 RUN_CYCLES = 1500
 
 
 def measure(num_gt):
-    mix = build_gt_be_mix(num_gt=num_gt, num_be=1, gt_slots=2,
+    mix = scenarios.build("gt_be_mix", num_gt=num_gt, num_be=1, gt_slots=2,
                           gt_pattern_period=8, be_pattern_period=10)
     mix.run_flit_cycles(RUN_CYCLES)
-    be_pair = mix.be_pairs()[0]
-    be_latency = be_pair.master.latency_summary()
-    gt_completed = [len(p.master.completed) for p in mix.gt_pairs()]
-    link = mix.shared_link()
+    # GT pairs come first: m0..m{num_gt-1} are guaranteed, the last is BE.
+    be_master = mix.master(f"m{num_gt}")
+    be_latency = be_master.latency_summary()
+    gt_completed = [len(mix.master(f"m{i}").completed) for i in range(num_gt)]
+    link = mix.noc.links[("router:(0, 0)", "router:(0, 1)")]
     return {
         "gt_pairs": num_gt,
         "gt_slots_reserved": 2 * num_gt,
         "gt_transactions_each": (min(gt_completed) if gt_completed else 0),
-        "be_transactions": len(be_pair.master.completed),
+        "be_transactions": len(be_master.completed),
         "be_mean_latency": be_latency["mean"],
         "be_max_latency": be_latency["max"],
         "link_utilization": link.utilization(RUN_CYCLES),
@@ -37,8 +38,8 @@ def mix_rows():
     return [measure(num_gt) for num_gt in (0, 1, 2, 3)]
 
 
-def test_e10_gt_be_interaction(benchmark):
-    rows = run_once(benchmark, mix_rows)
+def test_e10_gt_be_interaction():
+    rows = mix_rows()
     print_table("E10: BE service vs GT slot load on a shared link", rows)
     # The BE pair keeps working but its latency does not improve as GT load
     # rises (it absorbs the slots GT leaves unused).

@@ -8,7 +8,7 @@ the message-rate ceiling a software stack imposes.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.baselines.software_stack import SoftwareStackModel
 from repro.design.timing import LatencyModel, TimingModel
 
@@ -41,8 +41,8 @@ def comparison_rows():
     return rows
 
 
-def test_e3_hardware_vs_software_stack(benchmark):
-    rows = run_once(benchmark, comparison_rows)
+def test_e3_hardware_vs_software_stack():
+    rows = comparison_rows()
     print_table("E3: hardware NI vs software protocol stack", rows)
     numeric = [row for row in rows if isinstance(row["sw/hw ratio"], float)]
     # The software stack is at least ~5x slower per message in every setting

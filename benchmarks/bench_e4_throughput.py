@@ -8,22 +8,22 @@ bandwidth (16 Gbit/s at 500 MHz, Section 5) is reported alongside.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.analysis.guarantees import throughput_bound_words_per_flit_cycle
 from repro.analysis.verification import measured_throughput_gbit_s
+from repro.api import scenarios
 from repro.design.timing import TimingModel
 from repro.ip.traffic import ConstantBitRateTraffic
-from repro.testbench import build_gt_be_mix
 
 WARMUP_CYCLES = 200
 WINDOW_CYCLES = 600
 
 
 def measure(slots):
-    mix = build_gt_be_mix(num_gt=1, num_be=0, gt_slots=slots,
+    mix = scenarios.build("gt_be_mix", num_gt=1, num_be=0, gt_slots=slots,
                           gt_pattern_period=2, burst_words=4,
                           queue_words=16)
-    slave_kernel = mix.system.kernel("s0")
+    slave_kernel = mix.kernel("s0")
     mix.run_flit_cycles(WARMUP_CYCLES)
     before = slave_kernel.stats.counter("words_received").value
     mix.run_flit_cycles(WINDOW_CYCLES)
@@ -56,8 +56,8 @@ def throughput_rows():
     return rows
 
 
-def test_e4_gt_throughput_scales_with_slots(benchmark):
-    rows = run_once(benchmark, throughput_rows)
+def test_e4_gt_throughput_scales_with_slots():
+    rows = throughput_rows()
     print_table("E4: GT throughput vs reserved slots (8-slot table)", rows)
     numeric = [row for row in rows if isinstance(row["slots_reserved"], int)]
     assert all(row["bound_met"] for row in numeric)

@@ -9,7 +9,7 @@ as the NoC (and the number of connections to open) grows.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.config.manager import ConfigJob, DistributedConfigurationModel
 from repro.config.slot_allocation import SlotRequest
 
@@ -44,8 +44,8 @@ def config_rows():
     return rows
 
 
-def test_e6_centralized_vs_distributed_configuration(benchmark):
-    rows = run_once(benchmark, config_rows)
+def test_e6_centralized_vs_distributed_configuration():
+    rows = config_rows()
     print_table("E6: configuration time and cost vs NoC size", rows)
     by_size = {}
     for row in rows:

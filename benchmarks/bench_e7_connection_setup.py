@@ -9,33 +9,36 @@ through real DTL-MMIO transactions travelling over the simulated NoC.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
+from repro.api import scenarios
 from repro.config.connection import (
     ChannelEndpointRef,
     ChannelPairSpec,
     ConnectionSpec,
 )
-from repro.testbench import build_config_system
 
 
 def setup_rows():
-    tb = build_config_system(num_data_nis=2)
-    bootstrap_cycles = tb.run_until_config_idle()
-    bootstrap_remote = tb.config_shell.stats.counter("remote_operations").value
-    bootstrap_local = tb.config_shell.stats.counter("local_operations").value
+    system = scenarios.build("config_system", num_data_nis=2)
+    config_shell = system.config_shell
+    bootstrap_cycles = system.run_until_idle(20000,
+                                             predicate=config_shell.is_idle)
+    bootstrap_remote = config_shell.stats.counter("remote_operations").value
+    bootstrap_local = config_shell.stats.counter("local_operations").value
 
     spec = ConnectionSpec(
         name="b_to_a", kind="p2p",
         pairs=[ChannelPairSpec(master=ChannelEndpointRef("ni1", 1),
                                slave=ChannelEndpointRef("ni2", 1),
                                request_gt=True, request_slots=2)])
-    handle = tb.manager.open_connection(spec)
-    open_cycles = tb.run_until_config_idle()
+    handle = system.config_manager.open_connection(spec)
+    open_cycles = system.run_until_idle(20000,
+                                        predicate=config_shell.is_idle)
     per_ni = handle.register_writes_per_ni
 
     rows = [
         {"step": "bootstrap cfg connections (Fig. 9 steps 1-2, 2 NIs)",
-         "register_writes": tb.bootstrap_operations,
+         "register_writes": system.bootstrap_operations,
          "local_writes": bootstrap_local,
          "noc_messages": bootstrap_remote,
          "flit_cycles": bootstrap_cycles},
@@ -52,8 +55,8 @@ def setup_rows():
     return rows, handle
 
 
-def test_e7_connection_setup_over_the_noc(benchmark):
-    rows, handle = run_once(benchmark, setup_rows)
+def test_e7_connection_setup_over_the_noc():
+    rows, handle = setup_rows()
     print_table("E7: connection configuration via the NoC (Figure 9)", rows)
     assert handle.done
     per_ni = handle.register_writes_per_ni

@@ -12,25 +12,27 @@ the flush signal bounds the worst case.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
+from repro.api import scenarios
 from repro.ip.traffic import ConstantBitRateTraffic
-from repro.testbench import build_point_to_point
 
 
 def measure(threshold):
-    tb = build_point_to_point(
+    system = scenarios.build(
+        "point_to_point",
         data_threshold=threshold,
         queue_words=16,
         pattern=ConstantBitRateTraffic(period_cycles=12, burst_words=2,
                                        posted=True),
         max_transactions=40)
-    tb.run_until_done(max_flit_cycles=12000)
-    kernel = tb.system.kernel(tb.master_ni).stats
+    master = system.master("master")
+    system.run_until_idle(12000)
+    kernel = system.kernel(master.ni).stats
     payload_hist = kernel.histogram("packet_payload_words")
     packets = kernel.counter("be_packets_sent").value
     payload_words = kernel.counter("words_sent").value
     header_overhead = packets / (packets + payload_words)
-    latency = tb.master.latency_summary()
+    latency = master.latency_summary()
     return {
         "data_threshold": threshold,
         "packets": packets,
@@ -45,8 +47,8 @@ def threshold_rows():
     return [measure(threshold) for threshold in (1, 4, 8)]
 
 
-def test_e8_data_threshold_tradeoff(benchmark):
-    rows = run_once(benchmark, threshold_rows)
+def test_e8_data_threshold_tradeoff():
+    rows = threshold_rows()
     print_table("E8: packet length / header overhead vs data threshold", rows)
     payloads = [row["mean_packet_payload"] for row in rows]
     overheads = [row["header_overhead"] for row in rows]
@@ -61,21 +63,23 @@ def test_e8_data_threshold_tradeoff(benchmark):
 def flush_comparison():
     rows = []
     for use_flush in (False, True):
-        tb = build_point_to_point(data_threshold=8, queue_words=16,
-                                  max_transactions=0)
+        system = scenarios.build("point_to_point", data_threshold=8,
+                                 queue_words=16, max_transactions=0)
+        master = system.master("master")
         from repro.protocol.transactions import Transaction
-        tb.master.issue(Transaction.write(0x0, [1, 2], posted=True))
-        tb.run_flit_cycles(100)
+        master.issue(Transaction.write(0x0, [1, 2], posted=True))
+        system.run_flit_cycles(100)
         if use_flush:
-            tb.master_conn_shell.request_flush(0)
-        tb.run_flit_cycles(150)
+            master.conn_shell.request_flush(0)
+        system.run_flit_cycles(150)
         rows.append({"flush": use_flush,
-                     "words_delivered": tb.memory.memory.writes})
+                     "words_delivered":
+                         system.memory("memory").memory.writes})
     return rows
 
 
-def test_e8_flush_prevents_starvation(benchmark):
-    rows = run_once(benchmark, flush_comparison)
+def test_e8_flush_prevents_starvation():
+    rows = flush_comparison()
     print_table("E8b: flush overriding the threshold (2 buffered words, "
                 "threshold 8)", rows)
     without, with_flush = rows

@@ -9,26 +9,29 @@ or not at all, and sweeps the credit threshold.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
+from repro.api import scenarios
 from repro.ip.traffic import ConstantBitRateTraffic
-from repro.testbench import build_point_to_point
 
 
 def measure(credit_threshold):
-    tb = build_point_to_point(
+    system = scenarios.build(
+        "point_to_point",
         credit_threshold=credit_threshold,
         queue_words=16,
         pattern=ConstantBitRateTraffic(period_cycles=8, burst_words=4,
                                        posted=True),
         max_transactions=60)
-    tb.run_until_done(max_flit_cycles=16000)
-    slave_kernel = tb.system.kernel(tb.slave_ni).stats
-    master_kernel = tb.system.kernel(tb.master_ni).stats
+    master_ni = system.master("master").ni
+    slave_ni = system.memory("memory").ni
+    system.run_until_idle(16000)
+    slave_kernel = system.kernel(slave_ni).stats
+    master_kernel = system.kernel(master_ni).stats
     credit_packets = slave_kernel.counter("credit_only_packets").value
     credits_sent = slave_kernel.counter("credits_sent").value
     data_words = master_kernel.counter("words_sent").value
-    reverse_link_flits = tb.noc.links[
-        (f"ni:{tb.slave_ni}", "router:(0, 1)")].flits_carried
+    reverse_link_flits = system.noc.links[
+        (f"ni:{slave_ni}", "router:(0, 1)")].flits_carried
     return {
         "credit_threshold": credit_threshold,
         "data_words_forward": data_words,
@@ -43,8 +46,8 @@ def credit_rows():
     return [measure(threshold) for threshold in (1, 4, 8, 16)]
 
 
-def test_e9_credit_threshold_reduces_credit_bandwidth(benchmark):
-    rows = run_once(benchmark, credit_rows)
+def test_e9_credit_threshold_reduces_credit_bandwidth():
+    rows = credit_rows()
     print_table("E9: credit-return overhead vs credit threshold "
                 "(unidirectional posted writes)", rows)
     packets = [row["credit_only_packets"] for row in rows]

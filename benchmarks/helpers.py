@@ -36,9 +36,3 @@ def print_table(title: str, rows: Sequence[Dict[str, object]]) -> None:
     for row in rows:
         print(" | ".join(format_value(row.get(col, "")).ljust(widths[col])
                          for col in columns))
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run a heavy simulation exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

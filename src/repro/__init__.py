@@ -21,8 +21,9 @@ Goossens, Rijpkema, Wielage — DATE 2004):
   verification against simulation;
 * :mod:`repro.ip` — IP-module models (traffic generators, memories);
 * :mod:`repro.baselines` — software protocol stack and shared-bus baselines;
-* :mod:`repro.testbench` — ready-made simulated systems used by the examples,
-  tests and benchmarks.
+* :mod:`repro.api` — the declarative :class:`~repro.api.SystemBuilder` and
+  the scenario registry (``scenarios.build(name, **params)``): the one way
+  the examples, tests and benchmarks obtain a ready-made simulated system.
 """
 
 __version__ = "1.0.0"

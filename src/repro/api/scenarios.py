@@ -1,9 +1,9 @@
 """Scenario registry: named, parameterized system descriptions.
 
-One definition per scenario, shared by the functional tests, the examples
-and the performance benchmark suite (``benchmarks/perf/run_perf.py``).  Each
-scenario is a factory that declares a system through
-:class:`~repro.api.builder.SystemBuilder` and returns the built
+One definition per scenario, shared by the functional tests, the examples,
+the E1-E14 experiment benchmarks and the performance ledger
+(``benchmarks/ledger``).  Each scenario is a factory that declares a system
+through :class:`~repro.api.builder.SystemBuilder` and returns the built
 :class:`~repro.api.builder.System`::
 
     from repro.api import scenarios
@@ -12,8 +12,7 @@ scenario is a factory that declares a system through
     system.run_flit_cycles(1000)
 
 The four classic set-ups of the paper's experiments are registered
-(``point_to_point``, ``gt_be_mix``, ``narrowcast``, ``config_system``) —
-the legacy ``repro.testbench`` builders are thin wrappers over these —
+(``point_to_point``, ``gt_be_mix``, ``narrowcast``, ``config_system``),
 plus newer workloads: a ``ring`` topology pipeline, ``hotspot`` traffic
 into one shared memory (multi-connection shell), a seeded ``random_system``
 generator, the topology-gallery scenarios ``torus_neighbor``,
@@ -33,6 +32,7 @@ Register your own with the decorator::
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -54,7 +54,7 @@ from repro.sim.trace import Tracer
 
 
 class ScenarioError(KeyError):
-    """Raised for unknown scenario names."""
+    """Raised for unknown scenario names and unknown scenario parameters."""
 
 
 @dataclass
@@ -68,6 +68,15 @@ class Scenario:
     defaults: Dict[str, object] = field(default_factory=dict)
 
     def build(self, **params) -> System:
+        accepted = inspect.signature(self.factory).parameters
+        if not any(parameter.kind is parameter.VAR_KEYWORD
+                   for parameter in accepted.values()):
+            unknown = sorted(set(params) - set(accepted))
+            if unknown:
+                raise ScenarioError(
+                    f"scenario {self.name!r} has no parameter "
+                    f"{', '.join(map(repr, unknown))} "
+                    f"(accepted: {', '.join(accepted)})")
         merged = dict(self.defaults)
         merged.update(params)
         return self.factory(**merged)
@@ -127,7 +136,7 @@ def describe() -> List[Tuple[str, str, Tuple[str, ...]]]:
 
 
 # ---------------------------------------------------------------------------
-# The four classic set-ups (the legacy testbench builders wrap these)
+# The four classic set-ups
 # ---------------------------------------------------------------------------
 @scenario("point_to_point",
           description="One master talking to one memory over a small mesh "
@@ -632,7 +641,7 @@ def _dram_scheduler_mix(scheduler: str = "frfcfs", timing: str = "slow",
 
 
 # ---------------------------------------------------------------------------
-# Perf-suite shapes (benchmarks/perf/run_perf.py builds these by name)
+# Perf-suite shapes (tests/test_activity_engine.py pins their event budgets)
 # ---------------------------------------------------------------------------
 @scenario("idle_mesh",
           description="A rows x cols mesh, one idle NI per router, zero "

@@ -8,9 +8,8 @@ writing the *local* NI's registers directly through the configuration shell;
 step 2 then uses that channel to program the response channel by sending
 write messages over the NoC, the last one requesting an acknowledgement.
 
-Historically this lived in ``repro.testbench``; it moved here so the
-declarative :class:`~repro.api.builder.SystemBuilder` and the testbench
-wrappers share one implementation (``repro.testbench`` re-exports it).
+The declarative :class:`~repro.api.builder.SystemBuilder` calls it for every
+CNIP of a centralized-configuration system.
 """
 
 from __future__ import annotations

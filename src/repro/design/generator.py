@@ -4,8 +4,8 @@ This mirrors the paper's XML-to-VHDL generation flow: :func:`build_system`
 takes a :class:`~repro.design.spec.NoCSpec` and instantiates the simulator,
 the topology, the routers and links, every NI kernel with its channels and
 ports, and one clock domain per NI port.  Shells, IP modules and connections
-are application-level decisions and are added on top by the examples,
-testbenches and experiments.
+are application-level decisions and are added on top by
+:class:`~repro.api.builder.SystemBuilder`.
 """
 
 from __future__ import annotations

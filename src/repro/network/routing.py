@@ -349,38 +349,6 @@ def make_routing(spec: Union[str, RoutingStrategy]) -> RoutingStrategy:
     return factory()
 
 
-# ---------------------------------------------------------------------------
-# Compatibility wrappers (the seed-era functional API)
-# ---------------------------------------------------------------------------
-def xy_route(topology: Topology, port_map: PortMap, src: Hashable,
-             dst: Hashable, final_local_port: int) -> Tuple[int, ...]:
-    """Minimal XY source route between two routers of a mesh."""
-    return XYRouting().route(topology, port_map, src, dst, final_local_port)
-
-
-def compute_route(topology: Topology, port_map: PortMap, src: Hashable,
-                  dst: Hashable, final_local_port: int,
-                  algorithm: Union[str, RoutingStrategy] = "auto"
-                  ) -> Tuple[int, ...]:
-    """Compute a source route.
-
-    ``algorithm`` is a registered strategy name (``"xy"``, ``"shortest"``,
-    ``"torus"``, ``"auto"``) or a :class:`RoutingStrategy` instance.  For
-    ``"auto"`` this wrapper keeps the seed semantics: XY when both endpoints
-    carry mesh coordinates (XY errors propagate), shortest-path otherwise.
-    """
-    strategy = make_routing(algorithm)
-    if type(strategy) is AutoRouting:
-        use_xy = True
-        try:
-            mesh_coordinates(src)
-            mesh_coordinates(dst)
-        except TopologyError:
-            use_xy = False
-        strategy = XYRouting() if use_xy else ShortestPath()
-    return strategy.route(topology, port_map, src, dst, final_local_port)
-
-
 def route_hop_count(route: Tuple[int, ...]) -> int:
     """Number of routers a packet with this source route traverses."""
     return len(route)

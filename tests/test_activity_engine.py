@@ -4,6 +4,7 @@ slotted hot-path objects."""
 
 import pytest
 
+from repro.api import scenarios
 from repro.design.generator import build_system
 from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
 from repro.network.packet import Flit, Packet, PacketHeader, packet_to_flits
@@ -208,6 +209,38 @@ class TestIdleSkip:
         with always_tick():
             seed = run()
         assert seed >= 10 * active
+
+
+#: The default regime's event budget per registry shape: (scenario,
+#: parameters, flit cycles, ceiling).  The ceilings are today's
+#: deterministic ``sim.executed_events``; a clock that stops sleeping or a
+#: horizon that stops gating exceeds one, and a change that lowers a count
+#: lowers its ceiling.
+EVENT_BUDGETS = [
+    ("idle_mesh", {"rows": 4, "cols": 4}, 1500, 3),
+    ("saturated_mix", {}, 400, 2002),
+    ("saturated_grid", {}, 150, 752),
+    ("saturated_torus", {}, 200, 1002),
+    ("saturated_dram", {}, 300, 1502),
+    ("torus_neighbor", {}, 300, 760),
+    ("hotspot", {}, 300, 1502),
+]
+
+
+@pytest.mark.parametrize("name,params,cycles,ceiling", EVENT_BUDGETS,
+                         ids=[budget[0] for budget in EVENT_BUDGETS])
+def test_default_regime_stays_within_its_event_budget(name, params, cycles,
+                                                      ceiling):
+    def run():
+        system = scenarios.build(name, **params)
+        system.run_flit_cycles(cycles)
+        return system.sim.executed_events
+
+    active = run()
+    with always_tick():
+        reference = run()
+    assert active <= ceiling
+    assert active < reference
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,31 @@ class TestRegistry:
                            match="unknown scenario 'warp_drive'.*registered"):
             scenarios.build("warp_drive")
 
+    def test_unknown_parameter_is_actionable(self):
+        """A misspelt parameter names the scenario, the offending keys and
+        what the factory accepts — not a TypeError on a private factory."""
+        with pytest.raises(scenarios.ScenarioError) as excinfo:
+            scenarios.build("point_to_point", bogus=1, colz=3)
+        message = str(excinfo.value)
+        assert "'point_to_point'" in message
+        assert "'bogus', 'colz'" in message
+        assert "accepted:" in message and "max_transactions" in message
+        assert "_point_to_point" not in message
+
+    def test_kwargs_factories_accept_any_parameter(self):
+        seen = {}
+
+        @scenarios.scenario("tmp_kwargs_scenario")
+        def _factory(**params):
+            seen.update(params)
+            return scenarios.build("point_to_point")
+
+        try:
+            scenarios.build("tmp_kwargs_scenario", anything=1)
+            assert seen == {"anything": 1}
+        finally:
+            del scenarios._REGISTRY["tmp_kwargs_scenario"]
+
     def test_describe_lists_metadata(self):
         rows = {name: (description, tags)
                 for name, description, tags in scenarios.describe()}

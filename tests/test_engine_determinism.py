@@ -10,8 +10,8 @@ A mixed GT/BE mesh scenario must produce:
 
 import math
 
+from repro.api import scenarios
 from repro.sim.clock import always_tick
-from repro.testbench import build_gt_be_mix, build_point_to_point
 
 
 def _normalize(obj):
@@ -26,30 +26,32 @@ def _normalize(obj):
 
 def _run_mix(record_events=False):
     """Run the mixed GT/BE mesh and fingerprint every statistics registry."""
-    tb = build_gt_be_mix(num_gt=2, num_be=2, gt_slots=2,
-                         gt_pattern_period=10, be_pattern_period=5)
+    system = scenarios.build("gt_be_mix", num_gt=2, num_be=2, gt_slots=2,
+                             gt_pattern_period=10, be_pattern_period=5)
     event_order = []
     if record_events:
-        tb.system.sim.event_hook = (
+        system.sim.event_hook = (
             lambda time, priority, seq: event_order.append(
                 (time, priority, seq)))
-    tb.run_flit_cycles(1500)
+    system.run_flit_cycles(1500)
     fingerprint = {}
-    for pair in tb.pairs:
-        fingerprint[pair.name] = {
-            "master_ip": pair.master.stats.summary(),
-            "master_shell": pair.master_shell.stats.summary(),
-            "latency_samples": pair.master.stats.latency("latency").samples,
-            "memory": pair.memory.stats.summary(),
-            "master_kernel": tb.system.kernel(pair.master_ni).stats.summary(),
-            "slave_kernel": tb.system.kernel(pair.slave_ni).stats.summary(),
-            "channel": tb.system.kernel(pair.master_ni).channel(0)
+    for index in range(4):
+        master = system.master(f"m{index}")
+        memory = system.memory(f"s{index}")
+        fingerprint[master.name] = {
+            "master_ip": master.stats.summary(),
+            "master_shell": master.shell.stats.summary(),
+            "latency_samples": master.stats.latency("latency").samples,
+            "memory": memory.stats.summary(),
+            "master_kernel": system.kernel(master.ni).stats.summary(),
+            "slave_kernel": system.kernel(memory.ni).stats.summary(),
+            "channel": system.kernel(master.ni).channel(0)
                        .stats.summary(),
         }
     fingerprint["routers"] = {
         repr(node): router.stats.summary()
-        for node, router in tb.system.noc.routers.items()}
-    fingerprint["events"] = tb.system.sim.executed_events
+        for node, router in system.noc.routers.items()}
+    fingerprint["events"] = system.sim.executed_events
     return _normalize(fingerprint), event_order
 
 
@@ -79,14 +81,15 @@ class TestSeedEquivalence:
 
     def test_p2p_gt_results_match_always_tick_engine(self):
         def run():
-            tb = build_point_to_point(gt=True, max_transactions=25)
-            tb.run_until_done()
+            system = scenarios.build("point_to_point", gt=True,
+                                     max_transactions=25)
+            master = system.master("master")
+            system.run_until_idle(20000)
             return _normalize({
-                "latency": tb.master.latency_summary(),
-                "samples": tb.master.stats.latency("latency").samples,
-                "master_kernel":
-                    tb.system.kernel(tb.master_ni).stats.summary(),
-                "slave_kernel": tb.system.kernel(tb.slave_ni).stats.summary(),
+                "latency": master.latency_summary(),
+                "samples": master.stats.latency("latency").samples,
+                "master_kernel": system.kernel("ni_m").stats.summary(),
+                "slave_kernel": system.kernel("ni_s").stats.summary(),
             })
 
         active = run()
@@ -100,15 +103,16 @@ class TestSeedEquivalence:
         tie-break keeps both engine modes identical regardless."""
 
         def run():
-            tb = build_point_to_point(gt=False, max_transactions=15,
-                                      port_clock_mhz=100.0)
-            tb.run_until_done(max_flit_cycles=60000)
+            system = scenarios.build("point_to_point", gt=False,
+                                     max_transactions=15,
+                                     port_clock_mhz=100.0)
+            master = system.master("master")
+            system.run_until_idle(60000)
             return _normalize({
-                "latency": tb.master.latency_summary(),
-                "samples": tb.master.stats.latency("latency").samples,
-                "master_kernel":
-                    tb.system.kernel(tb.master_ni).stats.summary(),
-                "slave_kernel": tb.system.kernel(tb.slave_ni).stats.summary(),
+                "latency": master.latency_summary(),
+                "samples": master.stats.latency("latency").samples,
+                "master_kernel": system.kernel("ni_m").stats.summary(),
+                "slave_kernel": system.kernel("ni_s").stats.summary(),
             })
 
         active = run()
@@ -119,11 +123,11 @@ class TestSeedEquivalence:
 
     def test_activity_engine_executes_fewer_events_on_mixed_traffic(self):
         _, _ = _run_mix()  # warm import paths
-        tb = build_gt_be_mix(num_gt=1, num_be=1)
-        tb.run_flit_cycles(1500)
-        active_events = tb.system.sim.executed_events
+        active = scenarios.build("gt_be_mix", num_gt=1, num_be=1)
+        active.run_flit_cycles(1500)
+        active_events = active.sim.executed_events
         with always_tick():
-            tb2 = build_gt_be_mix(num_gt=1, num_be=1)
-            tb2.run_flit_cycles(1500)
-            seed_events = tb2.system.sim.executed_events
+            reference = scenarios.build("gt_be_mix", num_gt=1, num_be=1)
+            reference.run_flit_cycles(1500)
+            seed_events = reference.sim.executed_events
         assert active_events < seed_events

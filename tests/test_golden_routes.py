@@ -17,7 +17,7 @@ from repro.network.routing import (
     AutoRouting,
     ShortestPath,
     XYRouting,
-    compute_route,
+    make_routing,
 )
 from repro.network.topology import Topology, build_port_map
 
@@ -74,25 +74,25 @@ def test_strategy_objects_match_string_dispatch():
                            ("auto", AutoRouting())):
         for src, dst in pairs:
             local = port_map.local_port(dst, 0)
-            assert (compute_route(topo, port_map, src, dst, local,
-                                  algorithm=name)
-                    == compute_route(topo, port_map, src, dst, local,
-                                     algorithm=strategy)), (name, src, dst)
+            assert (make_routing(name).route(topo, port_map, src, dst, local)
+                    == strategy.route(topo, port_map, src, dst, local)), \
+                (name, src, dst)
 
 
 def test_compute_route_auto_keeps_seed_semantics():
-    """Legacy auto: XY on coordinate nodes (errors propagate), shortest
+    """``"auto"``: the XY route on coordinate nodes, the shortest route
     otherwise — exactly the seed behavior."""
+    auto = AutoRouting()
     mesh = Topology.mesh(2, 2)
     pm = build_port_map(mesh)
-    assert (compute_route(mesh, pm, (0, 0), (1, 1), pm.local_port((1, 1), 0))
-            == compute_route(mesh, pm, (0, 0), (1, 1),
-                             pm.local_port((1, 1), 0), algorithm="xy"))
+    local = pm.local_port((1, 1), 0)
+    assert (auto.route(mesh, pm, (0, 0), (1, 1), local)
+            == XYRouting().route(mesh, pm, (0, 0), (1, 1), local))
     ring = Topology.ring(4)
     pm_ring = build_port_map(ring)
-    assert (compute_route(ring, pm_ring, 0, 2, pm_ring.local_port(2, 0))
-            == compute_route(ring, pm_ring, 0, 2, pm_ring.local_port(2, 0),
-                             algorithm="shortest"))
+    local = pm_ring.local_port(2, 0)
+    assert (auto.route(ring, pm_ring, 0, 2, local)
+            == ShortestPath().route(ring, pm_ring, 0, 2, local))
 
 
 def test_ring_spec_fields_unchanged():

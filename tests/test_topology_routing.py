@@ -4,12 +4,11 @@ import pytest
 
 from repro.network.routing import (
     RouteError,
-    compute_route,
+    make_routing,
     ports_from_router_sequence,
     route_hop_count,
     router_sequence_shortest,
     router_sequence_xy,
-    xy_route,
 )
 from repro.network.topology import (
     Topology,
@@ -144,30 +143,32 @@ class TestRouting:
 
     def test_xy_route_hop_count(self):
         local = self.port_map.local_port((1, 2), 0)
-        route = xy_route(self.topo, self.port_map, (0, 0), (1, 2), local)
+        route = make_routing("xy").route(self.topo, self.port_map,
+                                         (0, 0), (1, 2), local)
         assert route_hop_count(route) == 4
 
     def test_compute_route_auto_uses_xy_on_mesh(self):
         local = self.port_map.local_port((1, 2), 0)
-        auto = compute_route(self.topo, self.port_map, (0, 0), (1, 2), local)
-        xy = compute_route(self.topo, self.port_map, (0, 0), (1, 2), local,
-                           algorithm="xy")
+        auto = make_routing("auto").route(self.topo, self.port_map,
+                                          (0, 0), (1, 2), local)
+        xy = make_routing("xy").route(self.topo, self.port_map,
+                                      (0, 0), (1, 2), local)
         assert auto == xy
 
     def test_compute_route_shortest_on_non_mesh(self):
         ring = Topology.ring(4)
         port_map = build_port_map(ring, {n: 1 for n in ring.routers})
         local = port_map.local_port(2, 0)
-        route = compute_route(ring, port_map, 0, 2, local)
+        route = make_routing("auto").route(ring, port_map, 0, 2, local)
         assert route_hop_count(route) == 3
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(RouteError):
-            compute_route(self.topo, self.port_map, (0, 0), (0, 1), 0,
-                          algorithm="magic")
+            make_routing("magic")
 
     def test_single_router_route_is_just_local_port(self):
         topo = Topology.single_router()
         port_map = build_port_map(topo, {0: 2})
-        route = compute_route(topo, port_map, 0, 0, port_map.local_port(0, 1))
+        route = make_routing("auto").route(topo, port_map, 0, 0,
+                                           port_map.local_port(0, 1))
         assert route == (port_map.local_port(0, 1),)
