@@ -80,7 +80,9 @@ echo "== tick-gating smoke (default vs always-tick reference, fingerprints) =="
 # Clock sleep and next-action tick gating (PERFORMANCE.md "Tick gating &
 # frame macro-stepping") must be a pure optimization: a saturated scenario
 # run under the always-tick reference has to produce a byte-identical
-# fingerprint, including delivered memory words.
+# fingerprint, including delivered memory words.  saturated_grid is posted
+# writes only; saturated_dram adds reads through a multi-connection shell
+# into the DRAM backend, the response path the completion hooks serve.
 python - <<'EOF'
 from repro.api import scenarios
 from repro.sim.clock import always_tick
@@ -92,13 +94,13 @@ def fingerprint(name, cycles):
     return system.deep_fingerprint()
 
 
-name, cycles = "saturated_grid", 150
-gated = fingerprint(name, cycles)
-with always_tick():
-    reference = fingerprint(name, cycles)
-assert gated == reference, \
-    f"{name}: gated run diverged from the always-tick reference"
-print(f"  {name}: {cycles} cycles byte-identical, default vs always_tick()")
+for name, cycles in (("saturated_grid", 150), ("saturated_dram", 300)):
+    gated = fingerprint(name, cycles)
+    with always_tick():
+        reference = fingerprint(name, cycles)
+    assert gated == reference, \
+        f"{name}: gated run diverged from the always-tick reference"
+    print(f"  {name}: {cycles} cycles byte-identical, default vs always_tick()")
 EOF
 
 echo "check: OK"

@@ -204,8 +204,8 @@ class GateNextActionConsistentRule(LintRule):
     overriding ``next_action_cycle`` must take part in the wake protocol:
     override ``is_idle()`` (whose contract already requires wake hooks on
     every stimulus path) or visibly call ``notify_active()``/``wake()``
-    itself.  And the probe must be pure — the clock may call it every
-    edge, once per dense window, or never, so any side effect would make
+    itself.  And the probe must be pure — the clock may call it after
+    every edge, only after some, or never, so any side effect would make
     results depend on the gating schedule.
     """
 

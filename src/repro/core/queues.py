@@ -53,6 +53,10 @@ class HardwareFifo:
         #: wake-ups here so writing into a FIFO revives its reader even when
         #: the write bypasses the port API (tests poke queues directly).
         self.on_push: Optional[Callable[[], None]] = None
+        #: Called after words leave the FIFO.  Freed space is visible to the
+        #: writer at once (``can_push`` reads the raw fill, no CDC delay), so
+        #: this is where a writer stalled on a full queue is woken.
+        self.on_pop: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------ time
     def _now(self) -> int:
@@ -114,6 +118,12 @@ class HardwareFifo:
     def can_pop(self, count: int = 1) -> bool:
         return self.fill >= count
 
+    def head_visible_at(self) -> Optional[int]:
+        """Time (ps) from which the oldest word is readable; None when the
+        FIFO is empty.  A reader with nothing visible yet needs no stimulus
+        to see that word, only this much time."""
+        return self._items[0][0] if self._items else None
+
     def peek(self) -> int:
         if not self.can_pop():
             raise QueueError(f"fifo {self.name}: peek on empty/unsynchronized fifo")
@@ -131,6 +141,8 @@ class HardwareFifo:
         # popped word was counted.
         self._sync_count -= 1
         self.total_popped += 1
+        if self.on_pop is not None:
+            self.on_pop()
         return word
 
     def pop_many(self, count: int) -> List[int]:
@@ -147,12 +159,16 @@ class HardwareFifo:
         out = [popleft()[1] for _ in range(available)]
         self._sync_count -= available
         self.total_popped += available
+        if self.on_pop is not None:
+            self.on_pop()
         return out
 
     def clear(self) -> None:
         self._items.clear()
         self._sync_count = 0
         self._sync_time = -1
+        if self.on_pop is not None:
+            self.on_pop()
 
     def __len__(self) -> int:
         return len(self._items)

@@ -50,6 +50,11 @@ class ConnectionShell(ClockedComponent):
     #: this hook a delivery could sit under a standing adapter gate forever.
     on_deliver = None
 
+    #: Wake hook for the same adapter, the other way: called whenever a
+    #: message leaves ``_tx_queue``, the one event that can turn the
+    #: adapter's refused ``can_submit()`` into an accepted one.
+    on_tx_space = None
+
     #: 'master' shells send requests and receive responses; 'slave' shells the
     #: reverse.  The role determines how incoming words are parsed.
     def __init__(self, name: str, port: NIPort, role: str = "master",
@@ -92,7 +97,7 @@ class ConnectionShell(ClockedComponent):
         # Hot counters cached as attributes; shared with ``self.stats``.
         stats = self.stats
         self._ctr_messages_submitted = stats.counter("messages_submitted")
-        self._ctr_tx_stalls = stats.counter("tx_stalls")
+        self._tx_stalls = stats.span_counter("tx_stalls", self)
         self._ctr_tx_words = stats.counter("tx_words")
         self._ctr_messages_sent = stats.counter("messages_sent")
         self._ctr_rx_words = stats.counter("rx_words")
@@ -105,8 +110,11 @@ class ConnectionShell(ClockedComponent):
         self._rx_maybe = False
         # Wake this shell's clock whenever the kernel deposits words in any
         # destination queue this shell reads (activity-driven scheduling).
+        # ... and whenever the kernel drains a source queue this shell is
+        # stalled on (a source queue has one writer, so one plain hook).
         for channel in self._conn_channels:
             channel.add_rx_listener(self._rx_stimulus)
+            channel.source_queue.on_pop = self._tx_stimulus
 
     # ----------------------------------------------------------- upward API
     def can_submit(self) -> bool:
@@ -162,17 +170,27 @@ class ConnectionShell(ClockedComponent):
         return True
 
     def next_action_cycle(self, cycle: int) -> int:
-        """Dense while streaming out or while the rx scan is armed.
+        """Exact horizon: the next cycle a word can move in either direction.
 
-        Both directions move one word per cycle (backpressure and CDC
-        visibility can change every edge), so no horizon tighter than
-        ``cycle + 1`` is attempted; the win is the FAR claim between
-        messages.  ``_rx_ready`` deliberately does not keep this shell
-        dense: only the adapter above acts on it, and :attr:`on_deliver`
-        un-gates that adapter the moment a message completes.
+        Transmit: ``cycle + 1`` while the head word fits its source
+        queue(s).  A stalled head (``tx_stalls`` span open, queue still
+        full) needs no tick — space appears only when the kernel pops, and
+        ``HardwareFifo.on_pop`` wakes this shell then.  The stall must have
+        been *observed* by a tick first: that tick opens the span the
+        counter and the pop hook key on.  Receive: the port cycle at which
+        the oldest word this shell may consume (the connection in
+        reassembly, else the policy's candidates) becomes reader-visible —
+        CDC visibility is a matter of time alone — or never while those
+        queues are empty (``dest_queue.on_push`` wakes).  ``_rx_ready``
+        does not hold the shell: only the adapter above acts on it, and
+        :attr:`on_deliver` un-gates that adapter the moment a message
+        completes.
         """
-        if self._tx_queue or self._rx_maybe:
+        if self._tx_queue and not (self._tx_stalls.stalled
+                                   and not self._tx_fits()):
             return cycle + 1
+        if self._rx_maybe:
+            return self._rx_visible_cycle(cycle)
         return FAR_FUTURE
 
     def request_flush(self, conn: int = 0) -> None:
@@ -192,6 +210,11 @@ class ConnectionShell(ClockedComponent):
         """Connections that may deliver words this cycle, in priority order."""
         return self._all_conns
 
+    def _rx_eligible_conns(self) -> Sequence[int]:
+        """The same connections in any order (all the horizon needs): a
+        policy that only *orders* them overrides this to skip the sort."""
+        return self._rx_conn_candidates()
+
     def _deliver(self, message: Message, conn: int) -> None:
         """A complete message arrived on ``conn``."""
         self._rx_ready.append((message, conn))
@@ -208,41 +231,70 @@ class ConnectionShell(ClockedComponent):
         self._rx_maybe = True
         self.notify_active()
 
+    def _tx_stimulus(self) -> None:
+        """Kernel drained a source queue: a stalled transmit may move."""
+        if self._tx_stalls.stalled:
+            self.notify_active()
+
+    def _tx_fits(self) -> bool:
+        """True when every queue the head word goes to has room for it (a
+        multicast message advances only when every target can accept)."""
+        channels = self._conn_channels
+        for conn in self._tx_queue[0][0]:
+            if not channels[conn].source_queue.can_push():
+                return False
+        return True
+
+    def _rx_visible_cycle(self, cycle: int) -> int:
+        """First cycle after ``cycle`` at which ``_pick_rx_conn`` can
+        return a connection, absent further deposits."""
+        current = self._rx_current_conn
+        if current is not None and self._rx_partial[current]:
+            conns = (current,)
+        else:
+            conns = self._rx_eligible_conns()
+        channels = self._conn_channels
+        visible_at = None
+        for conn in conns:
+            head = channels[conn].dest_queue.head_visible_at()
+            if head is not None and (visible_at is None or head < visible_at):
+                visible_at = head
+        if visible_at is None:
+            return FAR_FUTURE
+        clock = self._clock
+        if clock is None:
+            return cycle + 1
+        # First edge at or after the visibility time (ceiling division).
+        visible = -((clock.epoch_ps - visible_at) // clock.period_ps)
+        return visible if visible > cycle else cycle + 1
+
     # -------------------------------------------------------------- internal
     def _stream_tx(self, cycle: int) -> None:
         budget = self.tx_words_per_cycle
         tx_queue = self._tx_queue
         channels = self._conn_channels
+        stalls = self._tx_stalls
         while budget > 0 and tx_queue:
             conns, words = tx_queue[0]
             if not words:
                 tx_queue.popleft()
                 continue
-            if len(conns) == 1:
-                queue = channels[conns[0]].source_queue
-                if not queue.can_push():
-                    self._ctr_tx_stalls.value += 1
-                    break
-                queue.push(words.pop(0))
-            else:
-                # A multicast message advances only when every target can
-                # accept.
-                stalled = False
-                for c in conns:
-                    if not channels[c].source_queue.can_push():
-                        stalled = True
-                        break
-                if stalled:
-                    self._ctr_tx_stalls.value += 1
-                    break
-                word = words.pop(0)
-                for c in conns:
-                    channels[c].source_queue.push(word)
+            if not self._tx_fits():
+                stalls.stall(cycle)
+                break
+            if stalls.stalled:
+                stalls.resume(cycle)
+            word = words.pop(0)
+            for c in conns:
+                channels[c].source_queue.push(word)
             self._ctr_tx_words.value += 1
             budget -= 1
             if not words:
                 tx_queue.popleft()
                 self._ctr_messages_sent.value += 1
+                on_tx_space = self.on_tx_space
+                if on_tx_space is not None:
+                    on_tx_space()
 
     def _collect_rx(self, cycle: int) -> None:
         budget = self.rx_words_per_cycle

@@ -32,7 +32,7 @@ from repro.protocol.transactions import (
     Transaction,
     TransactionResponse,
 )
-from repro.sim.clock import ClockedComponent
+from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -123,6 +123,11 @@ class ConfigShell(ClockedComponent):
         self._in_flight: Deque[ConfigOperation] = deque()
         self._next_trans_id = 0
         self._cycle = 0
+        if shell is not None:
+            # Un-gate this shell when an acknowledgement is reassembled and
+            # when a sent message makes room for a refused one.
+            shell.on_deliver = self.notify_active
+            shell.on_tx_space = self._tx_space_stimulus
 
     # -------------------------------------------------------------- issuing
     def write(self, target_ni: str, address: int, value: int,
@@ -152,6 +157,36 @@ class ConfigShell(ClockedComponent):
         """
         return not self._queue and not self._in_flight
 
+    def next_action_cycle(self, cycle: int) -> int:
+        """Dense while an acknowledgement is waiting to be collected or the
+        head operation can issue; never otherwise.  A tick issues until it
+        blocks, and both blocks end on a hook, not on a cycle: an
+        unacknowledged predecessor on :attr:`ConnectionShell.on_deliver`, a
+        refused ``can_submit()`` on :attr:`ConnectionShell.on_tx_space`."""
+        shell = self.shell
+        if shell is not None and shell._rx_ready:
+            return cycle + 1
+        if self._queue and not self._issue_blocked():
+            return cycle + 1
+        return FAR_FUTURE
+
+    def _awaiting_ack(self) -> bool:
+        """Configuration is strictly ordered: an acknowledged operation
+        blocks later operations until its response returns."""
+        return bool(self._in_flight and self._in_flight[-1].acknowledged
+                    and not self._in_flight[-1].done)
+
+    def _issue_blocked(self) -> bool:
+        """True when the head operation must wait for a hook."""
+        return self._awaiting_ack() or (
+            self._queue[0].target_ni != self.local_kernel.name
+            and self.shell is not None and not self.shell.can_submit())
+
+    def _tx_space_stimulus(self) -> None:
+        """The connection shell sent a message: a refused issue may go."""
+        if self._queue:
+            self.notify_active()
+
     @property
     def pending_operations(self) -> int:
         return len(self._queue) + len(self._in_flight)
@@ -164,10 +199,7 @@ class ConfigShell(ClockedComponent):
 
     def _issue(self, cycle: int) -> None:
         while self._queue:
-            # Keep configuration strictly ordered: an acknowledged operation
-            # blocks later operations until its response returns.
-            if self._in_flight and self._in_flight[-1].acknowledged \
-                    and not self._in_flight[-1].done:
+            if self._awaiting_ack():
                 return
             op = self._queue[0]
             if op.target_ni == self.local_kernel.name:

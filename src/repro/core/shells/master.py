@@ -85,6 +85,7 @@ class MasterShell(ClockedComponent):
         # response (tick gating: a standing gate is only cancelled by an
         # explicit notify).
         shell.on_deliver = self.notify_active
+        shell.on_tx_space = self._tx_space_stimulus
         self._next_trans_id = 0
         self._pending: Deque[Tuple[int, Transaction]] = deque()  # (ready_cycle, txn)
         self._outstanding: Dict[int, Transaction] = {}
@@ -99,7 +100,7 @@ class MasterShell(ClockedComponent):
         # Hot counters cached as attributes; shared with ``self.stats``.
         stats = self.stats
         self._ctr_transactions_submitted = stats.counter("transactions_submitted")
-        self._ctr_issue_stalls = stats.counter("issue_stalls")
+        self._issue_stalls = stats.span_counter("issue_stalls", self)
         self._ctr_requests_issued = stats.counter("requests_issued")
         self._ctr_posted_completions = stats.counter("posted_completions")
         self._ctr_responses_received = stats.counter("responses_received")
@@ -174,16 +175,19 @@ class MasterShell(ClockedComponent):
         Dense while the connection shell holds responses to complete.
         Otherwise the earliest of the next sequentialization-ready request
         (``_pending`` is ready-ordered: FIFO with a constant delay) and the
-        earliest retry deadline; the ``max(..., cycle + 1)`` clamp keeps a
-        backpressure-deferred issue or retransmit dense, matching the
-        per-cycle ``issue_stalls`` accounting of an always-tick run.  New
+        earliest retry deadline, clamped to ``cycle + 1``.  A ready request
+        the connection shell refuses (``issue_stalls`` span open,
+        ``can_submit()`` still false) waits for no cycle: only a message
+        leaving the shell's transmit queue can admit it, and
+        :attr:`ConnectionShell.on_tx_space` wakes this shell then.  New
         submissions and deliveries cancel the gate via ``notify_active`` /
         :attr:`ConnectionShell.on_deliver`.
         """
         if self.shell._rx_ready:
             return cycle + 1
         horizon = FAR_FUTURE
-        if self._pending:
+        if self._pending and not (self._issue_stalls.stalled
+                                  and not self.shell.can_submit()):
             horizon = self._pending[0][0]
         if self._retry_state:
             for state in self._retry_state.values():
@@ -206,18 +210,26 @@ class MasterShell(ClockedComponent):
         if self._retry_state:
             self._check_timeouts(cycle)
 
+    def _tx_space_stimulus(self) -> None:
+        """The connection shell sent a message: a refused issue may go."""
+        if self._issue_stalls.stalled:
+            self.notify_active()
+
     def _issue(self, cycle: int) -> None:
+        stalls = self._issue_stalls
         while self._pending and self._pending[0][0] <= cycle:
             # Check for shell backpressure before building the message, so a
             # stalled transaction does not re-serialize itself every cycle.
             if not self.shell.can_submit():
-                self._ctr_issue_stalls.increment()
+                stalls.stall(cycle)
                 return
             transaction = self._pending[0][1]
             message = self._to_message(transaction)
             if not self.shell.submit(message):
-                self._ctr_issue_stalls.increment()
+                stalls.stall(cycle)
                 return
+            if stalls.stalled:
+                stalls.resume(cycle)
             self._pending.popleft()
             if transaction.expects_response:
                 self._outstanding[transaction.trans_id] = transaction

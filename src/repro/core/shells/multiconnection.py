@@ -47,6 +47,10 @@ class MultiConnectionShell(ConnectionShell):
         # Queue-filling based: largest destination queue first.
         return sorted(conns, key=lambda c: -self.port.dest_fill(c))
 
+    def _rx_eligible_conns(self) -> Sequence[int]:
+        # Both schedulers only order the connections; all are eligible.
+        return self._all_conns
+
     def _deliver(self, message: Message, conn: int) -> None:
         if not isinstance(message, RequestMessage):
             raise ShellError(

@@ -8,7 +8,10 @@ The slave IP module is any object implementing the small interface of
 :class:`repro.ip.slave.SlaveIP`: ``enqueue(transaction)`` and
 ``pop_response() -> (transaction, response) | None``.  Responses must be
 produced in the order requests were enqueued (the connection shell's history
-relies on this to route responses onto the right connection).
+relies on this to route responses onto the right connection).  A slave that
+declares an ``on_response`` attribute promises to call it whenever a
+response becomes poppable outside ``enqueue``, and the shell sleeps until
+then; any other slave is polled every cycle while it owes a response.
 """
 
 from __future__ import annotations
@@ -44,11 +47,26 @@ class SlaveShell(ClockedComponent):
         self._awaiting_response: Deque[RequestMessage] = deque()
         self._response_backlog: Deque[ResponseMessage] = deque()
         # Un-gate this shell when the connection shell reassembles a request
-        # (tick gating: a standing gate is only cancelled by a notify).
+        # (tick gating: a standing gate is only cancelled by a notify) ...
         shell.on_deliver = self.notify_active
+        # ... when it sends a message while a response is refused ...
+        shell.on_tx_space = self._tx_space_stimulus
+        # ... and when the slave IP finishes a transaction.
+        #: True when the slave announces its responses (``on_response``), so
+        #: waiting for it needs no polling.
+        self._slave_announces = hasattr(slave, "on_response")
+        if self._slave_announces:
+            slave.on_response = self._slave_stimulus
+        #: Set by the slave's announcement, cleared by the drain it asks for.
+        self._slave_ready = False
         #: Slave IP's bound ``is_idle``, cached for the next-action horizon
         #: (None for duck-typed slaves without an activity predicate).
         self._slave_is_idle = getattr(slave, "is_idle", None)
+        # Hot counters cached as attributes; shared with ``self.stats``.
+        stats = self.stats
+        self._ctr_requests_accepted = stats.counter("requests_accepted")
+        self._ctr_responses_sent = stats.counter("responses_sent")
+        self._response_stalls = stats.span_counter("response_stalls", self)
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:
@@ -66,13 +84,24 @@ class SlaveShell(ClockedComponent):
             transaction = self._to_transaction(message)
             transaction.issue_cycle = cycle
             self.slave.enqueue(transaction)
-            self.stats.counter("requests_accepted").increment()
+            self._ctr_requests_accepted.value += 1
             if message.expects_response:
                 self._awaiting_response.append(message)
             del conn
 
+    def _slave_stimulus(self) -> None:
+        """The slave IP has a response to pop."""
+        self._slave_ready = True
+        self.notify_active()
+
+    def _tx_space_stimulus(self) -> None:
+        """The connection shell sent a message: a refused response may go."""
+        if self._response_stalls.stalled:
+            self.notify_active()
+
     def _return_responses(self, cycle: int) -> None:
         # Drain the slave IP into the local backlog.
+        self._slave_ready = False
         while True:
             produced = self.slave.pop_response()
             if produced is None:
@@ -93,15 +122,18 @@ class SlaveShell(ClockedComponent):
             self._response_backlog.append(message)
             del transaction
         # Send as many backlogged responses as the shell accepts.
+        stalls = self._response_stalls
         while self._response_backlog:
             if not self.shell.can_submit():
-                self.stats.counter("response_stalls").increment()
+                stalls.stall(cycle)
                 return
             if not self.shell.submit(self._response_backlog[0]):
-                self.stats.counter("response_stalls").increment()
+                stalls.stall(cycle)
                 return
+            if stalls.stalled:
+                stalls.resume(cycle)
             self._response_backlog.popleft()
-            self.stats.counter("responses_sent").increment()
+            self._ctr_responses_sent.value += 1
 
     # -------------------------------------------------------------- helpers
     @staticmethod
@@ -125,23 +157,31 @@ class SlaveShell(ClockedComponent):
         return not self._awaiting_response and not self._response_backlog
 
     def next_action_cycle(self, cycle: int) -> int:
-        """Dense while polling the slave IP or draining the backlog.
+        """Dense only while there is something to move this shell can move.
 
-        The slave IP below may be an unclocked immediate executor or a
-        multi-cycle memory model; either way ``pop_response`` must be
-        polled every cycle while a request is outstanding (the IP exposes
-        no completion hook), so the only gain claimed here is the FAR
-        claim between transactions.  The slave's own activity predicate is
-        consulted because posted commands leave ``_awaiting_response``
-        empty while the slave still owes a drain of its done queue.  Fresh
-        requests cancel the gate via :attr:`ConnectionShell.on_deliver`.
+        That is a reassembled request to accept, an announced response to
+        drain, or a backlogged response the connection shell would take.  A
+        refused response (``response_stalls`` span open, ``can_submit()``
+        still false) waits for :attr:`ConnectionShell.on_tx_space`; an
+        announcing slave (``on_response``) is waited for, not polled, and
+        that covers the posted commands that leave ``_awaiting_response``
+        empty while the slave still owes a drain of its done queue.  A
+        slave that cannot announce is polled every cycle while it owes a
+        response or reports itself busy.  Fresh requests cancel the gate
+        via :attr:`ConnectionShell.on_deliver`.
         """
-        if (self._awaiting_response or self._response_backlog
-                or self.shell._rx_ready):
+        if self.shell._rx_ready or self._slave_ready:
             return cycle + 1
-        slave_is_idle = self._slave_is_idle
-        if slave_is_idle is not None and not slave_is_idle():
+        if self._response_backlog and not (
+                self._response_stalls.stalled
+                and not self.shell.can_submit()):
             return cycle + 1
+        if not self._slave_announces:
+            if self._awaiting_response:
+                return cycle + 1
+            slave_is_idle = self._slave_is_idle
+            if slave_is_idle is not None and not slave_is_idle():
+                return cycle + 1
         return FAR_FUTURE
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

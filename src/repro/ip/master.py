@@ -100,10 +100,14 @@ class TrafficGeneratorMaster(ClockedComponent):
         return not self._backlog and self._pattern_exhausted()
 
     def next_action_cycle(self, cycle: int) -> int:
-        """Horizon: the pattern's next active cycle once nothing is queued.
+        """Horizon: the pattern's next active cycle unless work can move now.
 
-        Dense while transactions await submission or collection; otherwise
-        the generator sleeps until ``_next_active`` (the pattern's own
+        Dense while completions await collection or the shell would accept
+        a backlogged transaction.  A backlog the shell refuses
+        (``max_outstanding`` reached) waits for no cycle: outstanding
+        transactions only retire through a completion, and
+        ``MasterShell.on_complete`` wakes this IP then.  Otherwise the
+        generator sleeps until ``_next_active`` (the pattern's own
         guaranteed-traffic-free fast path, so skipping to it is exact).
         With a ``stop_cycle`` pattern the horizon is clamped to the stop
         cycle: ``_pattern_exhausted`` reads the *recorded* ``_cycle``, so
@@ -111,7 +115,9 @@ class TrafficGeneratorMaster(ClockedComponent):
         otherwise ``done()`` and ``is_idle`` would report unexhausted off a
         stale cycle forever.
         """
-        if self._backlog or self.shell.uncollected_completions:
+        shell = self.shell
+        if shell.uncollected_completions or (self._backlog
+                                             and shell.can_submit()):
             return cycle + 1
         pattern = self.pattern
         if pattern is None:

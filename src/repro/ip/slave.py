@@ -6,7 +6,10 @@ and custom test doubles all fit it:
 
 * ``enqueue(transaction)`` — accept a transaction for execution;
 * ``pop_response() -> (transaction, response) | None`` — completed work, in
-  the order it was enqueued.
+  the order it was enqueued;
+* ``on_response`` — optional: a slave that declares this attribute calls
+  it (the slave shell installs a hook there) whenever a response becomes
+  poppable outside ``enqueue``, and is then waited for instead of polled.
 
 :class:`MemorySlave` adds a configurable execution latency so experiments can
 model slow memories; :class:`RegisterSlave` is a tiny bounded register bank
@@ -65,6 +68,9 @@ def execute_on_memory(memory: SharedMemory, stats: StatsRegistry,
 class MemorySlave(SlaveIP):
     """A memory-backed slave with a fixed execution latency in IP cycles."""
 
+    #: Completion hook (see the module docstring); set by the slave shell.
+    on_response = None
+
     def __init__(self, name: str, memory: Optional[SharedMemory] = None,
                  latency_cycles: int = 1,
                  transactions_per_cycle: int = 1) -> None:
@@ -84,7 +90,14 @@ class MemorySlave(SlaveIP):
 
     # ------------------------------------------------------------ interface
     def enqueue(self, transaction: Transaction) -> None:
-        ready = self._cycle + self.latency_cycles
+        # The latency runs from the caller's cycle, not from this
+        # component's last tick: a slave shell stamps ``issue_cycle`` and
+        # ticks *before* its slave, so an every-cycle schedule has
+        # ``_cycle == issue_cycle - 1`` here — computed, that holds however
+        # few ticks this component is given.
+        issued = transaction.issue_cycle
+        start = self._cycle if issued is None else issued - 1
+        ready = start + self.latency_cycles
         self._pending.append((ready, transaction))
         self._enqueued += 1
         self.notify_active()
@@ -98,13 +111,16 @@ class MemorySlave(SlaveIP):
         """Activity predicate for idle-skip: nothing queued, nothing to drain."""
         return not self._pending and not self._done
 
+    def next_action_cycle(self, cycle: int) -> int:
+        """The ready cycle of the oldest queued transaction (``_pending``
+        is ready-ordered), never for ``_done`` alone: draining that is the
+        shell's ``pop_response``, which :attr:`on_response` asked for."""
+        if not self._pending:
+            return FAR_FUTURE
+        ready = self._pending[0][0]
+        return ready if ready > cycle else cycle + 1
+
     # ----------------------------------------------------------------- clock
-    # Deliberately no ``next_action_cycle`` override: ``enqueue`` computes
-    # each transaction's ready cycle from ``self._cycle``, the cycle of the
-    # *last executed tick*.  Gating this component's ticks while its shell
-    # keeps running would change that staleness and hence the ready stamps,
-    # so it must keep the non-overrider contract (tick on every executed
-    # edge while non-idle).
     def tick(self, cycle: int) -> None:
         self._cycle = cycle
         executed = 0
@@ -114,6 +130,8 @@ class MemorySlave(SlaveIP):
             response = self._execute(transaction)
             self._done.append((transaction, response))
             executed += 1
+        if executed and self.on_response is not None:
+            self.on_response()
 
     # --------------------------------------------------------------- execute
     def _execute(self, transaction: Transaction) -> TransactionResponse:

@@ -19,6 +19,7 @@ import random
 from typing import Iterator, List, Optional
 
 from repro.protocol.transactions import Transaction
+from repro.sim.clock import FAR_FUTURE
 
 #: Shared empty result for cycles with no traffic: the generators return it
 #: instead of allocating a fresh list every master-clock cycle (hot path);
@@ -42,9 +43,11 @@ class TrafficPattern:
         A scheduling *hint* for the master's fast path: cycles strictly
         before the returned value are guaranteed to yield ``NO_TRAFFIC``,
         so the generator skips the per-cycle pattern call.  The default —
-        correct for any pattern — is ``cycle`` itself (no skipping).
-        Patterns whose ``transactions_for_cycle`` has per-cycle side
-        effects (e.g. drawing from an RNG) must keep the default.
+        correct for any pattern — is ``cycle`` itself (no skipping).  The
+        master asks right after ``transactions_for_cycle(cycle - 1)``; a
+        pattern whose ``transactions_for_cycle`` has per-cycle side effects
+        must keep the default or perform the skipped cycles' effects here
+        (as :class:`RandomTraffic` draws its coins ahead).
         """
         return cycle
 
@@ -147,10 +150,17 @@ class RandomTraffic(TrafficPattern):
         self.base_address = base_address
         self.address_space = address_space
         self._rng = random.Random(seed)
+        #: Cycle of the next arrival when its coin was drawn ahead by
+        #: :meth:`next_active_cycle` (every cycle before it drew tails).
+        self._arrival: Optional[int] = None
 
     def transactions_for_cycle(self, cycle: int) -> List[Transaction]:
-        if self._rng.random() >= self.injection_probability:
+        if self._arrival is None:
+            if self._rng.random() >= self.injection_probability:
+                return NO_TRAFFIC
+        elif cycle < self._arrival:
             return NO_TRAFFIC
+        self._arrival = None
         address = self.base_address + 4 * self._rng.randrange(
             max(1, self.address_space // 4))
         if self._rng.random() < self.read_fraction:
@@ -160,6 +170,21 @@ class RandomTraffic(TrafficPattern):
 
     def expected_words_per_cycle(self) -> float:
         return self.injection_probability * self.burst_words
+
+    def next_active_cycle(self, cycle: int) -> int:
+        """The next arrival, found by tossing the coins of ``cycle``,
+        ``cycle + 1``, ... now — one ``random()`` each, in the order a
+        call per cycle would toss them, so the stream of transactions is
+        the same whether every cycle is asked about or only the arrivals."""
+        if self._arrival is None:
+            probability = self.injection_probability
+            if probability <= 0.0:
+                return FAR_FUTURE
+            toss = self._rng.random
+            while toss() >= probability:
+                cycle += 1
+            self._arrival = cycle
+        return max(cycle, self._arrival)
 
 
 class VideoLineTraffic(TrafficPattern):

@@ -55,6 +55,9 @@ class DRAMBackedSlave(SlaveIP):
         a :class:`~repro.mem.controller.Scheduler` instance.
     """
 
+    #: Completion hook (see :mod:`repro.ip.slave`); set by the slave shell.
+    on_response = None
+
     def __init__(self, name: str, memory: Optional[SharedMemory] = None,
                  timing: Union[str, DRAMTiming] = "default",
                  geometry: Optional[DRAMGeometry] = None,
@@ -98,8 +101,8 @@ class DRAMBackedSlave(SlaveIP):
         bounds the next completion/issue exactly (refresh windows are a pure
         function of the cycle index, so nothing fires between horizons).  A
         non-empty ``_done`` queue needs no horizon of its own: draining it is
-        the shell's ``pop_response`` call, not this component's tick, and the
-        slave shell stays dense while this slave reports non-idle.
+        the shell's ``pop_response`` call, not this component's tick, and
+        ``on_response`` has woken the slave shell for it.
         """
         if self._inbox:
             return cycle + 1
@@ -122,6 +125,8 @@ class DRAMBackedSlave(SlaveIP):
             transaction, arrival, done = completed
             self._service_latency.record(arrival, done)
             self._done.append((transaction, self._execute(transaction)))
+            if self.on_response is not None:
+                self.on_response()
 
     # --------------------------------------------------------------- execute
     def _execute(self, transaction: Transaction) -> TransactionResponse:

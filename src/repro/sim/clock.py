@@ -26,13 +26,18 @@ The wake-up contract (see ``PERFORMANCE.md`` for the full protocol):
   only become active again through a stimulus that calls ``notify_active()``.
   The conservative default is False (always active), which reproduces the
   seed's always-tick behaviour for components that have not opted in.
-* A woken clock fires its next edge at the first period boundary *strictly
-  after* the wake time.  Coincident edges of different clocks execute in
-  clock-creation order (each clock owns a distinct tick priority), so a
-  clock created before its stimulators — as the flit clock is, and as any
-  clock receiving immediately visible cross-domain stimulus must be — had
-  already run its edge at the stimulus timestamp and observed the
-  pre-stimulus state; the first edge that can react is the next one.
+* A woken clock fires its next edge at the first period boundary the
+  always-tick schedule has not yet run.  Coincident edges of different
+  clocks execute in clock-creation order (each clock owns a distinct tick
+  priority), so a clock created before its stimulators — as the flit clock
+  is — had already run its edge at the stimulus timestamp and observed the
+  pre-stimulus state: its first edge that can react is the one *strictly
+  after* the wake time.  A clock created after its stimulator still has its
+  edge at that timestamp ahead of it, so a wake that lands exactly on one
+  of its boundaries from an earlier-created clock's tick (a kernel draining
+  a source queue at a flit edge that is also a port edge) fires *at* the
+  wake time.  Commit-phase and out-of-event wakes are always strictly
+  after: every tick of the timestamp has run by then.
 * Cycle indices are derived from simulation time (``(now - epoch) // period``)
   so TDMA slot alignment is preserved across skipped edges.
 * Links are not clocked: the NoC's one ``LinkCommit`` shares the clock of
@@ -100,7 +105,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Optional
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 #: Sentinel cycle meaning "never": the next-action horizon of a component
 #: that will not act again absent stimulus.  A clock whose components all
@@ -118,17 +123,6 @@ _POST_TICK_PRIORITY_BASE = 1 << 20
 #: Module-wide default for ``Clock.idle_skip``; :func:`always_tick` flips it
 #: to build the always-tick reference.
 _DEFAULT_IDLE_SKIP = True
-
-#: Dense-window span, in cycles.  A clock whose horizon pass just concluded
-#: "tick the next boundary anyway" (no edge to skip) is very likely to keep
-#: concluding that while traffic stays dense, so it stops asking for this
-#: many cycles and schedules every edge unconditionally.  This only ever
-#: *under*-gates — a component ticks instead of skipping, which is an
-#: observable no-op by contract — so results are unaffected; it bounds the
-#: horizon-query overhead in the saturated regime where there is nothing to
-#: skip.  A pass that finds an edge to skip never opens a window, so TDMA
-#: macro-stepping is never delayed.
-_DENSE_RECHECK_SPAN = 32
 
 
 @contextlib.contextmanager
@@ -272,12 +266,6 @@ class Clock:
         #: This clock's next-action horizon in cycles: the group skips it on
         #: edges before that cycle (0 = due at whatever edge comes next).
         self._gate_cycle = 0
-        #: Dense window: while ``cycle + 1`` lies inside it the whole
-        #: horizon pass is skipped and the next edge is unconditional.
-        #: Set by :meth:`_gate_horizon` whenever the pass concludes "next
-        #: edge anyway" — dense traffic keeps answering that, so stop
-        #: asking for a while.  Pure under-gating, results unaffected.
-        self._dense_recheck = 0
         #: Edges actually executed (telemetry for the perf harness).
         self.edges_executed = 0
         #: Number of times the clock went to sleep.
@@ -354,13 +342,14 @@ class Clock:
     def wake(self) -> None:
         """Resume an idle-skipped (or gate-deferred) clock.
 
-        The next edge fires at the first period boundary strictly after the
-        current simulation time — the first edge that can observe the
-        stimulus that triggered the wake.  Because coincident edges run in
-        clock-creation order, a clock created before its stimulators would
-        have ticked before the stimulus at the wake timestamp anyway, so
-        this reproduces the always-tick schedule exactly.  No-op when the
-        clock is running densely.
+        The next edge fires at the first period boundary that can observe
+        the stimulus that triggered the wake: strictly after the current
+        simulation time, or — when the wake comes from the tick of an
+        earlier-created clock at a timestamp that is also one of this
+        clock's boundaries — at the current time, because coincident edges
+        run in clock-creation order and this clock's is still to come.
+        Either way it is the edge the always-tick schedule would have
+        reacted on.  No-op when the clock is running densely.
         """
         if not (self._sleeping or self._gated):
             return
@@ -394,14 +383,6 @@ class Clock:
                     gate = cycle1
             if gate < horizon:
                 horizon = gate
-        if horizon == cycle1:
-            # The pass concluded "tick the next boundary anyway": open a
-            # dense window so the group skips the whole pass until it
-            # expires.  Components with standing gates keep their tick
-            # skips (the edge loop still honours ``_gate_until``); whole
-            # edges only ever skip when *every* component gates, and that
-            # state never opens a window — macro-stepping is not delayed.
-            self._dense_recheck = cycle1 + _DENSE_RECHECK_SPAN
         return horizon
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -467,11 +448,14 @@ class ClockGroup:
         self._commit_priority = first._commit_priority
         self._epoch = 0
         self._started = False
-        #: Time of the pending (scheduled, not yet fired) group edge, or -1.
-        #: A wake pulls the edge forward without cancelling the event it
-        #: supersedes; ``_edge`` executes only the event matching this
-        #: exact time, so stale events are no-ops.
+        #: Time of the pending (scheduled, not yet fired) group edge, or -1;
+        #: ``_edge`` executes only the event matching this exact time.
         self._next_scheduled = -1
+        #: Handle of the last edge scheduled beyond the next boundary — the
+        #: only kind a wake pulls forward, and cancels when it does.
+        self._deferred: Optional[Event] = None
+        #: Cycle of the last executed group edge.
+        self._cycle = -1
         for member in members:
             member._group = self
 
@@ -489,16 +473,30 @@ class ClockGroup:
         self.sim._push(epoch, self._tick_priority, self._edge)
 
     def _schedule(self, time: int) -> None:
-        if self._next_scheduled != -1 and self._next_scheduled <= time:
-            # The pending edge already fires at or before ``time``.
-            return
+        if self._next_scheduled != -1:
+            if self._next_scheduled <= time:
+                # The pending edge already fires at or before ``time``.
+                return
+            if self._deferred is not None:
+                self._deferred.cancel()
         self._next_scheduled = time
-        self.sim._push(time, self._tick_priority, self._edge)
+        if time - self.sim.now > self.period_ps:
+            self._deferred = self.sim.schedule_at(time, self._edge,
+                                                  self._tick_priority)
+        else:
+            self.sim._push(time, self._tick_priority, self._edge)
 
     def _wake(self, now: int) -> None:
-        """Member wake: fire at the first boundary strictly after ``now``."""
-        index = (now - self._epoch) // self.period_ps + 1
-        self._schedule(self._epoch + index * self.period_ps)
+        """Member wake: fire at the first boundary the always-tick schedule
+        would still run — strictly after ``now``, or ``now`` itself when it
+        is a boundary and the waking event precedes this group's edge
+        within the timestamp (an earlier-created clock's tick)."""
+        cycle, offset = divmod(now - self._epoch, self.period_ps)
+        priority = self.sim._priority
+        if (offset or priority is None or priority >= self._tick_priority
+                or cycle == self._cycle):
+            cycle += 1
+        self._schedule(self._epoch + cycle * self.period_ps)
 
     def _edge(self) -> None:
         now = self.sim.now
@@ -507,7 +505,7 @@ class ClockGroup:
         self._next_scheduled = -1
         # Derive the cycle index from time so TDMA slot alignment survives
         # skipped edges (an NI slot is `cycle % num_slots`).
-        cycle = (now - self._epoch) // self.period_ps
+        self._cycle = cycle = (now - self._epoch) // self.period_ps
         commit = False
         for member in self.members:
             if member._sleeping or member._gate_cycle > cycle:
@@ -561,20 +559,6 @@ class ClockGroup:
             elif not member.idle_skip:
                 horizon = cycle1
             else:
-                if member._dense_recheck > cycle1:
-                    # Inside a dense window (see ``_gate_horizon``): skip
-                    # the horizon pass while anything is still busy.  The
-                    # early-exit scan closes the window the moment
-                    # everything reports idle, so quiescence — and the
-                    # sleep transition — is never delayed by it.
-                    for component in member._components:
-                        if not component.is_idle():
-                            break
-                    else:
-                        member._dense_recheck = 0
-                    if member._dense_recheck:   # still open
-                        group_horizon = cycle1
-                        continue
                 horizon = member._gate_horizon(cycle)
                 if horizon >= FAR_FUTURE:
                     # All idle or FAR-gated: sleep without scheduling

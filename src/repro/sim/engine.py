@@ -14,7 +14,9 @@ Two entry points exist for scheduling:
 * :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule` — the public API;
   they return an :class:`Event` handle that supports cancellation.
 * :meth:`Simulator._push` — the internal fast path used by clocks; it skips
-  the handle allocation entirely because clock edges are never cancelled.
+  the handle allocation entirely.  (Only an edge deferred beyond the next
+  boundary can be superseded by a wake; clocks schedule those through the
+  public API and cancel them.)
 
 Cancelled events are skipped lazily when popped, but the queue is compacted
 once cancellations accumulate, so ``pending_events()`` and the heap size stay
@@ -83,10 +85,13 @@ class Simulator:
         self._executed_events: int = 0
         self._cancelled_count: int = 0
         self._clock_priorities: int = 0
-        #: High-water mark of the heap size (telemetry).  Gating clocks may
-        #: leave superseded edge events in the heap instead of cancelling
-        #: them (see ``ClockGroup._next_scheduled``); this makes the cost of
-        #: that design observable in the perf harness instead of guessed at.
+        #: Priority of the event being executed (None between events): a
+        #: clock woken mid-timestamp reads it to tell whether its own edge
+        #: at this timestamp is still to come (``ClockGroup._wake``).
+        self._priority: Optional[int] = None
+        #: High-water mark of the heap size (telemetry): cancelled entries
+        #: stay queued until popped or compacted, and this makes what that
+        #: costs observable instead of guessed at.
         self.peak_queue_len: int = 0
         #: Optional observer called as ``hook(time, priority, seq)`` right
         #: before each event executes; used by determinism tests to compare
@@ -194,7 +199,11 @@ class Simulator:
             self._now = time
             if self.event_hook is not None:
                 self.event_hook(time, priority, seq)
-            callback()
+            self._priority = priority
+            try:
+                callback()
+            finally:
+                self._priority = None
             self._executed_events += 1
             return True
         return False

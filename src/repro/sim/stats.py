@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 
 class Counter:
@@ -29,6 +29,59 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}={self.value})"
+
+
+class SpanCounter:
+    """Cycles a component spent stalled, counted as spans instead of ticks.
+
+    A per-cycle stall statistic (``stalls += 1`` on every blocked tick)
+    forces its owner to tick on every cycle it is blocked.  This counter
+    reads the same at every instant without those ticks: the owner reports
+    the tick that *finds* it blocked (:meth:`stall`) and the tick that gets
+    it moving again (:meth:`resume`), and :attr:`value` is the closed spans
+    plus the open one up to the owning clock's ``cycle_now`` (or, for a
+    component ticked by hand without a clock, up to the last cycle passed
+    to :meth:`stall`).  Cycles passed in must not decrease.  Lives in a
+    :class:`StatsRegistry` beside the plain counters
+    (:meth:`StatsRegistry.span_counter`).
+    """
+
+    __slots__ = ("name", "stalled", "_owner", "_closed", "_since", "_seen")
+
+    def __init__(self, name: str, owner: object) -> None:
+        self.name = name
+        #: True between a :meth:`stall` and the next :meth:`resume`.
+        self.stalled = False
+        #: The stalling component; its ``_clock`` gives the open span its end.
+        self._owner = owner
+        self._closed = 0
+        #: First and last reported cycle of the open span.
+        self._since = self._seen = 0
+
+    def stall(self, cycle: int) -> None:
+        """A tick at ``cycle`` found the owner blocked (idempotent while
+        the span is open)."""
+        if not self.stalled:
+            self.stalled = True
+            self._since = cycle
+        self._seen = cycle
+
+    def resume(self, cycle: int) -> None:
+        """A tick at ``cycle`` made progress: cycles ``since .. cycle - 1``
+        were stalled."""
+        self.stalled = False
+        self._closed += cycle - self._since
+
+    @property
+    def value(self) -> int:
+        if not self.stalled:
+            return self._closed
+        clock = getattr(self._owner, "_clock", None)
+        now = self._seen if clock is None else clock.cycle_now
+        return self._closed + now - self._since + 1
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"SpanCounter({self.name}={self.value})"
 
 
 class Histogram:
@@ -219,13 +272,19 @@ class WindowedRate:
 class StatsRegistry:
     """A named collection of collectors, used per NI / router / system."""
 
-    counters: Dict[str, Counter] = field(default_factory=dict)
+    counters: Dict[str, Union[Counter, SpanCounter]] = field(
+        default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
     latencies: Dict[str, LatencyRecorder] = field(default_factory=dict)
     rates: Dict[str, RateMeter] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         return self.counters.setdefault(name, Counter(name))
+
+    def span_counter(self, name: str, owner: object) -> SpanCounter:
+        """A :class:`SpanCounter` for ``owner``, listed (and summarised)
+        among the counters under ``name``."""
+        return self.counters.setdefault(name, SpanCounter(name, owner))
 
     def histogram(self, name: str) -> Histogram:
         return self.histograms.setdefault(name, Histogram(name))

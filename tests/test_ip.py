@@ -1,10 +1,15 @@
 """Unit tests for the IP-module models: traffic patterns, memories, slaves."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import SystemBuilder
+from repro.ip.master import TrafficGeneratorMaster
 from repro.ip.memory import MemoryRangeError, SharedMemory
 from repro.ip.slave import MemorySlave, RegisterSlave
 from repro.ip.traffic import (
+    NO_TRAFFIC,
     BurstyTraffic,
     ConstantBitRateTraffic,
     RandomTraffic,
@@ -12,6 +17,7 @@ from repro.ip.traffic import (
     merge_patterns,
 )
 from repro.protocol.transactions import Command, ResponseError, Transaction
+from repro.sim.clock import FAR_FUTURE, ClockedComponent, always_tick
 
 
 class TestSharedMemory:
@@ -212,3 +218,197 @@ class TestTrafficPatterns:
                     ConstantBitRateTraffic(period_cycles=1, burst_words=2)]
         merged = list(merge_patterns(patterns, cycle=0))
         assert len(merged) == 2
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the polling IP modules these replaced, kept as the reference
+# (driven side by side with the production classes in
+# tests/test_shells_adapters.py)
+# ---------------------------------------------------------------------------
+class PollRandomTraffic(RandomTraffic):
+    """The pattern this one replaced: one coin per call, no look-ahead, so
+    its master has to ask about every cycle."""
+
+    def transactions_for_cycle(self, cycle):
+        if self._rng.random() >= self.injection_probability:
+            return NO_TRAFFIC
+        address = self.base_address + 4 * self._rng.randrange(
+            max(1, self.address_space // 4))
+        if self._rng.random() < self.read_fraction:
+            return [Transaction.read(address, length=self.burst_words)]
+        data = [self._rng.getrandbits(32) for _ in range(self.burst_words)]
+        return [Transaction.write(address, data)]
+
+    def next_active_cycle(self, cycle):
+        return cycle
+
+
+class PollTrafficGeneratorMaster(TrafficGeneratorMaster):
+    """The traffic master this one replaced: dense while anything awaits
+    submission, even when ``max_outstanding`` refuses it every cycle."""
+
+    def next_action_cycle(self, cycle: int) -> int:
+        if self._backlog or self.shell.uncollected_completions:
+            return cycle + 1
+        pattern = self.pattern
+        if pattern is None:
+            return FAR_FUTURE
+        if self.max_transactions is not None:
+            if self._generated >= self.max_transactions:
+                return FAR_FUTURE
+        elif self.stop_cycle is not None and self._cycle >= self.stop_cycle:
+            return FAR_FUTURE
+        nxt = self._next_active
+        if self.stop_cycle is not None and nxt > self.stop_cycle:
+            nxt = self.stop_cycle
+        if nxt <= cycle:
+            return cycle + 1
+        return nxt
+
+
+class PollMemorySlave(MemorySlave):
+    """The memory slave this one replaced: ``enqueue`` stamps from the cycle
+    of its own last tick, so it must tick on every executed edge while
+    non-idle (no horizon), and it announces nothing — its shell polls."""
+
+    next_action_cycle = ClockedComponent.next_action_cycle
+
+    def enqueue(self, transaction: Transaction) -> None:
+        ready = self._cycle + self.latency_cycles
+        self._pending.append((ready, transaction))
+        self._enqueued += 1
+        self.notify_active()
+
+    def tick(self, cycle: int) -> None:
+        self._cycle = cycle
+        executed = 0
+        while (self._pending and self._pending[0][0] <= cycle
+               and executed < self.transactions_per_cycle):
+            _, transaction = self._pending.popleft()
+            response = self._execute(transaction)
+            self._done.append((transaction, response))
+            executed += 1
+
+
+def _stream(pattern, cycles, step):
+    """``(cycle, command, address, data)`` of every transaction ``pattern``
+    produces in ``cycles`` cycles, asked the way a master asks: call
+    ``transactions_for_cycle`` at the cycles ``step`` selects."""
+    out = []
+    cycle = 0
+    while cycle < cycles:
+        for txn in pattern.transactions_for_cycle(cycle):
+            out.append((cycle, txn.command, txn.address,
+                        tuple(txn.write_data), txn.read_length))
+        cycle = step(pattern, cycle + 1)
+    return out
+
+
+class TestRandomTrafficLookAhead:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           probability=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+           burst_words=st.integers(1, 4))
+    def test_stepping_through_next_active_cycle_yields_the_per_cycle_stream(
+            self, seed, probability, burst_words):
+        kwargs = dict(injection_probability=probability,
+                      burst_words=burst_words, seed=seed)
+        every_cycle = _stream(PollRandomTraffic(**kwargs), 10000,
+                              lambda pattern, cycle: cycle)
+        arrivals_only = _stream(
+            RandomTraffic(**kwargs), 10000,
+            lambda pattern, cycle: pattern.next_active_cycle(cycle))
+        assert arrivals_only == every_cycle
+        # ... and asking every cycle still works (an always-tick master).
+        assert _stream(RandomTraffic(**kwargs), 10000,
+                       lambda pattern, cycle: cycle) == every_cycle
+
+    def test_zero_probability_terminates_and_never_arrives(self):
+        pattern = RandomTraffic(0.0, seed=3)
+        assert pattern.next_active_cycle(7) == FAR_FUTURE
+        assert pattern.transactions_for_cycle(7) is NO_TRAFFIC
+
+    def test_asking_again_before_the_arrival_does_not_toss_again(self):
+        pattern = RandomTraffic(0.05, seed=11)
+        arrival = pattern.next_active_cycle(1)
+        assert arrival == 16
+        assert pattern.next_active_cycle(1) == arrival
+        assert pattern.next_active_cycle(arrival) == arrival
+        assert pattern.transactions_for_cycle(arrival - 1) is NO_TRAFFIC
+        assert pattern.transactions_for_cycle(arrival)
+
+
+class TestMemorySlaveHorizon:
+    def test_enqueue_stamps_from_the_callers_cycle(self):
+        """A slave shell ticks before its slave: at its tick ``c`` an
+        every-cycle slave last ticked at ``c - 1``.  The stamp must not
+        depend on when this slave last ticked."""
+        slave = MemorySlave("m", latency_cycles=3)
+        slave.tick(2)                       # stale: long asleep since
+        txn = Transaction.read(0, 1)
+        txn.issue_cycle = 40
+        slave.enqueue(txn)
+        assert slave.next_action_cycle(40) == 42
+        slave.tick(41)
+        assert slave.pop_response() is None
+        slave.tick(42)
+        assert slave.pop_response() is not None
+        assert slave.next_action_cycle(42) == FAR_FUTURE
+
+    def test_announces_a_response_outside_enqueue(self):
+        slave = MemorySlave("m", latency_cycles=1)
+        announced = []
+        slave.on_response = lambda: announced.append(True)
+        slave.enqueue(Transaction.read(0, 1))
+        slave.tick(0)
+        assert not announced
+        slave.tick(1)
+        assert announced == [True]
+
+    @pytest.mark.parametrize("period", [50, 300])
+    @pytest.mark.parametrize("latency", [1, 2, 3, 5])
+    def test_reads_at_any_latency_match_always_tick(self, latency, period):
+        """CBR reads into a fixed-latency memory on a 1x2 mesh: with the
+        slave woken at its ready cycle instead of ticked every edge, every
+        counter, latency and memory word matches the reference regime."""
+        def run():
+            system = (SystemBuilder("latency").mesh(1, 2)
+                      .add_master("m", router=(0, 0),
+                                  pattern=ConstantBitRateTraffic(
+                                      period_cycles=period, burst_words=2,
+                                      write=False))
+                      .add_memory("mem", router=(0, 1), latency=latency)
+                      .connect("m", "mem")
+                      .build())
+            system.run_flit_cycles(1200)
+            assert system.master("m").stats.counter(
+                "transactions_completed").value > 0
+            return system.deep_fingerprint()
+
+        default = run()
+        with always_tick():
+            assert run() == default
+
+
+class _RefusingShell:
+    """Master-shell stand-in whose ``can_submit`` answer the test sets."""
+
+    on_complete = None
+    uncollected_completions = 0
+    accepts = False
+
+    def can_submit(self):
+        return self.accepts
+
+
+def test_traffic_master_sleeps_on_a_backlog_the_shell_refuses():
+    """A refused backlog needs a completion, not a cycle; the horizon must
+    follow the shell's present answer, not the last tick's."""
+    shell = _RefusingShell()
+    master = TrafficGeneratorMaster("ip", shell)
+    master.issue(Transaction.read(0, 1))
+    master.tick(5)
+    assert master.backlog == 1
+    assert master.next_action_cycle(5) == FAR_FUTURE
+    shell.accepts = True
+    assert master.next_action_cycle(5) == 6

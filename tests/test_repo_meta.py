@@ -23,8 +23,9 @@ def test_ci_runs_reprolint():
 
 
 #: Names of the burst-batching layer, the per-component dense recheck, the
-#: idle-skip-only regime, the testbench wrapper layer and the superseded
-#: perf harness, deleted together with everything that kept them exact.
+#: idle-skip-only regime, the clock-level dense window, the testbench wrapper
+#: layer and the superseded perf harness, deleted together with everything
+#: that kept them exact.
 _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "unbatched", "_gate_recheck",
                   # Links are wires committed by one LinkCommit per NoC: the
@@ -40,6 +41,9 @@ _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "tick_gating", "set_default_idle_skip", "_gates_standing",
                   "_dense_window_active", "_next_edge_time",
                   "remove_component",
+                  # Blocked components sleep on a wake hook, so every edge
+                  # re-gates: the clock-level dense window stays gone.
+                  "_DENSE_RECHECK_SPAN", "_dense_recheck",
                   # One front door (scenarios.build), one ledger
                   # (benchmarks/ledger), one meaning of "auto" routing: the
                   # wrapper layer, the perf harness with its tracked report

@@ -1,7 +1,12 @@
 """Unit tests for the master/slave protocol-adapter shells and the
 configuration shell / CNIP slave."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kernel import NIKernel
 from repro.core.registers import (
@@ -15,10 +20,29 @@ from repro.core.shells.config_shell import ConfigShell, ConfigurationSlave
 from repro.core.shells.master import MasterShell
 from repro.core.shells.point_to_point import PointToPointShell
 from repro.core.shells.slave import SlaveShell
+from repro.ip.master import TrafficGeneratorMaster
 from repro.ip.slave import MemorySlave
-from repro.protocol.messages import ResponseMessage, request_from_words
-from repro.protocol.transactions import Command, ResponseError, Transaction
+from repro.ip.traffic import ConstantBitRateTraffic, RandomTraffic
+from repro.protocol.messages import (
+    RequestMessage,
+    ResponseMessage,
+    request_from_words,
+)
+from repro.protocol.transactions import (
+    Command,
+    ResponseError,
+    Transaction,
+    TransactionResponse,
+)
+from repro.sim.clock import FAR_FUTURE, Clock
 from repro.sim.engine import Simulator
+from repro.sim.stats import Counter
+from tests.test_ip import (
+    PollMemorySlave,
+    PollRandomTraffic,
+    PollTrafficGeneratorMaster,
+)
+from tests.test_shells_connection import PollConnectionShell
 
 
 def make_port(num_channels=1, queue_words=32):
@@ -295,3 +319,302 @@ class TestConfigShell:
         assert op.done
         assert follow_up.done or not shell.is_idle()
         del follow_up
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the polling adapters these replaced, kept as the reference
+# ---------------------------------------------------------------------------
+class PollMasterShell(MasterShell):
+    """The master shell this one replaced (test-only reference): a request
+    the connection shell refuses keeps it dense, one ``issue_stalls`` per
+    blocked tick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ctr_issue_stalls = self.stats.counters["issue_stalls"] = \
+            Counter("issue_stalls")
+
+    def next_action_cycle(self, cycle: int) -> int:
+        if self.shell._rx_ready:
+            return cycle + 1
+        horizon = FAR_FUTURE
+        if self._pending:
+            horizon = self._pending[0][0]
+        if self._retry_state:
+            for state in self._retry_state.values():
+                if state[0] < horizon:
+                    horizon = state[0]
+        if horizon <= cycle:
+            return cycle + 1
+        return horizon
+
+    def _issue(self, cycle: int) -> None:
+        while self._pending and self._pending[0][0] <= cycle:
+            if not self.shell.can_submit():
+                self._ctr_issue_stalls.increment()
+                return
+            transaction = self._pending[0][1]
+            message = self._to_message(transaction)
+            if not self.shell.submit(message):
+                self._ctr_issue_stalls.increment()
+                return
+            self._pending.popleft()
+            if transaction.expects_response:
+                self._outstanding[transaction.trans_id] = transaction
+                if self.timeout_cycles is not None:
+                    self._retry_state[transaction.trans_id] = [
+                        cycle + self.timeout_cycles, 0]
+            else:
+                transaction.complete(TransactionResponse(), cycle=cycle)
+                self._completed.append(transaction)
+                self._ctr_posted_completions.increment()
+                if self.on_complete is not None:
+                    self.on_complete()
+            self._ctr_requests_issued.increment()
+
+
+class PollSlaveShell(SlaveShell):
+    """The slave shell this one replaced (test-only reference): it polls
+    ``pop_response`` every cycle while anything is outstanding, looks its
+    counters up by name (so they appear on first use) and counts one
+    ``response_stalls`` per blocked tick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name in ("requests_accepted", "responses_sent",
+                     "response_stalls"):
+            del self.stats.counters[name]
+
+    def next_action_cycle(self, cycle: int) -> int:
+        if (self._awaiting_response or self._response_backlog
+                or self.shell._rx_ready):
+            return cycle + 1
+        slave_is_idle = self._slave_is_idle
+        if slave_is_idle is not None and not slave_is_idle():
+            return cycle + 1
+        return FAR_FUTURE
+
+    def _accept_requests(self, cycle: int) -> None:
+        while True:
+            polled = self.shell.poll()
+            if polled is None:
+                return
+            message, conn = polled
+            if not isinstance(message, RequestMessage):
+                raise ShellError(f"slave shell {self.name}: received a response")
+            transaction = self._to_transaction(message)
+            transaction.issue_cycle = cycle
+            self.slave.enqueue(transaction)
+            self.stats.counter("requests_accepted").increment()
+            if message.expects_response:
+                self._awaiting_response.append(message)
+            del conn
+
+    def _return_responses(self, cycle: int) -> None:
+        while True:
+            produced = self.slave.pop_response()
+            if produced is None:
+                break
+            transaction, response = produced
+            if not transaction.expects_response:
+                continue
+            if not self._awaiting_response:
+                raise ShellError(
+                    f"slave shell {self.name}: slave produced a response with "
+                    f"no outstanding acknowledged request")
+            request = self._awaiting_response.popleft()
+            message = ResponseMessage(command=request.command,
+                                      error=response.error,
+                                      read_data=list(response.read_data),
+                                      trans_id=request.trans_id)
+            self._response_backlog.append(message)
+            del transaction
+        while self._response_backlog:
+            if not self.shell.can_submit():
+                self.stats.counter("response_stalls").increment()
+                return
+            if not self.shell.submit(self._response_backlog[0]):
+                self.stats.counter("response_stalls").increment()
+                return
+            self._response_backlog.popleft()
+            self.stats.counter("responses_sent").increment()
+
+
+#: The port-side classes of one bench: production and polling oracle.
+_PRODUCTION = dict(conn=ConnectionShell, master=MasterShell,
+                   slave=SlaveShell, ip=TrafficGeneratorMaster,
+                   memory=MemorySlave, random=RandomTraffic)
+_POLL = dict(conn=PollConnectionShell, master=PollMasterShell,
+             slave=PollSlaveShell, ip=PollTrafficGeneratorMaster,
+             memory=PollMemorySlave, random=PollRandomTraffic)
+
+
+def _plain(obj):
+    """Comparable snapshot value: NaN-free, and without the zero-valued
+    counters eager and lazy creation disagree about."""
+    if isinstance(obj, float) and math.isnan(obj):
+        return "NaN"
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()
+                if not (value == 0 and str(key).startswith("counter."))}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
+
+
+class LoopbackBench:
+    """Traffic master → master shell → connection shell ⇄ scripted word
+    mover ⇄ connection shell → slave shell → memory, on two port clocks.
+
+    The mover stands in for both kernels and the network: each of its
+    events carries up to ``count`` reader-visible words from one side's
+    source queue into the other side's destination queue (as far as that
+    has room), at a scripted picosecond — on or off either port grid.  It
+    is an event of priority 0, the flit clock's, so a move that lands on a
+    port boundary precedes that port edge exactly as a kernel tick would.
+    """
+
+    def __init__(self, classes, idle_skip, case):
+        self.sim = sim = Simulator()
+        sim.next_clock_priority()           # the flit clock's
+        self.m_clock = Clock(sim, 500.0, name="m", idle_skip=idle_skip)
+        self.s_clock = Clock(sim, case["slave_mhz"], name="s",
+                             idle_skip=idle_skip)
+        ports = []
+        for name, clock in (("ni_m", self.m_clock), ("ni_s", self.s_clock)):
+            kernel = NIKernel(name, sim, num_slots=8)
+            kernel.add_channel(case["source_words"], case["dest_words"],
+                               port_clock_period_ps=clock.period_ps)
+            ports.append(kernel.add_port("p", [0]))
+        self.m_channel, self.s_channel = (port.channel(0) for port in ports)
+
+        self.m_conn = classes["conn"](
+            "m_conn", ports[0], role="master",
+            max_pending_messages=case["max_pending_messages"])
+        self.m_shell = classes["master"](
+            "m_shell", self.m_conn, max_outstanding=case["max_outstanding"])
+        kind, *args = case["pattern"]
+        if kind == "random":
+            probability, seed, burst = args
+            pattern = classes["random"](probability, burst_words=burst,
+                                        address_space=64, seed=seed)
+        else:
+            period, burst, write, posted = args
+            pattern = ConstantBitRateTraffic(period, burst_words=burst,
+                                             write=write, posted=posted,
+                                             address_wrap=64)
+        self.ip = classes["ip"]("ip", self.m_shell, pattern=pattern,
+                                max_transactions=case["max_transactions"])
+        for component in (self.ip, self.m_shell, self.m_conn):
+            self.m_clock.add_component(component)
+
+        self.s_conn = classes["conn"](
+            "s_conn", ports[1], role="slave",
+            max_pending_messages=case["max_pending_messages"])
+        self.memory = classes["memory"]("mem",
+                                        latency_cycles=case["latency"])
+        self.s_shell = classes["slave"]("s_shell", self.s_conn, self.memory)
+        for component in (self.s_conn, self.s_shell, self.memory):
+            self.s_clock.add_component(component)
+
+        for time_ps, to_slave, count in case["moves"]:
+            src, dst = ((self.m_channel, self.s_channel) if to_slave
+                        else (self.s_channel, self.m_channel))
+            sim.schedule_at(time_ps, self._mover(src, dst, count))
+        self.m_clock.start()
+        self.s_clock.start()
+
+    @staticmethod
+    def _mover(src, dst, count):
+        def move():
+            room = dst.dest_queue.space
+            for word in src.source_queue.pop_many(min(count, room)):
+                dst.dest_queue.push(word)
+        return move
+
+    def run_to_cycle(self, cycle):
+        """Through master-port edge ``cycle``, inclusive."""
+        self.sim.run(until=cycle * self.m_clock.period_ps)
+
+    def snapshot(self):
+        """Everything observable from outside, as plain data."""
+        def conn(shell):
+            return {"stats": shell.stats.summary(),
+                    "tx": [(conns, list(words))
+                           for conns, words in shell._tx_queue],
+                    "rx_ready": len(shell._rx_ready),
+                    "rx_partial": shell._rx_partial}
+
+        return _plain({
+            "ip": self.ip.stats.summary(),
+            "backlog": self.ip.backlog,
+            "completed": [(t.trans_id, t.command.name, t.issue_cycle,
+                           t.complete_cycle, t.response.read_data)
+                          for t in self.ip.completed],
+            "m_shell": self.m_shell.stats.summary(),
+            "outstanding": self.m_shell.outstanding,
+            "uncollected": self.m_shell.uncollected_completions,
+            "m_conn": conn(self.m_conn),
+            "s_conn": conn(self.s_conn),
+            "s_shell": self.s_shell.stats.summary(),
+            "awaiting": len(self.s_shell._awaiting_response),
+            "response_backlog": len(self.s_shell._response_backlog),
+            "memory": self.memory.stats.summary(),
+            "memory_words": self.memory.memory.words(),
+            "memory_queues": ([ready for ready, _ in self.memory._pending],
+                              len(self.memory._done)),
+            "fifos": [list(fifo._items)
+                      for channel in (self.m_channel, self.s_channel)
+                      for fifo in (channel.source_queue, channel.dest_queue)],
+        })
+
+
+#: Gaps between mover events, in ps: dense runs, the 6000 ps flit grid
+#: (every third master-port boundary), off-grid instants, and droughts long
+#: enough to fill every queue and stall every shell.
+_MOVE_GAPS = (0, 700, 1000, 2000, 2000, 3000, 4000, 6000, 6000, 6000,
+              11000, 12000, 30000, 90000)
+
+_BENCH_CYCLES = 260
+
+
+@st.composite
+def _loopback_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    moves, time_ps = [], 0
+    while time_ps < _BENCH_CYCLES * 2000:
+        time_ps += rng.choice(_MOVE_GAPS)
+        moves.append((time_ps, rng.random() < 0.5, rng.randint(1, 3)))
+    pattern = draw(st.one_of(
+        st.tuples(st.just("random"),
+                  st.sampled_from([0.02, 0.2, 1.0]),
+                  st.integers(0, 2**16), st.integers(1, 4)),
+        st.tuples(st.just("cbr"), st.integers(1, 12), st.integers(1, 4),
+                  st.booleans(), st.booleans())))
+    return dict(
+        moves=moves, pattern=pattern,
+        source_words=draw(st.integers(1, 8)),
+        dest_words=draw(st.integers(2, 8)),
+        max_pending_messages=draw(st.integers(1, 3)),
+        max_outstanding=draw(st.integers(1, 4)),
+        max_transactions=draw(st.integers(1, 40)),
+        latency=draw(st.integers(0, 5)),
+        slave_mhz=draw(st.sampled_from([500.0, 250.0, 1000 / 3.0, 200.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_loopback_cases())
+def test_port_side_matches_the_poll_oracles_cycle_by_cycle(case):
+    """Queue contents, every ``stats.summary()`` — stall spans read
+    mid-stall included — and the completion order agree after every master
+    port cycle between the polling oracles under always-tick and the
+    production classes in both regimes."""
+    reference = LoopbackBench(_POLL, False, case)
+    gated = LoopbackBench(_PRODUCTION, True, case)
+    ticking = LoopbackBench(_PRODUCTION, False, case)
+    for cycle in range(_BENCH_CYCLES):
+        for bench in (reference, gated, ticking):
+            bench.run_to_cycle(cycle)
+        expected = reference.snapshot()
+        assert gated.snapshot() == expected, cycle
+        assert ticking.snapshot() == expected, cycle

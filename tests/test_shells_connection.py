@@ -16,7 +16,9 @@ from repro.core.shells.narrowcast import AddressRange, NarrowcastShell
 from repro.core.shells.point_to_point import PointToPointShell
 from repro.protocol.messages import RequestMessage, ResponseMessage
 from repro.protocol.transactions import Command, ResponseError
+from repro.sim.clock import FAR_FUTURE, Clock, ClockedComponent, fuse_clocks
 from repro.sim.engine import Simulator
+from repro.sim.stats import Counter
 
 
 def make_port(num_channels=2, queue_words=16):
@@ -343,3 +345,165 @@ class TestMultiConnectionShell:
         run_ticks(shell, 30)
         delivered = [shell.poll() for _ in range(2)]
         assert {conn for _, conn in delivered} == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the polling shell this one replaced, kept as the reference
+# ---------------------------------------------------------------------------
+class PollConnectionShell(ConnectionShell):
+    """The connection shell this one replaced (test-only reference).
+
+    It reports ``cycle + 1`` while anything is queued in either direction,
+    so it is ticked every cycle to move at most one word, and it counts a
+    stall by adding one on every tick that finds the head word blocked.
+    :class:`ConnectionShell` must match it cycle by cycle — queue contents
+    and every counter, read at any instant — without those ticks
+    (``tests/test_shells_adapters.py`` drives the two side by side).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ctr_tx_stalls = self.stats.counters["tx_stalls"] = Counter(
+            "tx_stalls")
+
+    def next_action_cycle(self, cycle: int) -> int:
+        if self._tx_queue or self._rx_maybe:
+            return cycle + 1
+        return FAR_FUTURE
+
+    def _stream_tx(self, cycle: int) -> None:
+        budget = self.tx_words_per_cycle
+        tx_queue = self._tx_queue
+        channels = self._conn_channels
+        while budget > 0 and tx_queue:
+            conns, words = tx_queue[0]
+            if not words:
+                tx_queue.popleft()
+                continue
+            if len(conns) == 1:
+                queue = channels[conns[0]].source_queue
+                if not queue.can_push():
+                    self._ctr_tx_stalls.value += 1
+                    break
+                queue.push(words.pop(0))
+            else:
+                # A multicast message advances only when every target can
+                # accept.
+                stalled = False
+                for c in conns:
+                    if not channels[c].source_queue.can_push():
+                        stalled = True
+                        break
+                if stalled:
+                    self._ctr_tx_stalls.value += 1
+                    break
+                word = words.pop(0)
+                for c in conns:
+                    channels[c].source_queue.push(word)
+            self._ctr_tx_words.value += 1
+            budget -= 1
+            if not words:
+                tx_queue.popleft()
+                self._ctr_messages_sent.value += 1
+
+
+class StalledShellBench:
+    """One connection shell on a port clock, writing a six-word message
+    into a two-word source queue that a scripted kernel stand-in drains."""
+
+    PERIOD_PS = 2000
+
+    def __init__(self, shell_cls, idle_skip, sibling=False):
+        self.sim = Simulator()
+        # Kernel pops are events of the flit clock, created before every
+        # port clock: take its priority, schedule them at priority 0.
+        self.sim.next_clock_priority()
+        kernel = NIKernel("ni", self.sim, num_slots=8)
+        kernel.add_channel(2, 8, port_clock_period_ps=self.PERIOD_PS,
+                           cdc_cycles=0)
+        self.port = kernel.add_port("p", [0])
+        self.clock = Clock(self.sim, 500.0, name="port", idle_skip=idle_skip)
+        self.shell = shell_cls("s", self.port, role="master")
+        self.clock.add_component(self.shell)
+        self.clocks = [self.clock]
+        if sibling:
+            # A same-rate neighbour that never sleeps keeps the fused
+            # group's edge pending at every boundary.
+            neighbour = Clock(self.sim, 500.0, name="neighbour",
+                              idle_skip=idle_skip)
+            neighbour.add_component(_Busy())
+            self.clocks.append(neighbour)
+        self.pushed = []           # (cycle, word) as the kernel sees them
+        self.shell.submit(RequestMessage(command=Command.WRITE, address=0,
+                                         write_data=[1, 2, 3, 4]), conn=0)
+
+    def start(self):
+        fuse_clocks(self.clocks)
+        for clock in self.clocks:
+            clock.start()
+
+    def pop_at(self, time_ps, words=1):
+        queue = self.port.channel(0).source_queue
+        self.sim.schedule_at(time_ps, lambda: queue.pop_many(words))
+
+    def run_to_cycle(self, cycle):
+        self.sim.run(until=cycle * self.PERIOD_PS)
+
+    @property
+    def tx_stalls(self):
+        return self.shell.stats.summary()["counter.tx_stalls"]
+
+    @property
+    def tx_words(self):
+        return self.shell.stats.counter("tx_words").value
+
+
+class _Busy(ClockedComponent):
+    """Never idle: keeps its clock's edge scheduled at every boundary."""
+
+    def tick(self, cycle):
+        pass
+
+
+class TestStallsAreSpans:
+    def test_counter_read_mid_stall_equals_the_per_cycle_count(self):
+        """The shell pushes at cycles 0 and 1, then stalls on the full
+        queue.  Read at every cycle — with the stalled shell asleep — the
+        span counter returns what counting each blocked tick returns."""
+        lazy = StalledShellBench(ConnectionShell, idle_skip=True)
+        poll = StalledShellBench(PollConnectionShell, idle_skip=False)
+        for bench in (lazy, poll):
+            bench.pop_at(21 * bench.PERIOD_PS + 700)    # off the port grid
+            bench.start()
+        for cycle in range(40):
+            lazy.run_to_cycle(cycle)
+            poll.run_to_cycle(cycle)
+            assert lazy.tx_stalls == poll.tx_stalls, cycle
+            assert lazy.tx_words == poll.tx_words, cycle
+            if 2 <= cycle <= 21:
+                assert lazy.tx_stalls == cycle - 1      # cycles 2 .. cycle
+                assert lazy.clock.sleeping
+        # One stalled tick opened the span, one pop closed it (cycles 2..21
+        # stalled), then the queue filled again and the second span runs on.
+        assert lazy.tx_stalls == poll.tx_stalls == 20 + (39 - 22)
+
+    @pytest.mark.parametrize("sibling", [False, True],
+                             ids=["alone", "awake-sibling"])
+    @pytest.mark.parametrize("idle_skip", [True, False],
+                             ids=["default", "always-tick"])
+    def test_pop_coincident_with_a_port_edge_is_seen_by_that_edge(
+            self, idle_skip, sibling):
+        """A kernel pop at a flit edge that is also a port edge: the flit
+        clock was created first, so the port edge of that timestamp runs
+        after it and pushes the next word there and then — whether or not
+        a sibling keeps the fused group's edge pending."""
+        bench = StalledShellBench(ConnectionShell, idle_skip, sibling)
+        bench.pop_at(10 * bench.PERIOD_PS)              # on the port grid
+        bench.start()
+        bench.run_to_cycle(9)
+        assert bench.tx_words == 2
+        bench.run_to_cycle(10)
+        assert bench.tx_words == 3
+        assert bench.tx_stalls == 10 - 2                # cycles 2 .. 9
+        bench.run_to_cycle(30)
+        assert bench.tx_stalls == 8 + (30 - 10)         # and 11 .. 30

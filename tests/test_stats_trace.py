@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, Histogram, LatencyRecorder, RateMeter, StatsRegistry
+from repro.sim.clock import Clock, ClockedComponent
+from repro.sim.engine import Simulator
+from repro.sim.stats import (
+    Counter,
+    Histogram,
+    LatencyRecorder,
+    RateMeter,
+    SpanCounter,
+    StatsRegistry,
+)
 from repro.sim.trace import Tracer
 
 
@@ -29,6 +38,60 @@ class TestCounter:
         counter.increment(7)
         counter.reset()
         assert counter.value == 0
+
+
+class TestSpanCounter:
+    """A stall statistic that reads like a per-cycle count without the
+    per-cycle ticks: closed spans plus the open one up to now."""
+
+    def test_unclocked_owner_counts_up_to_the_last_reported_stall(self):
+        counter = SpanCounter("stalls", owner=object())
+        assert counter.value == 0 and not counter.stalled
+        for cycle in (4, 5, 6):                 # a hand-ticked harness
+            counter.stall(cycle)
+            assert counter.value == cycle - 3
+        counter.resume(7)                       # cycles 4, 5, 6 were stalled
+        assert counter.value == 3 and not counter.stalled
+        counter.stall(7)                        # moved a word, blocked again
+        assert counter.value == 4 and counter.stalled
+
+    @given(spans=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                          max_size=8))
+    def test_matches_counting_every_stalled_cycle(self, spans):
+        counter = SpanCounter("stalls", owner=object())
+        per_cycle = cycle = 0
+        for running, stalled in spans:
+            cycle += running
+            for blocked in range(cycle, cycle + stalled):
+                counter.stall(blocked)          # any subset of these ticks
+                per_cycle += 1
+                assert counter.value == per_cycle
+            cycle += stalled
+            counter.resume(cycle)
+            assert counter.value == per_cycle
+
+    def test_clocked_owner_reads_the_open_span_up_to_now(self):
+        sim = Simulator()
+        clock = Clock(sim, 500.0)
+
+        class Asleep(ClockedComponent):
+            def is_idle(self):
+                return True
+
+        owner = Asleep()
+        clock.add_component(owner)
+        registry = StatsRegistry()
+        counter = registry.span_counter("stalls", owner)
+        assert registry.span_counter("stalls", owner) is counter
+        clock.start()
+        sim.run(until=clock.edge_time(3))
+        counter.stall(3)                        # the one tick that saw it
+        assert registry.summary()["counter.stalls"] == 1
+        sim.run(until=clock.edge_time(10) + 1)  # owner idle: clock asleep
+        assert clock.sleeping
+        assert registry.summary()["counter.stalls"] == 8    # cycles 3 .. 10
+        counter.resume(12)
+        assert counter.value == 9               # cycles 3 .. 11
 
 
 class TestHistogram:
