@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command repo gate: reprolint + fast test tier + examples smoke
-# + fault / observability / tick-gating smokes.
+# + fault / observability / tick-gating / reserved-and-idle smokes.
 #
 #   scripts/check.sh        (or: make check)
 #
@@ -101,6 +101,27 @@ for name, cycles in (("saturated_grid", 150), ("saturated_dram", 300)):
     assert gated == reference, \
         f"{name}: gated run diverged from the always-tick reference"
     print(f"  {name}: {cycles} cycles byte-identical, default vs always_tick()")
+
+
+# Reserved and idle: once torus_neighbor has drained, its GT reservations
+# cost no event, and gt_slots_unused — accounted from the clock while the
+# kernels sleep — still reads what ticking for every owned slot reads.
+def idle_stretch(cycles):
+    system = scenarios.build("torus_neighbor")
+    system.run_until_idle()
+    events = system.sim.executed_events
+    system.run_flit_cycles(cycles)
+    return system.deep_fingerprint(), system.sim.executed_events - events
+
+
+gated, growth = idle_stretch(20000)
+with always_tick():
+    reference, _ = idle_stretch(20000)
+assert gated == reference, \
+    "torus_neighbor: idle stretch diverged from the always-tick reference"
+assert growth == 0, \
+    f"torus_neighbor: {growth} events executed over an idle stretch"
+print("  torus_neighbor: idle + 20000 cycles byte-identical, 0 events")
 EOF
 
 echo "check: OK"

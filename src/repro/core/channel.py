@@ -232,32 +232,30 @@ class Channel:
             return True
         return False
 
-    def potentially_active(self) -> bool:
-        """Conservative transmit-side activity predicate for idle-skip.
+    def eligible_from(self) -> Optional[int]:
+        """Time (ps) from which :meth:`eligible` holds absent new stimulus
+        (0: already, whatever the time), or None when it takes a stimulus.
 
-        Mirrors :meth:`eligible` but counts *all* queued source words
-        (``total_fill``, including words still crossing the clock-domain
-        boundary): a word that is queued but not yet synchronized will become
-        sendable purely through the passage of time, without any further
-        stimulus, so the kernel must keep ticking to observe it.  Must be
-        True whenever :meth:`eligible` is, or could become, True without a
-        new wake-triggering stimulus.
+        Mirrors :meth:`eligible` over *all* queued source words
+        (``total_fill``): a word still crossing the clock-domain boundary
+        becomes sendable purely through the passage of time, so the
+        kernel's horizon is the cycle it becomes readable.  Pure.
         """
         if not self.regs.enabled:
-            return False
-        potential = self.source_queue.total_fill
-        if self.space < potential:
-            potential = self.space
+            return None
         credits = self.credit
-        if potential <= 0 and credits <= 0:
-            return False
-        if self.flush_pending:
-            return True
-        if potential > 0 and potential >= self.regs.data_threshold:
-            return True
-        if credits > 0 and credits >= self.regs.credit_threshold:
-            return True
-        return False
+        if credits > 0 and (self.flush_pending
+                            or credits >= self.regs.credit_threshold):
+            return 0
+        need = 1 if self.flush_pending else max(1, self.regs.data_threshold)
+        if self.space < need:
+            return None
+        return self.source_queue.visible_at(need)
+
+    def potentially_active(self) -> bool:
+        """True whenever :meth:`eligible` is, or could become without a new
+        wake-triggering stimulus, True (transmit-side activity predicate)."""
+        return self.eligible_from() is not None
 
     # --------------------------------------------------------------- helpers
     @property

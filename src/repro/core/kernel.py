@@ -72,6 +72,35 @@ _UNLIMITED_BE_SPACE = 1 << 30
 DEFAULT_CDC_CYCLES = 2
 
 
+class _UnusedSlotCounter:
+    """``gt_slots_unused``: accounted from the clock, never ticked for.
+
+    A reserved slot nobody uses changes nothing but this number, so the
+    kernel sleeps through it: :attr:`value` is what the ticks counted plus
+    the owned slots of the cycles the kernel's gate skipped — settled into
+    ``counted`` by the next tick, extended to the clock's last passed edge
+    on read — so it reads the same at every instant whether or not those
+    ticks ran.
+    """
+
+    __slots__ = ("counted", "_kernel")
+    name = "gt_slots_unused"
+
+    def __init__(self, kernel: "NIKernel") -> None:
+        self.counted = 0
+        self._kernel = kernel
+
+    @property
+    def value(self) -> int:
+        kernel = self._kernel
+        clock = kernel._clock
+        if clock is None:
+            return self.counted
+        # Not ``cycle_now``: an earlier-created clock reads before this
+        # timestamp's flit edge has counted its slot.
+        return self.counted + kernel._owned_slots(clock.cycle_passed)
+
+
 class NIKernel(ClockedComponent):
     """The NI kernel: queues, scheduler, packetization and flow control."""
 
@@ -100,7 +129,9 @@ class NIKernel(ClockedComponent):
         self.from_network: Optional[Link] = None
         self._gt_flits: Deque[Flit] = deque()
         self._be_flits: Deque[Flit] = deque()
-        self._cycle = 0
+        #: Accounting cursor of ``gt_slots_unused``: the last cycle ticked
+        #: or settled (FAR_FUTURE until the first tick: nothing to settle).
+        self._cycle = FAR_FUTURE
         # ------------------------------------------------------- hot path
         # (see PERFORMANCE.md "hot path": invariants a ClockedComponent
         # author must preserve when touching any of this state)
@@ -121,7 +152,9 @@ class NIKernel(ClockedComponent):
         #: mutation, including direct ``slot_table.reserve`` calls).
         self._slot_owners: List[Optional[int]] = [None] * num_slots
         self._slot_runs: List[int] = [1] * num_slots
-        self._slot_cache_version = -1
+        #: The distinct owners, in slot order (what the horizon asks).
+        self._slot_owner_set: tuple = ()
+        self._slot_cache_version = self.slot_table.version
         # Hot counters cached as attributes: one string-keyed registry
         # lookup at construction instead of one per flit per cycle.  The
         # objects stay shared with ``self.stats``, so summaries and tests
@@ -129,7 +162,8 @@ class NIKernel(ClockedComponent):
         stats = self.stats
         self._ctr_gt_flits_sent = stats.counter("gt_flits_sent")
         self._ctr_gt_packets_sent = stats.counter("gt_packets_sent")
-        self._ctr_gt_slots_unused = stats.counter("gt_slots_unused")
+        self._ctr_gt_slots_unused = stats.counters["gt_slots_unused"] = (
+            _UnusedSlotCounter(self))
         self._ctr_be_flits_sent = stats.counter("be_flits_sent")
         self._ctr_be_packets_sent = stats.counter("be_packets_sent")
         self._ctr_be_stalls = stats.counter("be_stalls")
@@ -165,24 +199,26 @@ class NIKernel(ClockedComponent):
                           sim=self.sim,
                           source_cdc_delay_ps=cdc_cycles * self.flit_period_ps,
                           dest_cdc_delay_ps=cdc_cycles * reader_period)
-        channel.set_tx_wake(self._make_tx_wake(index))
+        channel.set_tx_wake(self._make_tx_wake(channel))
         self.channels.append(channel)
         return channel
 
-    def _make_tx_wake(self, index: int):
-        """Transmit-side wake hook for channel ``index``.
+    def _make_tx_wake(self, channel: Channel):
+        """Transmit-side wake hook for ``channel``.
 
-        Marks the channel ready for the BE scheduler scan and revives the
-        kernel's clock.  Installed as both ``Channel._tx_wake`` and the
-        source queue's ``on_push``, so every eligibility-raising stimulus
-        (words, credits, space, flush — including direct queue pokes in
-        tests) maintains the ready set.
+        Marks a BE channel ready for the scheduler scan (a GT channel is
+        found through its slots) and revives the kernel's clock.  Installed
+        as both ``Channel._tx_wake`` and the source queue's ``on_push``, so
+        every eligibility-raising stimulus (words, credits, space, flush —
+        including direct queue pokes in tests) maintains the ready set.
         """
         be_ready = self._be_ready
         notify = self.notify_active
+        index, regs = channel.index, channel.regs
 
         def wake() -> None:
-            be_ready[index] = None
+            if not regs.gt:
+                be_ready[index] = None
             notify()
 
         return wake
@@ -239,52 +275,40 @@ class NIKernel(ClockedComponent):
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:
+        if cycle - self._cycle > 1 and self._clock is not None:
+            # The gate skipped cycles (a kernel ticked by hand skips none).
+            self._ctr_gt_slots_unused.counted += self._owned_slots(cycle - 1)
         self._cycle = cycle
         self._receive(cycle)
         self._transmit(cycle)
 
     def is_idle(self) -> bool:
-        """Activity predicate for idle-skip (see PERFORMANCE.md).
-
-        The kernel is busy while it has partially transmitted packets, flits
-        arriving from the network, any channel that is (or can become without
-        new stimulus) schedulable — or any reserved TDM slot: an unused
-        reserved slot is *observed* every cycle (the ``gt_slots_unused``
-        counter), so a kernel with reservations must keep ticking to match
-        always-tick statistics exactly.
-        """
-        if self._gt_flits or self._be_flits:
-            return False
-        if self.slot_table.has_reservations:
-            return False
-        from_network = self.from_network
-        if from_network is not None and from_network.occupancy:
-            return False
-        for channel in self.channels:
-            if channel.potentially_active():
-                return False
-        return True
+        """Activity predicate for idle-skip (see PERFORMANCE.md): the
+        horizon is FAR_FUTURE.  A reservation nobody can use does not keep
+        the kernel awake (``gt_slots_unused`` is accounted, not ticked
+        for); what wakes it is listed at :meth:`next_action_cycle`."""
+        return self.next_action_cycle(0) == FAR_FUTURE
 
     def next_action_cycle(self, cycle: int) -> int:
         """Next-action horizon — the TDMA frame macro-stepping rule.
 
-        With a static slot table and a quiescent best-effort side, the only
-        cycles a tick can change state are those whose TDM slot is *owned*:
-        an owned slot either transmits or bumps ``gt_slots_unused`` — both
-        observable — while an unowned slot with nothing pending is a proven
-        no-op.  Scanning the cached slot->owner list for the next owned
-        slot therefore steps whole slot-table revolutions in one edge (one
-        per reservation run), which is the analytic macro-step.
+        Dense only while a tick moves something every cycle: continuation
+        flits to send (``be_stalls`` is per-tick), a flit in flight on
+        ``from_network``, or a stale slot cache (purity forbids refreshing
+        it here, and neither the horizon nor the ``gt_slots_unused``
+        accounting may read stale owners).  Otherwise the kernel acts at
+        the first cycle at which time alone makes a channel schedulable: a
+        ready BE channel when :meth:`Channel.eligible_from` is reached, a
+        reservation at the next slot whose owner is GT and has reached it.
+        Reserved slots nobody can use are skipped, not visited — whole
+        revolutions of them, to FAR_FUTURE when every owner is idle.
 
-        Exactness notes (why each branch is dense):
-
-        * flits in flight on ``from_network`` — receive work happens every
-          tick;
-        * a stale slot cache — purity forbids refreshing it here, and the
-          horizon must not be computed from stale owners;
-        * continuation flits or a non-empty BE ready overlay — per-flit
-          sends, BE arbitration and ``be_stalls``/CDC-visibility polling
-          all happen cycle by cycle.
+        Everything else takes a stimulus, and each one notifies: a word
+        pushed into a source queue (``on_push``), ``Channel.add_space`` /
+        ``add_credit`` / ``request_flush`` (the tx-wake closure),
+        :meth:`write_register`, and a flit offered on ``from_network``
+        (``Link.send`` notifies the ``LinkCommit``, which arms the sink
+        for the edge after it stages the flit).
         """
         link = self.from_network
         if link is not None and (
@@ -293,36 +317,53 @@ class NIKernel(ClockedComponent):
         if self._slot_cache_version != self.slot_table.version:
             return cycle + 1
         nxt = cycle + 1
-        if self._gt_flits or self._be_flits or self._be_ready:
+        if self._gt_flits or self._be_flits:
             return nxt
+        horizon = FAR_FUTURE
+        channels = self.channels
+        clock = self._clock
+        # Times up to the next edge need no conversion (all of them while
+        # unclocked: the horizon is then the next slot that has data).
+        nxt_ps = FAR_FUTURE if clock is None else clock.edge_time(nxt)
+        for index in self._be_ready:
+            channel = channels[index]
+            ready = None if channel.regs.gt else channel.eligible_from()
+            if ready is not None:
+                if ready <= nxt_ps:
+                    return nxt
+                horizon = min(horizon, clock.cycle_at(ready))
         owners = self._slot_owners
         num_slots = self.num_slots
-        for offset in range(num_slots):
-            c = nxt + offset
-            if owners[c % num_slots] is not None:
-                return c
-        return FAR_FUTURE
+        for owner in self._slot_owner_set:
+            channel = channels[owner]
+            ready = channel.eligible_from() if channel.regs.gt else None
+            if ready is not None:
+                # Its first owned slot from the edge at which it can send.
+                c = nxt if ready <= nxt_ps else clock.cycle_at(ready)
+                while c < horizon and owners[c % num_slots] != owner:
+                    c += 1
+                horizon = min(horizon, c)
+        return horizon
 
-    def is_quiescent(self) -> bool:
-        """True when ticking only *observes* state (no data in flight).
+    def _owned_slots(self, through: int) -> int:
+        """Owned slots of the cycles after the accounting cursor up to
+        ``through`` — the ``gt_slots_unused`` of cycles the gate skipped.
 
-        Weaker than :meth:`is_idle`: a kernel holding GT slot reservations
-        is never idle (the ``gt_slots_unused`` counter must be sampled every
-        cycle to match always-tick statistics), but once no flit, word or
-        credit is in flight anywhere near it, further ticks change nothing a
-        workload can see.  ``SystemModel.run_until_idle`` uses this to stop
-        GT systems, whose event queue never drains, without polling
-        overshoot.
+        Every skipped cycle with an owned slot had an unused one (the
+        horizon stops at any slot that could be used), and the cached
+        owners are the table all of them were slept under: a gap never
+        starts on a stale cache, and a register write during the gap only
+        stales it — the cache is replaced by this kernel's next tick,
+        after that tick has accounted the gap.
         """
-        if self._gt_flits or self._be_flits:
-            return False
-        from_network = self.from_network
-        if from_network is not None and from_network.occupancy:
-            return False
-        for channel in self.channels:
-            if channel.potentially_active():
-                return False
-        return True
+        revolutions, rest = divmod(through - self._cycle, self.num_slots)
+        if revolutions < 0:
+            return 0
+        owners = self._slot_owners
+        first = (self._cycle + 1) % self.num_slots
+        partial = (owners + owners)[first:first + rest]
+        return (revolutions * (self.num_slots - owners.count(None))
+                + rest - partial.count(None))
 
     # --------------------------------------------------------------- receive
     def _receive(self, cycle: int) -> None:
@@ -344,14 +385,13 @@ class NIKernel(ClockedComponent):
                 channel.add_space(credits)
                 self._ctr_credits_received.value += credits
         words = self._flit_payload(flit)
-        for word in words:
-            if not channel.dest_queue.can_push():
+        if words:
+            if not channel.dest_queue.can_push(len(words)):
                 raise FlowControlError(
                     f"{self.name}: destination queue of channel {qid} overflowed "
                     f"(end-to-end flow control violated)")
             # dest_queue.on_push wakes the IP-side reader's clock domain.
-            channel.dest_queue.push(word)
-        if words:
+            channel.dest_queue.push_many(words)
             self._ctr_words_received.value += len(words)
             channel._ctr_words_received.value += len(words)
             if packet.poisoned:
@@ -406,7 +446,7 @@ class NIKernel(ClockedComponent):
         channel = self.channels[owner]
         if not channel.regs.gt or not channel.eligible():
             # The reserved slot goes unused by GT; BE may claim it.
-            self._ctr_gt_slots_unused.value += 1
+            self._ctr_gt_slots_unused.counted += 1
             return False
         run = self._slot_runs[slot]
         packet = self._form_packet(channel, gt=True, cycle=cycle,
@@ -437,8 +477,8 @@ class NIKernel(ClockedComponent):
         for index in ready:
             channel = channels[index]
             if channel.regs.gt:
-                # GT channels drift in through the shared wake hooks; they
-                # are never BE-schedulable, so drop them from the overlay.
+                # GT channels drift in through register writes (and BE->GT
+                # flips); they are never BE-schedulable, so drop them.
                 if stale is None:
                     stale = []
                 stale.append(index)
@@ -479,6 +519,8 @@ class NIKernel(ClockedComponent):
         owners, runs = self.slot_table.owner_runs()
         self._slot_owners = owners
         self._slot_runs[:] = runs
+        self._slot_owner_set = tuple(dict.fromkeys(
+            owner for owner in owners if owner is not None))
         self._slot_cache_version = self.slot_table.version
 
     def _form_packet(self, channel: Channel, gt: bool, cycle: int,

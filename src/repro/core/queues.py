@@ -93,12 +93,25 @@ class HardwareFifo:
             self.on_push()
 
     def push_many(self, words: List[int]) -> None:
-        if not self.can_push(len(words)):
+        """Push ``words`` in one pass: all of them or, on overflow, none."""
+        items = self._items
+        if len(items) + len(words) > self.capacity:
             raise QueueError(
                 f"fifo {self.name}: cannot push {len(words)} words "
                 f"({self.space} free)")
-        for word in words:
-            self.push(word)
+        if not words:
+            return
+        now = self._now()
+        visible_at = now + self.cdc_delay_ps
+        items.extend([(visible_at, int(word)) for word in words])
+        if visible_at <= now:
+            self._sync_count = len(items)
+            self._sync_time = now
+        self.total_pushed += len(words)
+        if len(items) > self.max_fill_seen:
+            self.max_fill_seen = len(items)
+        if self.on_push is not None:
+            self.on_push()
 
     # --------------------------------------------------------------- reading
     @property
@@ -118,11 +131,13 @@ class HardwareFifo:
     def can_pop(self, count: int = 1) -> bool:
         return self.fill >= count
 
-    def head_visible_at(self) -> Optional[int]:
-        """Time (ps) from which the oldest word is readable; None when the
-        FIFO is empty.  A reader with nothing visible yet needs no stimulus
-        to see that word, only this much time."""
-        return self._items[0][0] if self._items else None
+    def visible_at(self, count: int = 1) -> Optional[int]:
+        """Time (ps) from which ``count`` words are readable; None when
+        fewer are queued.  A reader waiting for words already pushed needs
+        no stimulus to see them, only this much time.  Pure — unlike
+        :attr:`fill`, which memoizes."""
+        items = self._items
+        return items[count - 1][0] if len(items) >= count else None
 
     def peek(self) -> int:
         if not self.can_pop():

@@ -256,7 +256,7 @@ class ConnectionShell(ClockedComponent):
         channels = self._conn_channels
         visible_at = None
         for conn in conns:
-            head = channels[conn].dest_queue.head_visible_at()
+            head = channels[conn].dest_queue.visible_at()
             if head is not None and (visible_at is None or head < visible_at):
                 visible_at = head
         if visible_at is None:
@@ -264,8 +264,7 @@ class ConnectionShell(ClockedComponent):
         clock = self._clock
         if clock is None:
             return cycle + 1
-        # First edge at or after the visibility time (ceiling division).
-        visible = -((clock.epoch_ps - visible_at) // clock.period_ps)
+        visible = clock.cycle_at(visible_at)
         return visible if visible > cycle else cycle + 1
 
     # -------------------------------------------------------------- internal

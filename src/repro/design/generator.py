@@ -83,14 +83,12 @@ class SystemModel:
     def functionally_idle(self) -> bool:
         """True when no component can change workload-visible state.
 
-        Every component is idle — except NI kernels holding GT slot
-        reservations, which by contract tick forever to sample
-        ``gt_slots_unused``; those count as done once quiescent (nothing in
-        flight, see ``NIKernel.is_quiescent``).  Components are scanned even
-        on sleeping clocks: a clock sleeps whenever no component will act
-        *on its own* (a master blocked on a response is non-idle yet has a
-        far-future horizon), so "asleep" does not imply "every component
-        idle".
+        Every component is idle, or busy for observation only and reports
+        itself quiescent (the ``obs`` sampler).  Components are scanned
+        even on sleeping clocks: a clock sleeps whenever no component will
+        act *on its own* (a master blocked on a response is non-idle yet
+        has a far-future horizon), so "asleep" does not imply "every
+        component idle".
         """
         clocks = [self.noc.flit_clock, *self.port_clocks.values()]
         for clock in clocks:
@@ -108,8 +106,8 @@ class SystemModel:
 
         "Idle" is engine-level: the event queue drained (every
         activity-driven clock went to sleep), the system became
-        :meth:`functionally_idle` (GT systems keep a reservation-sampling
-        tick alive forever, so their queue never drains), or the optional
+        :meth:`functionally_idle` (what stops an always-tick or an observed
+        system, whose clocks reschedule regardless), or the optional
         ``predicate`` returned True between event timestamps.  This replaces
         the seed-era pattern of polling a done-flag in 50-cycle chunks,
         which overshot completion by up to a chunk.  ``max_flit_cycles``

@@ -53,7 +53,7 @@ class FaultInjector(ClockedComponent):
         depend on cancels them — reroutes go through
         ``NIKernel.write_register`` (which notifies), while link
         fail/lossy flags only affect traffic that arrives via ``send``
-        (which un-gates the sink itself).
+        (whose commit arms the sink itself).
         """
         if self._next >= len(self._events):
             return FAR_FUTURE

@@ -49,9 +49,10 @@ class LinkCommit(ClockedComponent):
 
     Sits on the flit clock after the routers and before the NI kernels.
     Wake-protocol contract (PERFORMANCE.md): :meth:`Link.send` notifies
-    *this* component, and it reports busy (and a dense horizon) exactly while
-    some link holds a flit in either register, so the clock stays awake
-    until every flit is staged and its sink has consumed it.
+    *this* component, it arms a gated sink for the edge after it staged the
+    flit, and it reports busy (and a dense horizon) exactly while some link
+    holds a flit in either register, so the clock stays awake until every
+    flit is staged and its sink has consumed it.
     """
 
     def __init__(self) -> None:
@@ -83,6 +84,7 @@ class LinkCommit(ClockedComponent):
             del staged[undrained:]
         dirty = self._dirty
         if dirty:
+            nxt = cycle + 1
             for link in dirty:
                 if link._stage is not None:
                     # The sink failed to drain the previous flit.  GT flits
@@ -93,6 +95,17 @@ class LinkCommit(ClockedComponent):
                         f"{link._stage!r}")
                 link._stage = link._incoming
                 link._incoming = None
+                # Tick gating: the sink may hold a standing next-action
+                # gate computed while this wire was empty, and only the
+                # link knows the sink to tell.  The flit is readable from
+                # the next edge, so that is the edge the sink is armed for
+                # — not this one, where it would find the stage empty.
+                sink = link._sink
+                if link._sink_clocked and sink._gate_until:
+                    if sink._clock is not self._clock:
+                        sink.notify_active()
+                    elif sink._gate_until > nxt:
+                        sink._gate_until = nxt
             staged.extend(dirty)
             dirty.clear()
 
@@ -196,14 +209,10 @@ class Link:
                 meter._buckets[index] = 1
             meter.total += 1
         # Wake-up protocol contract: the commit component shares the sink's
-        # clock and stays busy until the flit is staged and consumed.
+        # clock and stays busy until the flit is staged and consumed; it
+        # tells the sink when it stages the flit.
         commit._dirty.append(self)
         commit.notify_active()
-        # Tick gating: the sink may hold a standing next-action gate
-        # computed while this wire was empty; a flit in flight invalidates
-        # it, and only the link knows the sink to tell.
-        if self._sink_clocked and self._sink._gate_until:
-            self._sink.notify_active()
 
     # ---------------------------------------------------------------- faults
     @property

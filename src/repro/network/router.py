@@ -188,7 +188,7 @@ class Router(ClockedComponent):
         ``cycle + 1`` is attempted — the win is the FAR claim for the empty
         router, which lets a saturated run gate the routers a flow does not
         cross.  In-flight flits are covered by the in-link scan plus the
-        sender-side un-gate in :meth:`Link.send`.
+        ``LinkCommit`` arming the sink as it stages them.
         """
         if self._gt_buffered or self._be_buffered:
             return cycle + 1

@@ -75,11 +75,10 @@ The rules that make gating a pure optimization (byte-identical results):
   had already run and observed the pre-stimulus state (creation-order
   priorities make both see stimulus strictly after).
 
-TDMA frame macro-stepping falls out of this layer: an NI kernel whose slot
-table is static and whose best-effort ready-set is empty reports the next
-*owned* slot as its horizon, so GT-only quiescent-BE phases execute one
-kernel event per slot-table revolution per reservation run (see
-``NIKernel.next_action_cycle`` and PERFORMANCE.md).
+TDMA frame macro-stepping falls out of this layer: an NI kernel reports
+the next slot whose owner has something to send as its horizon — none, and
+it sleeps — so a reservation costs events while it carries data, not while
+it is idle (see ``NIKernel.next_action_cycle`` and PERFORMANCE.md).
 
 One scheduler, two regimes
 --------------------------
@@ -302,6 +301,16 @@ class Clock:
         return (self.sim.now - self._epoch) // self.period_ps
 
     @property
+    def cycle_passed(self) -> int:
+        """Latest edge instant executed or skipped (-1 before
+        :meth:`start`): :attr:`cycle_now`, less one while this clock's edge
+        of the current timestamp is still to come — a read from an
+        earlier-created clock's tick."""
+        if not self._started:
+            return -1
+        return self._group._next_cycle(self.sim.now) - 1
+
+    @property
     def epoch_ps(self) -> int:
         """Time of edge 0 (valid once the clock has started)."""
         return self._epoch
@@ -330,6 +339,11 @@ class Clock:
     def edge_time(self, index: int) -> int:
         """Absolute time of edge ``index`` (the clock must have started)."""
         return self._epoch + index * self.period_ps
+
+    def cycle_at(self, time_ps: int) -> int:
+        """Index of the first edge at or after ``time_ps`` (the inverse of
+        :meth:`edge_time`, rounding up)."""
+        return -((self._epoch - time_ps) // self.period_ps)
 
     # --------------------------------------------------------------- running
     def start(self) -> None:
@@ -486,17 +500,23 @@ class ClockGroup:
         else:
             self.sim._push(time, self._tick_priority, self._edge)
 
-    def _wake(self, now: int) -> None:
-        """Member wake: fire at the first boundary the always-tick schedule
-        would still run — strictly after ``now``, or ``now`` itself when it
-        is a boundary and the waking event precedes this group's edge
-        within the timestamp (an earlier-created clock's tick)."""
+    def _next_cycle(self, now: int) -> int:
+        """First cycle the always-tick schedule would still run: the
+        boundary strictly after ``now``, or ``now`` itself when it is a
+        boundary and the running event precedes this group's edge within
+        the timestamp (an earlier-created clock's tick).  Every cycle
+        before it has passed — executed or skipped."""
         cycle, offset = divmod(now - self._epoch, self.period_ps)
         priority = self.sim._priority
         if (offset or priority is None or priority >= self._tick_priority
                 or cycle == self._cycle):
             cycle += 1
-        self._schedule(self._epoch + cycle * self.period_ps)
+        return cycle
+
+    def _wake(self, now: int) -> None:
+        """Member wake: fire at the first boundary the always-tick schedule
+        would still run."""
+        self._schedule(self._epoch + self._next_cycle(now) * self.period_ps)
 
     def _edge(self) -> None:
         now = self.sim.now
@@ -517,8 +537,11 @@ class ClockGroup:
                 if component._gate_until > cycle:
                     continue
                 component.tick(cycle)
-            if member._post_tick_components:
-                commit = True
+            for component in member._post_tick_components:
+                # Due like a tick is: its gate expired, or a tick above
+                # cancelled it (``Link.send`` does, for the ``LinkCommit``).
+                if component._gate_until <= cycle:
+                    commit = True
         if commit:
             self.sim._push(now, self._commit_priority, self._commit_edge)
         else:

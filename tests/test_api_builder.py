@@ -60,7 +60,7 @@ class TestFluentBuild:
         assert ("mem", 0) in info.slot_assignment  # response direction
 
     def test_run_until_idle_stops_gt_systems(self):
-        """GT kernels tick forever (slot sampling); idleness must still stop."""
+        """Idle reservations cost no events: a GT system drains and stops."""
         system = build_p2p(gt=True, slots=2)
         system.master("cpu").issue(Transaction.write(0x0, [9, 9]))
         cycles = system.run_until_idle(max_flit_cycles=50000)

@@ -43,6 +43,33 @@ class TestBasicFifo:
         with pytest.raises(QueueError):
             fifo.push_many([3, 4])
 
+    def test_push_many_is_one_pass_and_all_or_nothing(self):
+        """One stamp, one hook call and the same bookkeeping as word-by-word
+        pushes; on overflow nothing is deposited and nobody is woken."""
+        sim = Simulator()
+        hooks = []
+        many, single = (HardwareFifo(4, sim=sim, cdc_delay_ps=300)
+                        for _ in range(2))
+        many.on_push = lambda: hooks.append(sim.now)
+        sim.run(until=1000)
+        many.push_many([1, True, 3])
+        for word in (1, 1, 3):
+            single.push(word)
+        assert hooks == [1000]
+        assert list(many._items) == list(single._items) == [
+            (1300, 1), (1300, 1), (1300, 3)]
+        for fifo in (many, single):
+            assert (fifo.total_pushed, fifo.max_fill_seen, fifo.fill) == (
+                3, 3, 0)
+        with pytest.raises(QueueError):
+            many.push_many([4, 5])
+        many.push_many([])
+        assert many.total_fill == 3 and hooks == [1000]
+        assert many.visible_at() == many.visible_at(3) == 1300
+        assert many.visible_at(4) is None
+        sim.run(until=1300)
+        assert many.fill == 3
+
     def test_pop_many_returns_at_most_available(self):
         fifo = HardwareFifo(4)
         fifo.push_many([1, 2, 3])

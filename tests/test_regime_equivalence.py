@@ -56,3 +56,43 @@ def test_regimes_are_byte_identical(name):
     default = run_fingerprint(name, cycles)
     with always_tick():
         assert run_fingerprint(name, cycles) == default
+
+
+#: The stop-time column: where ``System.run_until_idle`` leaves ``sim.now``
+#: (ps), per scenario and in both regimes — unchanged since the time a
+#: reserved TDM slot kept its kernel ticking and ``functionally_idle`` had
+#: to cut GT scenarios off.  A scenario not listed never goes idle and runs
+#: into its bound.
+_STOP_PS = {
+    "config_system": 228_000, "dram_hotspot": 2_382_000,
+    "dram_scheduler_mix": 1_950_000, "gt_degraded": 1_686_000,
+    "hotspot": 2_376_000, "idle_mesh": 0, "irregular_soc": 696_000,
+    "link_failure_reroute": 2_580_000, "multicast": 870_000,
+    "narrowcast": 0, "obs_tour": 7_386_000, "random_system": 1_044_000,
+    "ring": 2_730_000, "torus_neighbor": 786_000,
+    "transient_storm": 4_824_000, "tree_hotspot": 1_314_000,
+    "video_pipeline_dram": 2_394_000,
+}
+
+
+@pytest.mark.parametrize("name", _params())
+def test_run_until_idle_stops_at_the_same_instant_in_both_regimes(name):
+    bound = 1500 if name in _STOP_PS else 300
+
+    def stop():
+        system = scenarios.build(name)
+        cycles = system.run_until_idle(max_flit_cycles=bound)
+        return system, cycles
+
+    system, cycles = stop()
+    period = system.noc.flit_clock.period_ps
+    expected_ps = _STOP_PS.get(name, bound * period)
+    assert (cycles, system.sim.now) == (-(-expected_ps // period), expected_ps)
+    if name in _STOP_PS and system.obs is None and system.sim.now:
+        # Idle means drained, reservations or not: only an observed system
+        # (its sampler falls due by cycle count alone) is cut off instead.
+        assert system.sim.pending_events() == 0
+    with always_tick():
+        reference, reference_cycles = stop()
+    assert (reference_cycles, reference.sim.now) == (cycles, system.sim.now)
+    assert reference.deep_fingerprint() == system.deep_fingerprint()
