@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-all bench bench-quick check examples lint
+.PHONY: test test-all bench bench-quick census check examples lint
 
 test:            ## fast test tier (tier-1 minus slow; includes the E1-E14 benchmarks)
 	$(PYTHON) -m pytest -q -m "not slow"
@@ -23,6 +23,9 @@ bench:           ## the performance ledger of BENCHMARK.json (~4 min, all five w
 
 bench-quick:     ## ledger smoke: every workload and metric in a few seconds
 	$(PYTHON) benchmarks/ledger/run.py --smoke
+
+census:          ## Python calls + bytecodes per flit cycle on dense_grid (exact, ~10 s)
+	$(PYTHON) scripts/census.py --ledger dense_grid --segments 2 --bytecodes
 
 check:           ## lint + fast tests + examples + fault/obs/tick-gating smokes (CI gate)
 	bash scripts/check.sh

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command repo gate: reprolint + fast test tier + examples smoke
-# + fault / observability / tick-gating / reserved-and-idle smokes.
+# + fault / observability / tick-gating / reserved-and-idle / census smokes.
 #
 #   scripts/check.sh        (or: make check)
 #
@@ -123,5 +123,8 @@ assert growth == 0, \
     f"torus_neighbor: {growth} events executed over an idle stretch"
 print("  torus_neighbor: idle + 20000 cycles byte-identical, 0 events")
 EOF
+
+echo "== census smoke (the call/bytecode counter behind PERFORMANCE.md) =="
+python scripts/census.py --scenario saturated_grid --cycles 50 --top 5
 
 echo "check: OK"

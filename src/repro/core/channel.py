@@ -220,7 +220,7 @@ class Channel:
         """True when the scheduler may select this channel (Section 4.1)."""
         if not self.regs.enabled:
             return False
-        sendable = self.sendable
+        sendable = min(self.source_queue.fill, self.space)  # self.sendable
         credits = self.credit
         if sendable <= 0 and credits <= 0:
             return False

@@ -280,7 +280,10 @@ class NIKernel(ClockedComponent):
             self._ctr_gt_slots_unused.counted += self._owned_slots(cycle - 1)
         self._cycle = cycle
         self._receive(cycle)
-        self._transmit(cycle)
+        # GT owns its slot; best effort takes the slots GT leaves unused.
+        if self.to_network is not None and not self._transmit_gt(
+                cycle, cycle % self.num_slots):
+            self._transmit_be(cycle)
 
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip (see PERFORMANCE.md): the
@@ -370,9 +373,10 @@ class NIKernel(ClockedComponent):
         link = self.from_network
         if link is None:
             return
-        flit = link.take()
+        flit = link._stage      # Link.take(), inlined
         if flit is None:
             return
+        link._stage = None
         packet = flit.packet
         qid = packet.header.remote_qid
         if qid >= len(self.channels):
@@ -423,14 +427,6 @@ class NIKernel(ClockedComponent):
         return payload[base:base + flit.num_words]
 
     # -------------------------------------------------------------- transmit
-    def _transmit(self, cycle: int) -> None:
-        if self.to_network is None:
-            return
-        slot = cycle % self.num_slots
-        if self._transmit_gt(cycle, slot):
-            return
-        self._transmit_be(cycle)
-
     def _transmit_gt(self, cycle: int, slot: int) -> bool:
         # Continue an in-flight GT packet: its length was bounded by the
         # consecutive slots reserved for the channel, so the slot is ours.
@@ -530,31 +526,35 @@ class NIKernel(ClockedComponent):
         "Once a queue is selected, a packet containing the largest possible
         amount of credits and data will be produced." (Section 4.1)
         """
-        payload_words = min(channel.sendable, max_payload)
-        payload = channel.source_queue.pop_many(payload_words)
-        channel.consume_space(len(payload))
+        # The sendable words: pop_many caps at the visible fill itself.
+        payload = channel.source_queue.pop_many(
+            min(channel.space, max_payload))
+        words = len(payload)
+        channel.consume_space(words)
         credits = channel.take_credits(MAX_HEADER_CREDITS)
+        flush = channel.flush_pending
         header = PacketHeader(path=channel.regs.path,
                               remote_qid=channel.regs.remote_qid,
                               credits=credits,
                               is_gt=gt,
-                              flush=channel.flush_pending,
+                              flush=flush,
                               channel_key=(self.name, channel.index))
         packet = Packet(header, payload, injected_cycle=cycle)
-        channel.note_words_sent(len(payload))
-        channel._ctr_words_sent.value += len(payload)
+        if flush:
+            channel.note_words_sent(words)
+        channel._ctr_words_sent.value += words
         channel._ctr_packets_sent.value += 1
         channel._ctr_credits_sent.value += credits
-        self._ctr_words_sent.value += len(payload)
+        self._ctr_words_sent.value += words
         self._ctr_credits_sent.value += credits
         if not payload:
             self._ctr_credit_only_packets.value += 1
-        self._hist_payload_words.add(len(payload))
+        self._hist_payload_words.add(words)
         if self.tracer.enabled:
             self.tracer.record(self.sim.now, self.name, "packet_formed",
                                packet=packet.packet_id,
                                channel=channel.index, gt=gt,
-                               words=len(payload), credits=credits)
+                               words=words, credits=credits)
         return packet
 
     # ------------------------------------------------------------ registers

@@ -35,6 +35,8 @@ class HardwareFifo:
             raise QueueError(f"fifo {name}: negative CDC delay")
         self.name = name
         self.capacity = capacity_words
+        #: Time source (None: unclocked, time stands at 0).  Read as
+        #: ``sim._now`` — per word, the ``now`` property is a call too many.
         self.sim = sim
         self.cdc_delay_ps = cdc_delay_ps
         self._items: Deque[Tuple[int, int]] = deque()  # (visible_at_ps, word)
@@ -58,10 +60,6 @@ class HardwareFifo:
         #: this is where a writer stalled on a full queue is woken.
         self.on_pop: Optional[Callable[[], None]] = None
 
-    # ------------------------------------------------------------------ time
-    def _now(self) -> int:
-        return self.sim.now if self.sim is not None else 0
-
     # --------------------------------------------------------------- writing
     @property
     def total_fill(self) -> int:
@@ -78,7 +76,8 @@ class HardwareFifo:
     def push(self, word: int) -> None:
         if not self.can_push():
             raise QueueError(f"fifo {self.name}: overflow (capacity {self.capacity})")
-        now = self._now()
+        sim = self.sim
+        now = sim._now if sim is not None else 0
         visible_at = now + self.cdc_delay_ps
         self._items.append((visible_at, int(word)))
         if visible_at <= now:
@@ -101,7 +100,8 @@ class HardwareFifo:
                 f"({self.space} free)")
         if not words:
             return
-        now = self._now()
+        sim = self.sim
+        now = sim._now if sim is not None else 0
         visible_at = now + self.cdc_delay_ps
         items.extend([(visible_at, int(word)) for word in words])
         if visible_at <= now:
@@ -117,7 +117,8 @@ class HardwareFifo:
     @property
     def fill(self) -> int:
         """Words visible to the reader (synchronized across the clock boundary)."""
-        now = self._now()
+        sim = self.sim
+        now = sim._now if sim is not None else 0
         count = self._sync_count
         if now != self._sync_time:
             items = self._items

@@ -196,23 +196,26 @@ class Link:
         else:
             self.be_flits_carried += 1
         commit = self.commit
+        clock = commit._clock
         meter = self.meter
-        if meter is not None and commit._clock is not None:
-            # Inlined WindowedRate.add — this runs once per flit on every
-            # link, and the method call was measurable.
-            cycle = commit._clock.cycle_now
-            index = cycle % meter.window
-            if meter._stamps[index] == cycle:
-                meter._buckets[index] += 1
-            else:
-                meter._stamps[index] = cycle
-                meter._buckets[index] = 1
+        if meter is not None and clock is not None:
+            # WindowedRate.add and Clock.cycle_now, inlined.  The meter's
+            # one-item-per-cycle premise is this link's own rule: a second
+            # flit before the next commit raised above.
+            meter._cycles.append(
+                (clock.sim._now - clock._epoch) // clock.period_ps)
             meter.total += 1
         # Wake-up protocol contract: the commit component shares the sink's
         # clock and stays busy until the flit is staged and consumed; it
-        # tells the sink when it stages the flit.
-        commit._dirty.append(self)
-        commit.notify_active()
+        # tells the sink when it stages the flit.  Only the first offer
+        # since the last commit has anything to wake (notify_active,
+        # inlined): the commit stays due until it has emptied this list.
+        dirty = commit._dirty
+        if not dirty:
+            commit._gate_until = 0
+            if clock is not None and (clock._sleeping or clock._gated):
+                clock.wake()
+        dirty.append(self)
 
     # ---------------------------------------------------------------- faults
     @property

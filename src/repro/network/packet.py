@@ -174,14 +174,15 @@ def packet_to_flits(packet: Packet) -> List[Flit]:
     words; body flits carry up to ``FLIT_WORDS`` payload words.
     """
     flits: List[Flit] = []
-    words_remaining = packet.total_words
+    words_remaining = 1 + len(packet.payload)       # packet.total_words
+    is_gt = packet.header.is_gt
     index = 0
     while words_remaining > 0:
         words = min(FLIT_WORDS, words_remaining)
         words_remaining -= words
         flits.append(Flit(packet=packet, index=index,
                           is_head=(index == 0), is_tail=False,
-                          is_gt=packet.header.is_gt, num_words=words))
+                          is_gt=is_gt, num_words=words))
         index += 1
     if not flits:
         raise PacketError("packet produced no flits")

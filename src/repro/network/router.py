@@ -94,7 +94,12 @@ class Router(ClockedComponent):
         self._gt_first_port = [0] * num_ports
         self._gt_conflict_stamp = [-1] * num_ports
         self._tick_stamp = 0
-        #: Scratch: desired output of each input's BE queue head this cycle.
+        #: Request registers: the output each input's BE queue head wants —
+        #: its wormhole's output for a body flit, its route's next hop for
+        #: a head flit, -1 for an empty queue or a head behind its input's
+        #: still-open wormhole.  Latched when a flit *becomes* head — on
+        #: arrival into an empty queue (``tick``) and after each pop
+        #: (``_send_be``) — never re-derived per tick.
         self._be_desired: List[Optional[int]] = [-1] * num_ports
         # Hot counters cached as attributes (one registry lookup at
         # construction, not one per flit); shared with ``self.stats``.
@@ -156,20 +161,46 @@ class Router(ClockedComponent):
                 if self.slot_table is not None:
                     self._check_slot_reservation(port, flit, cycle)
             else:
-                if len(state.be_queue) >= self.be_buffer_flits:
+                queue = state.be_queue
+                if len(queue) >= self.be_buffer_flits:
                     raise BufferOverflowError(
                         f"router {self.name}: BE buffer overflow at input {port}")
-                state.be_queue.append(flit)
+                queue.append(flit)
                 self._be_buffered += 1
                 self._ctr_be_flits_in.value += 1
+                if len(queue) == 1:
+                    # Head on arrival: latch its request (the other
+                    # latch, same rule, is at the pop in _send_be).
+                    if not flit.is_head:
+                        self._be_desired[port] = state.be_active_output
+                    elif state.be_active_output is None:
+                        packet = flit.packet
+                        try:
+                            self._be_desired[port] = (
+                                packet.header.path[packet._route_pos])
+                        except IndexError:
+                            packet.peek_route()     # raises PacketError
         # One stamp per cycle: claims from earlier cycles never leak into
         # this cycle's BE availability checks, even when the GT pass is
         # skipped outright.
         self._tick_stamp += 1
-        if self._gt_buffered:
+        gt_buffered = self._gt_buffered
+        be_buffered = self._be_buffered
+        if gt_buffered:
             self._forward_gt(cycle)
-        if self._be_buffered:
+        if be_buffered:
             self._forward_be(cycle)
+        # Every pop is counted, so the flits this tick sent are what left
+        # the buffers: the rate meter is fed once per tick, not per flit
+        # (RateMeter.add(cycle, sent), inlined).
+        sent = (gt_buffered + be_buffered
+                - self._gt_buffered - self._be_buffered)
+        if sent:
+            rate = self._rate_flits_out
+            if rate._first_cycle is None:
+                rate._first_cycle = cycle
+            rate._last_cycle = cycle
+            rate.items += sent
 
     def is_idle(self) -> bool:
         """Idle when no flit is buffered at any input.
@@ -237,7 +268,11 @@ class Router(ClockedComponent):
                 continue
             flit = state.gt_queue[0]
             if flit.is_head:
-                output = flit.packet.peek_route()
+                packet = flit.packet
+                try:
+                    output = packet.header.path[packet._route_pos]
+                except IndexError:
+                    output = packet.peek_route()    # raises PacketError
             else:
                 if state.gt_active_output is None:
                     raise SlotConflictError(
@@ -267,19 +302,16 @@ class Router(ClockedComponent):
     def _forward_be(self, cycle: int) -> None:
         """Wormhole-forward BE flits to every output GT left unused.
 
-        The output each input's queue head wants is computed once per cycle
-        (``_be_desired``, refreshed after each send); only wanted outputs are
-        visited, in port order.  A wormhole-locked output serves its locked
-        input only; otherwise the first wanting input at or after the
-        round-robin pointer wins, wrapping.
+        The output each input's queue head wants is read from the request
+        registers (``_be_desired``, re-latched by ``_send_be`` as it pops);
+        only wanted outputs are visited, in port order.  A wormhole-locked
+        output serves its locked input only; otherwise the first wanting
+        input at or after the round-robin pointer wins, wrapping.
         """
         num_ports = self.num_ports
         claim = self._gt_claim_stamp
         stamp = self._tick_stamp
         desired = self._be_desired
-        for port, state in enumerate(self._inputs):
-            desired[port] = (self._be_head_output(state) if state.be_queue
-                             else -1)
         for output in range(num_ports):
             # Unwanted, or GT used this output this cycle.
             if output not in desired or claim[output] == stamp:
@@ -307,25 +339,11 @@ class Router(ClockedComponent):
                     <= (link._stage is not None)):
                 self._ctr_be_backpressure.value += 1
                 continue
+            # The pop may expose a head for an output scanned later.
             self._send_be(port, output, cycle)
-            # The pop may expose a head for an output scanned later: refresh.
-            desired[port] = self._be_head_output(self._inputs[port])
             if locked is None:
                 port += 1
                 self._be_rr_pointer[output] = 0 if port >= num_ports else port
-
-    @staticmethod
-    def _be_head_output(state: _InputState) -> int:
-        """Output the head of an input's BE queue wants (-1: none)."""
-        queue = state.be_queue
-        if not queue:
-            return -1
-        flit = queue[0]
-        if not flit.is_head:
-            return state.be_active_output
-        if state.be_active_output is not None:
-            return -1
-        return flit.packet.peek_route()
 
     def _send_gt(self, port: int, output: int, cycle: int) -> None:
         state = self._inputs[port]
@@ -336,22 +354,38 @@ class Router(ClockedComponent):
             raise SlotConflictError(
                 f"router {self.name}: no link on output {output}")
         if flit.is_head:
-            self._take_route(flit, output)
+            # Shift the source route: one checked read, one bump.
+            packet = flit.packet
+            try:
+                taken = packet.header.path[packet._route_pos]
+            except IndexError:
+                taken = packet.peek_route()         # raises PacketError
+            if taken != output:
+                raise self._route_mismatch(taken, output)
+            packet._route_pos += 1
             state.gt_active_output = output
         if flit.is_tail:
             state.gt_active_output = None
         link.send(flit)
         self._ctr_gt_flits_out.value += 1
-        self._rate_flits_out.add(cycle)
         if self.tracer.enabled:
             self._trace_forward(port, output, "gt", flit)
 
     def _send_be(self, port: int, output: int, cycle: int) -> None:
         state = self._inputs[port]
-        flit = state.be_queue.popleft()
+        queue = state.be_queue
+        flit = queue.popleft()
         self._be_buffered -= 1
         if flit.is_head:
-            self._take_route(flit, output)
+            # Shift the source route: one checked read, one bump.
+            packet = flit.packet
+            try:
+                taken = packet.header.path[packet._route_pos]
+            except IndexError:
+                taken = packet.peek_route()         # raises PacketError
+            if taken != output:
+                raise self._route_mismatch(taken, output)
+            packet._route_pos += 1
             state.be_active_output = output
             self._be_output_locked_input[output] = port
         if flit.is_tail:
@@ -359,16 +393,27 @@ class Router(ClockedComponent):
             self._be_output_locked_input[output] = None
         self.out_links[output].send(flit)
         self._ctr_be_flits_out.value += 1
-        self._rate_flits_out.add(cycle)
         if self.tracer.enabled:
             self._trace_forward(port, output, "be", flit)
+        # The pop changed this input's head: latch the new one's request,
+        # now that the wormhole state it reads is updated.
+        wish = -1
+        if queue:
+            head = queue[0]
+            if not head.is_head:
+                wish = state.be_active_output
+            elif state.be_active_output is None:
+                packet = head.packet
+                try:
+                    wish = packet.header.path[packet._route_pos]
+                except IndexError:
+                    packet.peek_route()             # raises PacketError
+        self._be_desired[port] = wish
 
-    def _take_route(self, flit: Flit, output: int) -> None:
-        taken = flit.packet.advance_route()
-        if taken != output:
-            raise SlotConflictError(
-                f"router {self.name}: route mismatch "
-                f"(expected {taken}, forwarding to {output})")
+    def _route_mismatch(self, taken: int, output: int) -> SlotConflictError:
+        return SlotConflictError(
+            f"router {self.name}: route mismatch "
+            f"(expected {taken}, forwarding to {output})")
 
     def _trace_forward(self, port: int, output: int, traffic: str,
                        flit: Flit) -> None:

@@ -8,8 +8,9 @@ the analytic bounds of Section 2 of the paper.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Union
 
 
 class Counter:
@@ -39,9 +40,11 @@ class SpanCounter:
     reads the same at every instant without those ticks: the owner reports
     the tick that *finds* it blocked (:meth:`stall`) and the tick that gets
     it moving again (:meth:`resume`), and :attr:`value` is the closed spans
-    plus the open one up to the owning clock's ``cycle_now`` (or, for a
-    component ticked by hand without a clock, up to the last cycle passed
-    to :meth:`stall`).  Cycles passed in must not decrease.  Lives in a
+    plus the open one up to the owning clock's ``cycle_passed`` — its last
+    edge executed or skipped, which a read from an earlier-created clock's
+    tick at a shared timestamp precedes — (or, for a component ticked by
+    hand without a clock, up to the last cycle passed to :meth:`stall`).
+    Cycles passed in must not decrease.  Lives in a
     :class:`StatsRegistry` beside the plain counters
     (:meth:`StatsRegistry.span_counter`).
     """
@@ -77,7 +80,7 @@ class SpanCounter:
         if not self.stalled:
             return self._closed
         clock = getattr(self._owner, "_clock", None)
-        now = self._seen if clock is None else clock.cycle_now
+        now = self._seen if clock is None else clock.cycle_passed
         return self._closed + now - self._since + 1
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -221,45 +224,53 @@ class RateMeter:
 class WindowedRate:
     """A sliding-window rate meter (items per cycle over the last N cycles).
 
-    Backed by a ring of per-cycle buckets, each stamped with the cycle it
-    last counted: :meth:`add` overwrites a bucket whose stamp is stale and
-    :meth:`rate` counts only stamps inside the window, so nothing is zeroed
-    eagerly and the per-flit cost is one indexed compare and add.  Cycles
-    passed to :meth:`add` must not decrease.  Per-link bandwidth meters
+    Keeps the cycle of each item in a deque bounded at the window length,
+    which is all a window can hold under the contract: **one item per
+    :meth:`add`, at strictly increasing cycles** — at most one item per
+    cycle, as on a link (``LinkContentionError`` enforces it there, and
+    ``Link.send`` appends inline on that premise).  :meth:`add` rejects
+    anything else rather than miscount it.  Nothing is aged out eagerly:
+    :meth:`rate` counts the stamps inside the window ending at the cycle it
+    is asked about, so a reader passing the current cycle sees the window
+    slide while nothing is added.  Per-link bandwidth meters
     (``health_report()["links"]``) are instances of this.
     """
 
-    __slots__ = ("window", "_buckets", "_stamps", "total")
+    __slots__ = ("window", "_cycles", "total")
 
     def __init__(self, window_cycles: int = 64) -> None:
         if window_cycles <= 0:
             raise ValueError("window must be positive")
         self.window = window_cycles
-        self._buckets = [0] * window_cycles
-        #: Cycle each bucket's count belongs to (-1: never written).
-        self._stamps = [-1] * window_cycles
+        #: Cycles of the last ``window`` items, oldest first.
+        self._cycles: Deque[int] = deque(maxlen=window_cycles)
         #: All items ever recorded (cumulative, like RateMeter.items).
         self.total = 0
 
-    def add(self, cycle: int, amount: int = 1) -> None:
-        index = cycle % self.window
-        if self._stamps[index] == cycle:
-            self._buckets[index] += amount
-        else:
-            self._stamps[index] = cycle
-            self._buckets[index] = amount
-        self.total += amount
+    def add(self, cycle: int) -> None:
+        cycles = self._cycles
+        if cycles and cycle <= cycles[-1]:
+            raise ValueError(
+                f"windowed rate: cycle {cycle} after {cycles[-1]} "
+                f"(one item per cycle, cycles must increase)")
+        cycles.append(cycle)
+        self.total += 1
 
     def rate(self, now_cycle: Optional[int] = None) -> float:
         """Items per cycle over the window ending at ``now_cycle`` (or the
         last recorded cycle, whichever is later)."""
-        stamps = self._stamps
-        newest = max(stamps)
+        cycles = self._cycles
+        if not cycles:
+            return 0.0
+        newest = cycles[-1]
         if now_cycle is None or now_cycle < newest:
             now_cycle = newest
         oldest = now_cycle - self.window
-        filled = sum(count for stamp, count in zip(stamps, self._buckets)
-                     if stamp > oldest)
+        filled = 0
+        for stamp in reversed(cycles):
+            if stamp <= oldest:
+                break
+            filled += 1
         return float(filled) / self.window
 
     def snapshot(self, now_cycle: Optional[int] = None) -> Dict[str, float]:

@@ -2,6 +2,8 @@
 one clock scheduler (``ClockGroup``), the tuple-based event heap, and the
 slotted hot-path objects."""
 
+import sys
+
 import pytest
 
 from repro.api import scenarios
@@ -328,6 +330,44 @@ def test_kernel_ticks_per_flit_stay_within_budget(name, cycles, flits,
                 for kind in ("gt", "be") for way in ("sent", "received"))
     assert moved == flits
     assert ticks[0] <= ceiling
+
+
+#: Call budget per registry shape: (scenario, flit cycles, ceiling on
+#: Python-level calls made while the run advances).  Events and ticks say
+#: how often the engine calls a component; this says what a tick that does
+#: work costs — on CPython the wall follows calls, and the count is exact
+#: and repeatable (``scripts/census.py`` attributes it per function).
+#: Ceilings are today's counts (198 327 / 130 319 / 72 559 / 64 413) + 2 %;
+#: 283 744 / 170 180 / 104 143 / 87 052 while routers re-derived every
+#: head's request per tick, ``Link.send`` woke its commit per flit through a
+#: property chain and packetization asked the FIFO for the time per word.
+CALL_BUDGETS = [
+    ("saturated_grid", 150, 202_293),
+    ("saturated_dram", 300, 132_925),
+    ("torus_neighbor", 300, 74_010),
+    ("hotspot", 300, 65_701),
+]
+
+
+@pytest.mark.parametrize("name,cycles,ceiling", CALL_BUDGETS,
+                         ids=[budget[0] for budget in CALL_BUDGETS])
+def test_python_calls_stay_within_budget(name, cycles, ceiling):
+    system = scenarios.build(name)
+    system.start()
+    calls = [0]
+
+    def count_calls(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    # Whatever was profiling before (a coverage run) gets its hook back.
+    previous = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        system.run_flit_cycles(cycles)
+    finally:
+        sys.setprofile(previous)
+    assert calls[0] <= ceiling
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,24 @@ class TestBestEffortTransfer:
         pair.run(10)
         assert pair.b.channel(0).dest_queue.total_fill == 2
 
+    def test_flush_ends_once_the_snapshot_is_sent(self):
+        """The override lasts until the words queued at the flush have
+        left; after that the threshold holds small packets back again."""
+        pair = KernelPair()
+        pair.open_channel()
+        channel = pair.a.channel(0)
+        channel.regs.data_threshold = 6
+        pair.a.port("p").push(0, 1)
+        pair.a.port("p").push(0, 2)
+        pair.run(10)
+        pair.a.port("p").flush(0)
+        assert channel.flush_pending
+        pair.run(10)
+        assert not channel.flush_pending
+        pair.a.port("p").push(0, 3)
+        pair.run(10)
+        assert pair.b.channel(0).dest_queue.total_fill == 2
+
     def test_credit_threshold_batches_credit_only_packets(self):
         pair = KernelPair()
         pair.open_channel()
@@ -464,6 +482,14 @@ class PollKernel(NIKernel):
             self._ctr_gt_flits_received.value += 1
         else:
             self._ctr_be_flits_received.value += 1
+
+    def _transmit(self, cycle: int) -> None:
+        if self.to_network is None:
+            return
+        slot = cycle % self.num_slots
+        if self._transmit_gt(cycle, slot):
+            return
+        self._transmit_be(cycle)
 
     def _transmit_gt(self, cycle: int, slot: int) -> bool:
         # Continue an in-flight GT packet: its length was bounded by the

@@ -25,6 +25,17 @@ class TestBasicFifo:
         with pytest.raises(QueueError):
             fifo.push(3)
 
+    def test_overflow_messages_name_the_fifo(self):
+        fifo = HardwareFifo(2, name="f")
+        fifo.push(1)
+        with pytest.raises(QueueError, match=(
+                r"fifo f: cannot push 2 words \(1 free\)")):
+            fifo.push_many([2, 3])
+        fifo.push(2)
+        with pytest.raises(QueueError, match=(
+                r"fifo f: overflow \(capacity 2\)")):
+            fifo.push(3)
+
     def test_pop_empty_raises(self):
         with pytest.raises(QueueError):
             HardwareFifo(2).pop()

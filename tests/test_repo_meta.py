@@ -24,8 +24,9 @@ def test_ci_runs_reprolint():
 
 #: Names of the burst-batching layer, the per-component dense recheck, the
 #: idle-skip-only regime, the clock-level dense window, the testbench wrapper
-#: layer, the superseded perf harness and the kernel's observation-only
-#: idleness, deleted together with everything that kept them exact.
+#: layer, the superseded perf harness, the kernel's observation-only
+#: idleness and the per-flit helper calls of the flit's path, deleted
+#: together with everything that kept them exact.
 _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "unbatched", "_gate_recheck",
                   # Links are wires committed by one LinkCommit per NoC: the
@@ -56,7 +57,12 @@ _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   # clock, so a kernel with reservations is idle like any
                   # other: its second idleness predicate stays gone (the
                   # obs sampler keeps its own ``is_quiescent``).
-                  "kernel.is_quiescent", "NIKernel.is_quiescent")
+                  "kernel.is_quiescent", "NIKernel.is_quiescent",
+                  # The flit's path reads the route, the time and the
+                  # staged flit inline: the helpers that cost a call per
+                  # flit (or per word) stay gone from production code.
+                  "Router._take_route", "_take_route(", "_be_head_output",
+                  "HardwareFifo._now", "self._now()")
 
 
 def test_deleted_engine_names_stay_deleted():

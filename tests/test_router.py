@@ -1,7 +1,7 @@
 """Unit tests for the GT/BE router."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.link import Link, LinkCommit
@@ -210,6 +210,129 @@ class TestBEForwarding:
         packet.advance_route()  # corrupt the route pointer
         harness.inject(0, flit)
         with pytest.raises(PacketError):
+            harness.step()
+
+
+class TestSameErrorsSameMessages:
+    """The route is read inline where the flit's path used to call
+    ``Packet.peek_route`` / ``advance_route``: every failure keeps its type
+    and its message, wherever on the path it is found."""
+
+    @staticmethod
+    def exhausted(packet):
+        return (rf"packet {packet.packet_id} has exhausted its route "
+                rf"\(1,\)")
+
+    @staticmethod
+    def spent_packet(gt=False, payload_words=2):
+        packet = make_packet(path=(1,), gt=gt, payload_words=payload_words)
+        packet.advance_route()          # as if a hop too many had shifted it
+        return packet
+
+    def test_exhausted_route_on_be_arrival_names_the_packet(self):
+        harness = RouterHarness()
+        packet = self.spent_packet()
+        harness.inject(0, packet_to_flits(packet)[0])
+        with pytest.raises(PacketError, match=self.exhausted(packet)):
+            harness.step()
+
+    def test_exhausted_route_behind_a_popped_tail_names_the_packet(self):
+        """The second packet queues behind the first (output blocked for a
+        cycle); it becomes head at the pop, and that latch reads it."""
+        bench = OracleBench(Router, 3, 4,
+                            [([], [(1, 1, 0), (1, 1, 0)]), ([], []), ([], [])])
+        second = bench.pending[0][1][1][1].packet
+        second.advance_route()
+        assert bench.step(0, {1}) == [] and bench.step(1, {1}) == []
+        assert bench.router.be_queue_depth(0) == 2
+        with pytest.raises(PacketError, match=self.exhausted(second)):
+            bench.step(2, ())
+
+    def test_exhausted_route_at_the_be_send_names_the_packet(self):
+        """Route spent *after* the request was latched (nothing in the
+        model does that): the send's own read is checked too."""
+        bench = OracleBench(Router, 3, 4,
+                            [([], [(1, 1, 0)]), ([], []), ([], [])])
+        packet = bench.pending[0][1][0][1].packet
+        assert bench.step(0, {1}) == []
+        packet.advance_route()
+        with pytest.raises(PacketError, match=self.exhausted(packet)):
+            bench.step(1, ())
+
+    def test_exhausted_route_on_the_gt_path_names_the_packet(self):
+        harness = RouterHarness()
+        packet = self.spent_packet(gt=True)
+        harness.inject(0, packet_to_flits(packet)[0])
+        with pytest.raises(PacketError, match=self.exhausted(packet)):
+            harness.step()
+
+    def test_exhausted_route_at_the_gt_send_names_the_packet(self):
+        harness = RouterHarness()
+        packet = self.spent_packet(gt=True)
+        router = harness.router
+        router._inputs[0].gt_queue.append(packet_to_flits(packet)[0])
+        router._gt_buffered += 1
+        with pytest.raises(PacketError, match=self.exhausted(packet)):
+            router._send_gt(0, 1, 0)
+
+    def test_forced_mismatch_on_the_be_path(self):
+        bench = OracleBench(Router, 3, 4,
+                            [([], [(1, 1, 0)]), ([], []), ([], [])])
+        assert bench.step(0, {1}) == []
+        bench.router._be_desired[0] = 2         # a corrupted register
+        with pytest.raises(SlotConflictError, match=(
+                r"router R: route mismatch \(expected 1, "
+                r"forwarding to 2\)")):
+            bench.step(1, ())
+
+    def test_forced_mismatch_on_the_gt_path(self):
+        harness = RouterHarness()
+        packet = make_packet(path=(1,), gt=True)
+        router = harness.router
+        router._inputs[0].gt_queue.append(packet_to_flits(packet)[0])
+        router._gt_buffered += 1
+        with pytest.raises(SlotConflictError, match=(
+                r"router R: route mismatch \(expected 1, "
+                r"forwarding to 2\)")):
+            router._send_gt(0, 2, 0)
+
+    def test_route_is_shifted_once_per_hop(self):
+        harness = RouterHarness()
+        packets = [make_packet(path=(2, 0, 1), gt=gt, payload_words=7)
+                   for gt in (True, False)]
+        for packet in packets:
+            for flit in packet_to_flits(packet):
+                harness.inject(0, flit)
+                harness.step()
+        assert [packet.hops_remaining for packet in packets] == [2, 2]
+        assert [packet.peek_route() for packet in packets] == [0, 0]
+        assert len(harness.output(2)) == 6
+
+    def test_be_buffer_overflow_message(self):
+        router = Router("R", 2, be_buffer_flits=1)
+        in_link = Link("in", LinkCommit())
+        out_link = Link("out", LinkCommit())
+        router.connect_input(0, in_link)
+        router.connect_output(1, out_link)
+        out_link.send(packet_to_flits(make_packet(path=(1,)))[0])  # blocked
+        for cycle in (0, 1):
+            in_link.send(packet_to_flits(make_packet(path=(1,)))[0])
+            in_link.commit.post_tick(cycle)
+            if cycle:
+                with pytest.raises(BufferOverflowError, match=(
+                        "router R: BE buffer overflow at input 0")):
+                    router.tick(cycle)
+            else:
+                router.tick(cycle)
+
+    def test_gt_conflict_message(self):
+        harness = RouterHarness(strict_gt=True)
+        for port, name in enumerate("ab"):
+            harness.inject(port, packet_to_flits(make_packet(
+                path=(2,), gt=True, channel_key=(name, 0)))[0])
+        with pytest.raises(SlotConflictError, match=(
+                r"router R: GT slot conflict on output 2 in cycle 0 "
+                r"between channels \[\('a', 0\), \('b', 0\)\]")):
             harness.step()
 
 
@@ -475,6 +598,21 @@ class ScanRouter(Router):
                    for state in self._inputs)
 
 
+def be_head_request(state) -> int:
+    """What an input's request register must hold at every tick boundary:
+    the output the head of its BE queue wants (-1: none).  The function the
+    router called per input per tick before it kept registers, verbatim."""
+    queue = state.be_queue
+    if not queue:
+        return -1
+    flit = queue[0]
+    if not flit.is_head:
+        return state.be_active_output
+    if state.be_active_output is not None:
+        return -1
+    return flit.packet.peek_route()
+
+
 class _SpaceSink:
     """Downstream stand-in whose BE space the script sets cycle by cycle."""
 
@@ -510,6 +648,7 @@ class OracleBench:
             self.in_links.append(in_link)
             self.out_links.append(out_link)
             self.sinks.append(sink)
+        self.log = []           # everything forwarded so far
         label = 0
         self.pending = []       # per port: [gt flits, be flits], each (due, flit)
         for gt_stream, be_stream in streams:
@@ -528,25 +667,34 @@ class OracleBench:
                 lanes.append(lane)
             self.pending.append(lanes)
 
-    def step(self, cycle, blocked_outputs):
+    def step(self, cycle, blocked_outputs, label=None):
+        """One flit cycle of the script; the router is ticked by hand with
+        ``label`` as its cycle argument (any value: it arbitrates on a
+        private stamp, not on the number it is told)."""
+        label = cycle if label is None else label
         for port, (gt_lane, be_lane) in enumerate(self.pending):
             link = self.in_links[port]
             if gt_lane and gt_lane[0][0] <= cycle:
                 link.send(gt_lane.pop(0)[1])
             elif be_lane and be_lane[0][0] <= cycle and link.can_send_be():
                 link.send(be_lane.pop(0)[1])
-        self.wires.post_tick(cycle)
+        self.wires.post_tick(label)
         for output, sink in enumerate(self.sinks):
             sink.space = 0 if output in blocked_outputs else 1
-        self.router.tick(cycle)
-        self.wires.post_tick(cycle)
+        self.router.tick(label)
+        self.wires.post_tick(label)
         forwarded = []
         for output, link in enumerate(self.out_links):
             flit = link.take()
             if flit is not None:
                 forwarded.append((cycle, output,
                                   flit.packet.header.channel_key, flit.index))
+        self.log += forwarded
         return forwarded
+
+    def packets_on(self, output):
+        """Labels of the flits forwarded to ``output``, in order."""
+        return [key[1] for _, out, key, _ in self.log if out == output]
 
     def state(self, cycle):
         router = self.router
@@ -561,6 +709,9 @@ class OracleBench:
             "idle": router.is_idle(),
             "horizon": router.next_action_cycle(cycle),
             "buffered": router.buffered_flits(),
+            "summary": router.stats.summary(),
+            "rate": (router._rate_flits_out._first_cycle,
+                     router._rate_flits_out._last_cycle),
         }
 
     def drained(self):
@@ -582,25 +733,183 @@ def _oracle_cases(draw):
     num_ports = draw(st.integers(2, 6))
     return (num_ports, draw(st.integers(1, 4)), draw(_streams(num_ports)),
             draw(st.lists(st.sets(st.integers(0, num_ports - 1)),
-                          max_size=40)))
+                          max_size=40)),
+            # What tick() is told the cycle is: anything, in any order.
+            draw(st.lists(st.integers(-3, 1000), max_size=40)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=_oracle_cases())
-def test_router_matches_the_scan_oracle_cycle_by_cycle(case):
-    """Forwarded (cycle, output, packet, flit) sequence, every counter,
-    round-robin pointers, wormhole locks, queue fills and the idleness /
-    horizon reports agree with :class:`ScanRouter` after every cycle."""
-    num_ports, be_buffer_flits, streams, blocked = case
+#: Pinned cases of the comparison below, one per situation the request
+#: registers have to get right (``test_pinned_cases_reach_their_situation``
+#: checks each still produces the situation it is named for).  A case is
+#: ``(num_ports, be_buffer_flits, streams, blocked outputs per cycle, tick
+#: labels)``; a stream packet is ``(output, flits, idle cycles before it)``.
+PINNED_CASES = {
+    # Input 0 sends a 3-flit packet to output 2; a GT flit cuts in at cycle
+    # 1, so body flits reach an *empty* queue while the wormhole is open,
+    # and at cycle 1 output 2 is locked to an input that wants nothing
+    # while input 1's head waits for it.  Ticked with shuffled labels.
+    "body_into_empty_queue_and_lock_held_by_an_idle_input":
+        (3, 2, [([(1, 1, 1)], [(2, 3, 0)]), ([], [(2, 1, 1)]), ([], [])],
+         [], [7, 7, 3, 1000, -2, 0, 0, 5]),
+    # Two single-flit packets queue on input 0 behind a blocked output 1
+    # (refused sends leave the wish standing); once it opens, the tail pop
+    # exposes a head for output 2, scanned later in the same tick.
+    "refused_send_then_tail_pop_exposes_a_later_scanned_head":
+        (3, 4, [([], [(1, 1, 0), (2, 1, 0)]), ([], []), ([], [])],
+         [{1}, {1, 2}], []),
+    # Two 2-flit GT packets want output 2 in the same cycles: counted, the
+    # lower input wins, the loser stays head and goes next.
+    "gt_conflict_loser_stays_head":
+        (3, 1, [([(2, 2, 0)], []), ([(2, 2, 0)], [(2, 2, 0)]), ([], [])],
+         [], [5, 5, 5, 5]),
+}
+
+
+def _run_case(case, watch=None):
+    """Drive both routers through ``case`` and compare after every cycle.
+
+    Besides what :class:`ScanRouter` shows, the production router's request
+    registers must equal :func:`be_head_request` of every input at every
+    tick boundary.  ``watch(bench, cycle)`` sees the production bench before
+    each step (used to detect the pinned situations).
+    """
+    num_ports, be_buffer_flits, streams, blocked, labels = case
     new, ref = (OracleBench(cls, num_ports, be_buffer_flits, streams)
                 for cls in (Router, ScanRouter))
     for cycle in range(400):
         blocked_now = blocked[cycle] if cycle < len(blocked) else ()
-        assert new.step(cycle, blocked_now) == ref.step(cycle, blocked_now)
+        label = labels[cycle] if cycle < len(labels) else cycle
+        if watch is not None:
+            watch(new, cycle)
+        assert (new.step(cycle, blocked_now, label)
+                == ref.step(cycle, blocked_now, label))
         assert new.state(cycle) == ref.state(cycle)
+        router = new.router
+        assert router._be_desired == [be_head_request(state)
+                                      for state in router._inputs]
         if ref.drained():
             break
     assert ref.drained() and new.drained()
+    return new
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_oracle_cases())
+@example(case=PINNED_CASES[
+    "body_into_empty_queue_and_lock_held_by_an_idle_input"])
+@example(case=PINNED_CASES[
+    "refused_send_then_tail_pop_exposes_a_later_scanned_head"])
+@example(case=PINNED_CASES["gt_conflict_loser_stays_head"])
+def test_router_matches_the_scan_oracle_cycle_by_cycle(case):
+    """Forwarded (cycle, output, packet, flit) sequence, every counter,
+    round-robin pointers, wormhole locks, queue fills and the idleness /
+    horizon reports agree with :class:`ScanRouter` after every cycle."""
+    _run_case(case)
+
+
+class TestPinnedCasesReachTheirSituation:
+    """The pinned examples of the oracle comparison are only worth their
+    names while the stimulus still produces the situation: each is checked
+    here on the production router, before the step in which it happens."""
+
+    def test_body_flit_arrives_into_an_empty_queue_with_its_wormhole_open(
+            self):
+        seen = []
+
+        def watch(bench, cycle):
+            state = bench.router._inputs[0]
+            lane = bench.pending[0][1]
+            if (lane and not lane[0][1].is_head and not state.be_queue
+                    and state.be_active_output == 2
+                    and not bench.pending[0][0]):
+                seen.append(cycle)
+
+        _run_case(PINNED_CASES[
+            "body_into_empty_queue_and_lock_held_by_an_idle_input"], watch)
+        assert seen == [2, 3]
+
+    def test_locked_output_whose_locked_input_wants_nothing(self):
+        seen = []
+
+        def watch(bench, cycle):
+            router = bench.router
+            if (router._be_output_locked_input[2] == 0
+                    and router._be_desired[0] == -1
+                    and router._be_desired[1] == 2):
+                seen.append(cycle)
+
+        bench = _run_case(PINNED_CASES[
+            "body_into_empty_queue_and_lock_held_by_an_idle_input"], watch)
+        # In cycle 1 the GT flit has cut in: input 0, which holds the lock
+        # on output 2, has nothing queued, and input 1's head — arrived
+        # that cycle — is not served although the output is free.
+        assert seen[0] == 2         # the state cycle 1 left behind
+        assert [(cycle, key[1]) for cycle, out, key, _ in bench.log
+                if out == 2] == [(0, 1), (2, 1), (3, 1), (4, 2)]
+
+    def test_refused_send_leaves_the_wish_standing(self):
+        wishes = []
+
+        def watch(bench, cycle):
+            wishes.append(list(bench.router._be_desired))
+
+        bench = _run_case(PINNED_CASES[
+            "refused_send_then_tail_pop_exposes_a_later_scanned_head"], watch)
+        # Latched on arrival at cycle 0, refused at cycles 0 and 1, still 1.
+        assert wishes[1] == wishes[2] == [1, -1, -1]
+        assert bench.router.stats.counter(
+            "be_backpressure_stalls").value == 2
+
+    def test_tail_pop_exposes_a_head_scanned_later_in_the_same_tick(self):
+        bench = _run_case(PINNED_CASES[
+            "refused_send_then_tail_pop_exposes_a_later_scanned_head"])
+        # Both packets of input 0 leave in cycle 2, on outputs 1 and 2.
+        assert bench.log == [(2, 1, ("pkt", 0), 0), (2, 2, ("pkt", 1), 0)]
+
+    def test_gt_conflict_loser_stays_head(self):
+        bench = _run_case(PINNED_CASES["gt_conflict_loser_stays_head"])
+        assert bench.router.stats.counter("gt_conflicts").value == 2
+        assert bench.packets_on(2) == [0, 0, 1, 1, 2, 2]
+
+
+class TestHeadBehindAnUnfinishedWormhole:
+    """A malformed stream — a packet that never sends its tail, then a new
+    head on the same input — must not open a second wormhole from that
+    input: the head's request reads "none" (-1) while the first is open, in
+    the latch on arrival and in the latch at the pop alike."""
+
+    @staticmethod
+    def bench(router_cls):
+        bench = OracleBench(router_cls, 3, 4,
+                            [([], [(1, 3, 0), (2, 1, 0)]), ([], []), ([], [])])
+        be_lane = bench.pending[0][1]
+        assert be_lane[2][1].is_tail
+        del be_lane[2]                  # the first packet loses its tail
+        return bench
+
+    @pytest.mark.parametrize("router_cls", [Router, ScanRouter])
+    def test_head_arriving_into_an_empty_queue_is_not_served(self,
+                                                             router_cls):
+        bench = self.bench(router_cls)
+        for cycle in range(6):
+            bench.step(cycle, ())
+        # Head and body of the first packet went out; the second head sits.
+        assert bench.log == [(0, 1, ("pkt", 0), 0), (1, 1, ("pkt", 0), 1)]
+        assert bench.router.be_queue_depth(0) == 1
+        assert bench.router._be_output_locked_input[1] == 0
+
+    @pytest.mark.parametrize("router_cls", [Router, ScanRouter])
+    def test_head_exposed_by_the_pop_of_a_body_flit_is_not_served(
+            self, router_cls):
+        bench = self.bench(router_cls)
+        assert bench.step(0, ()) == [(0, 1, ("pkt", 0), 0)]
+        for cycle in (1, 2, 3):         # the second head is due at 3
+            assert bench.step(cycle, {1}) == []
+        assert bench.router.be_queue_depth(0) == 2      # body, then head
+        for cycle in range(4, 9):
+            bench.step(cycle, ())
+        assert bench.log[1:] == [(4, 1, ("pkt", 0), 1)]
+        assert bench.router.be_queue_depth(0) == 1
 
 
 class TestTailExposesFreshHeadSameCycle:

@@ -487,6 +487,32 @@ class TestStallsAreSpans:
         # stalled), then the queue filled again and the second span runs on.
         assert lazy.tx_stalls == poll.tx_stalls == 20 + (39 - 22)
 
+    @pytest.mark.parametrize("idle_skip", [True, False],
+                             ids=["default", "always-tick"])
+    def test_counter_read_coincident_with_a_port_edge_precedes_it(
+            self, idle_skip):
+        """Read from a flit-clock event (priority 0: created before every
+        port clock) at each port boundary, the open span ends at the last
+        port edge *passed*: the edge of that very timestamp is still to
+        come and the polling shell has not counted it yet."""
+        def reads(shell_cls, idle_skip):
+            bench = StalledShellBench(shell_cls, idle_skip)
+            bench.pop_at(21 * bench.PERIOD_PS + 700)
+            seen = []
+            for cycle in range(40):
+                bench.sim.schedule_at(
+                    cycle * bench.PERIOD_PS,
+                    lambda: seen.append(bench.tx_stalls), priority=0)
+            bench.start()
+            bench.run_to_cycle(40)
+            return seen
+
+        polled = reads(PollConnectionShell, idle_skip=False)
+        # Stalled on cycles 2 .. 21 and again from 23: before the edge of
+        # cycle c the poll has counted through c - 1.
+        assert polled[2:23] == list(range(21)) and polled[39] == 20 + 16
+        assert reads(ConnectionShell, idle_skip) == polled
+
     @pytest.mark.parametrize("sibling", [False, True],
                              ids=["alone", "awake-sibling"])
     @pytest.mark.parametrize("idle_skip", [True, False],

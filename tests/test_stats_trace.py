@@ -93,6 +93,53 @@ class TestSpanCounter:
         counter.resume(12)
         assert counter.value == 9               # cycles 3 .. 11
 
+    def test_read_from_an_earlier_clocks_tick_at_a_shared_edge(self):
+        """A flit-clock component reads the counter at a timestamp that is
+        also an edge of the owner's (later-created) port clock: that edge
+        is still to come, so the open span ends one cycle earlier than
+        ``cycle_now`` says — in both regimes what ``stalls += 1`` on every
+        blocked tick had counted by then."""
+        def reads(idle_skip):
+            sim = Simulator()
+            flit = Clock(sim, 500.0 / 3, name="flit", idle_skip=idle_skip)
+            port = Clock(sim, 500.0, name="port", idle_skip=idle_skip)
+            seen = []
+
+            class Stalled(ClockedComponent):
+                """Blocked from cycle 2 on: the tick that finds the block
+                opens the span, then the component sleeps on it."""
+
+                def __init__(self):
+                    self.stalls = SpanCounter("stalls", self)
+                    self.polled = 0     # the per-cycle count, if ticked
+
+                def tick(self, cycle):
+                    if cycle >= 2:
+                        self.stalls.stall(cycle)
+                        self.polled += 1
+
+                def is_idle(self):
+                    return self.stalls.stalled
+
+            class Reader(ClockedComponent):
+                def tick(self, cycle):
+                    seen.append((stalled.stalls.value, stalled.polled))
+
+            stalled = Stalled()
+            flit.add_component(Reader())
+            port.add_component(stalled)
+            flit.start()
+            port.start()
+            sim.run(until=5 * flit.period_ps)
+            assert port.sleeping == idle_skip
+            return seen
+
+        reference = reads(idle_skip=False)
+        polled = [count for _, count in reference]
+        assert polled == [0, 1, 4, 7, 10, 13]   # cycles 2 .. 3k - 1 at edge k
+        assert [span for span, _ in reference] == polled
+        assert [span for span, _ in reads(idle_skip=True)] == polled
+
 
 class TestHistogram:
     def test_mean_min_max(self):
@@ -344,6 +391,52 @@ class TestTracerTrigger:
 # ---------------------------------------------------------------------------
 # Sliding-window rate meters (per-link bandwidth, health_report()["links"])
 # ---------------------------------------------------------------------------
+class BucketWindowedRate:
+    """The meter ``WindowedRate`` replaced, verbatim (test-only reference):
+    a ring of per-cycle buckets, each stamped with the cycle it last
+    counted.  It accepts any amount and repeated cycles; the replacement
+    narrows that to one item per strictly later cycle and must read the
+    same wherever both accept the input."""
+
+    __slots__ = ("window", "_buckets", "_stamps", "total")
+
+    def __init__(self, window_cycles: int = 64) -> None:
+        if window_cycles <= 0:
+            raise ValueError("window must be positive")
+        self.window = window_cycles
+        self._buckets = [0] * window_cycles
+        #: Cycle each bucket's count belongs to (-1: never written).
+        self._stamps = [-1] * window_cycles
+        #: All items ever recorded (cumulative, like RateMeter.items).
+        self.total = 0
+
+    def add(self, cycle: int, amount: int = 1) -> None:
+        index = cycle % self.window
+        if self._stamps[index] == cycle:
+            self._buckets[index] += amount
+        else:
+            self._stamps[index] = cycle
+            self._buckets[index] = amount
+        self.total += amount
+
+    def rate(self, now_cycle=None) -> float:
+        """Items per cycle over the window ending at ``now_cycle`` (or the
+        last recorded cycle, whichever is later)."""
+        stamps = self._stamps
+        newest = max(stamps)
+        if now_cycle is None or now_cycle < newest:
+            now_cycle = newest
+        oldest = now_cycle - self.window
+        filled = sum(count for stamp, count in zip(stamps, self._buckets)
+                     if stamp > oldest)
+        return float(filled) / self.window
+
+    def snapshot(self, now_cycle=None):
+        return {"window": float(self.window),
+                "rate_per_cycle": self.rate(now_cycle),
+                "total": float(self.total)}
+
+
 class TestWindowedRate:
     def _rate(self, window=8):
         from repro.sim.stats import WindowedRate
@@ -370,33 +463,85 @@ class TestWindowedRate:
 
     def test_snapshot_fields(self):
         meter = self._rate(16)
-        meter.add(2, amount=3)
+        for cycle in range(3):           # one item per cycle: the contract
+            meter.add(cycle)
         snap = meter.snapshot(2)
         assert snap == {"window": 16.0,
                         "rate_per_cycle": pytest.approx(3 / 16),
                         "total": 3.0}
 
+    def test_rejects_a_cycle_that_does_not_increase(self):
+        """The narrowed contract is enforced, not silently miscounted: a
+        second item in one cycle (or an earlier cycle) is refused and
+        leaves every reading as it was."""
+        meter = self._rate(4)
+        meter.add(5)
+        for cycle in (5, 4):
+            with pytest.raises(ValueError, match="one item per cycle"):
+                meter.add(cycle)
+        assert meter.total == 1 and meter.rate(5) == pytest.approx(1 / 4)
+        meter.add(6)
+        assert meter.total == 2
+
+    def test_empty_meter_reads_zero_at_any_cycle(self):
+        meter = self._rate(4)
+        assert meter.rate() == meter.rate(0) == meter.rate(99) == 0.0
+        assert meter.snapshot(7) == {"window": 4.0, "rate_per_cycle": 0.0,
+                                     "total": 0.0}
+
     @settings(max_examples=200, deadline=None)
     @given(window=st.integers(min_value=1, max_value=12),
-           steps=st.lists(st.tuples(st.integers(min_value=0, max_value=40),
-                                    st.integers(min_value=1, max_value=3),
+           steps=st.lists(st.tuples(st.integers(min_value=1, max_value=40),
                                     st.integers(min_value=0, max_value=40)),
                           min_size=1, max_size=30))
     def test_matches_brute_force_count(self, window, steps):
-        """Against a list of every add: gaps shorter and longer than the
-        window, repeated adds in one cycle, reads at and past the last add."""
+        """Against a list of every add: back-to-back cycles, gaps shorter
+        and longer than the window, reads at and past the last add."""
         meter = self._rate(window)
         adds = []
-        cycle = 0
-        for gap, amount, read_ahead in steps:
+        cycle = -1
+        for gap, read_ahead in steps:
             cycle += gap
-            meter.add(cycle, amount)
-            adds.append((cycle, amount))
+            meter.add(cycle)
+            adds.append(cycle)
             for now in (None, cycle, cycle + read_ahead):
                 end = cycle if now is None else now
-                expected = sum(a for c, a in adds if end - window < c <= end)
+                expected = sum(1 for c in adds if end - window < c <= end)
                 assert meter.rate(now) == expected / window
-        assert meter.total == sum(a for _, a in adds)
+        assert meter.total == len(adds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(min_value=1, max_value=12),
+           steps=st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                                    st.integers(min_value=0, max_value=30)),
+                          min_size=1, max_size=40))
+    def test_reads_what_the_bucket_ring_read_at_every_step(self, window,
+                                                           steps):
+        """``rate(None)``, ``rate(now)`` at, inside and beyond the window,
+        ``total`` and ``snapshot()`` against :class:`BucketWindowedRate`
+        after every step of a non-decreasing cycle sequence.  A repeated
+        cycle — the input the new class no longer takes — is rejected by it
+        and withheld from the reference, so the two stay comparable."""
+        from repro.sim.stats import WindowedRate
+        new, ref = WindowedRate(window), BucketWindowedRate(window)
+        assert new.rate() == ref.rate() and new.rate(3) == ref.rate(3)
+        cycle = 0
+        last = None
+        for gap, read_ahead in steps:
+            cycle += gap
+            if cycle == last:
+                with pytest.raises(ValueError):
+                    new.add(cycle)
+            else:
+                new.add(cycle)
+                ref.add(cycle)
+                last = cycle
+            reads = (None, cycle, cycle - read_ahead, cycle + read_ahead,
+                     cycle + window - 1, cycle + window, cycle + 3 * window)
+            for now in reads:
+                assert new.rate(now) == ref.rate(now), now
+                assert new.snapshot(now) == ref.snapshot(now), now
+            assert new.total == ref.total and new.window == ref.window
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +614,53 @@ class TestLinkBandwidthMeters:
         assert reports[0] == reports[1]
         assert sum(info["total"] for info in reports[0].values()) > 0
         assert {info["rate_per_cycle"] for info in reports[0].values()} == {0.0}
+
+    @pytest.mark.parametrize("scenario", ["hotspot", "link_failure_reroute"])
+    def test_readings_equal_the_bucket_ring_behind_the_same_wire(
+            self, scenario):
+        """The predecessor meter, fed through ``Link.send``'s inlined
+        append on every link of a second copy of the system, gives the same
+        ``health_report()["links"]`` and the same ``LinkProbe`` rate
+        readings at nine instants — mid-traffic, on and off the flit grid,
+        and long after the flit clock has gone to sleep."""
+        from repro.api import scenarios
+        from repro.obs import LinkProbe
+
+        class BucketBehindTheWire:
+            """What ``Link.send`` appends to, in front of the old meter."""
+
+            def __init__(self, window):
+                self.window, self.total = window, 0
+                self._cycles = self
+                self._bucket = BucketWindowedRate(window)
+
+            def append(self, cycle):
+                self._bucket.add(cycle)
+
+            def rate(self, now_cycle=None):
+                return self._bucket.rate(now_cycle)
+
+        def readings(swap):
+            system = scenarios.build(scenario)
+            links = system.noc.links
+            if swap:
+                for link in links.values():
+                    link.meter = BucketBehindTheWire(link.meter.window)
+            probes = [LinkProbe(link) for link in links.values()]
+            out = []
+            for step_ns in (120.0, 0.5, 5.5, 300.0, 7.3, 600.0, 1.0, 6000.0,
+                            60000.0):
+                system.run_ns(step_ns)
+                cycle = system.noc.flit_clock.cycle_now
+                sinks = [[[], [], []] for _ in probes]
+                for probe, sink in zip(probes, sinks):
+                    probe.sample(cycle, sink)
+                out.append((system.sim.now, system.health_report()["links"],
+                            [sink[2][0] for sink in sinks]))
+            assert system.noc.flit_clock.sleeping
+            return out
+
+        new, old = readings(swap=False), readings(swap=True)
+        assert new == old
+        rates = [max(probe_rates) for _, _, probe_rates in new]
+        assert max(rates) > 0 and rates[-1] == 0.0
