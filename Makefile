@@ -6,8 +6,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:            ## fast test tier (tier-1 minus slow; includes the E1-E14 benchmarks)
 	$(PYTHON) -m pytest -q -m "not slow"
 
-lint:            ## reprolint static contract checks over src/repro
-	$(PYTHON) -m repro.analysis.lint src/repro --baseline reprolint_baseline.json
+lint:            ## reprolint (scripts/reprolint.py): static contract checks over src/repro
+	$(PYTHON) scripts/reprolint.py src/repro
 
 examples:        ## run every example as a smoke test
 	@for example in examples/*.py; do \

@@ -15,9 +15,10 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== reprolint (static contract checks) =="
-# AST-level enforcement of the wake-protocol, determinism, hot-path and
-# counter-exactness contracts (PERFORMANCE.md "Static contract checking").
-python -m repro.analysis.lint src/repro --baseline reprolint_baseline.json
+# AST-level enforcement of the determinism, wake-protocol, hot-path and
+# observability contracts no test sees (PERFORMANCE.md "Static contract
+# checking").
+python scripts/reprolint.py src/repro
 
 echo "== tier-1 tests (fast tier) =="
 python -m pytest -q -m "not slow"

@@ -44,8 +44,11 @@ class MultiConnectionShell(ConnectionShell):
         conns = list(range(self.port.num_connections))
         if self.scheduling == "round_robin":
             return conns[self._rr_next:] + conns[:self._rr_next]
-        # Queue-filling based: largest destination queue first.
-        return sorted(conns, key=lambda c: -self.port.dest_fill(c))
+        # Queue-filling based: largest destination queue first.  A full sort
+        # by definition, over the port's connections (single digits) and only
+        # while the shell is awake with receive work; a cached order would
+        # need invalidating on every dest_fill change, which costs more.
+        return sorted(conns, key=lambda c: -self.port.dest_fill(c))  # reprolint: disable=hot-alloc-in-tick
 
     def _rx_eligible_conns(self) -> Sequence[int]:
         # Both schedulers only order the connections; all are eligible.

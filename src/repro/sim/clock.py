@@ -240,7 +240,7 @@ class Clock:
         self.frequency_mhz = float(frequency_mhz)
         # Construction-time only: the float division is rounded to an exact
         # integer period once; all subsequent time math is integral.
-        self.period_ps = int(round(1e6 / frequency_mhz))  # reprolint: disable=det-float-cycles
+        self.period_ps = int(round(1e6 / frequency_mhz))
         if self.period_ps <= 0:
             raise SimulationError(f"clock {name}: period rounds to 0 ps")
         self.phase_ps = int(phase_ps)

@@ -2,14 +2,17 @@
 one clock scheduler (``ClockGroup``), the tuple-based event heap, and the
 slotted hot-path objects."""
 
+import contextlib
 import sys
 
 import pytest
 
 from repro.api import scenarios
+from repro.core.registers import REG_DATA_THRESHOLD, channel_register_address
 from repro.design.generator import build_system
 from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
 from repro.network.packet import Flit, Packet, PacketHeader, packet_to_flits
+from repro.protocol.transactions import Transaction
 from repro.sim.clock import (
     FAR_FUTURE,
     Clock,
@@ -20,6 +23,7 @@ from repro.sim.clock import (
     run_cycles,
 )
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.stats import WindowedRate
 
 
 class Worker(ClockedComponent):
@@ -751,6 +755,9 @@ class TestSlots:
         event = Simulator().schedule(10, lambda: None)
         assert not hasattr(event, "__dict__")
 
+    def test_link_meter_has_no_dict(self):
+        assert not hasattr(WindowedRate(), "__dict__")
+
 
 # ---------------------------------------------------------------------------
 # Link delivery vs the wake protocol: while a link holds a flit its commit
@@ -853,3 +860,76 @@ class TestLinkWakeProtocol:
         self._run(sim, clock)
         assert consumer.received == [flit]
         assert link.occupancy == 0
+
+
+# ---------------------------------------------------------------------------
+# Stimulus from outside the engine: a call made on a system that has drained
+# — every clock asleep, nothing left to re-probe a standing gate — must wake
+# what it feeds.  Each case hangs for good, not just late, once the
+# ``notify_active()`` of the method it names is removed.
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("regime", [
+    pytest.param(contextlib.nullcontext, id="default"),
+    pytest.param(always_tick, id="always_tick")])
+class TestStimulusOnADrainedSystem:
+    def _drained(self, regime, name, **params):
+        """``name`` run to idle; in the default regime a further idle
+        stretch executes not one event."""
+        with regime():
+            system = scenarios.build(name, **params)
+        system.run_until_idle()
+        events = system.sim.executed_events
+        system.run_flit_cycles(500)
+        assert regime is always_tick or system.sim.executed_events == events
+        return system
+
+    def test_issue_after_the_pattern_is_exhausted(self, regime):
+        """``TrafficGeneratorMaster.issue`` (= ``MasterHandle.issue``)."""
+        system = self._drained(regime, "point_to_point", max_transactions=3)
+        master = system.master("master")
+        assert len(master.completed) == 3
+        master.issue(Transaction.write(0x40, [1, 2, 3], posted=False))
+        system.run_flit_cycles(2000)
+        assert len(master.completed) == 4
+        assert system.memory("memory").memory.read_burst(0x40, 3) == [1, 2, 3]
+
+    def test_response_refused_by_a_full_connection_shell_is_sent(self, regime):
+        """``SlaveShell._tx_space_stimulus``: long read responses back up
+        behind a connection shell that holds one message at a time."""
+        system = self._drained(regime, "point_to_point", max_transactions=1)
+        system.memory("memory").conn_shell.max_pending_messages = 1
+        master = system.master("master")
+        master.issue_many([Transaction.read(8 * i, 8) for i in range(4)])
+        system.run_flit_cycles(2000)
+        assert len(master.completed) == 1 + 4
+
+    @pytest.mark.parametrize("value", [None, 5], ids=["read", "write"])
+    def test_config_operation_on_a_sleeping_port_clock(self, regime, value):
+        """``ConfigShell.read`` / ``ConfigShell.write``."""
+        system = self._drained(regime, "config_system")
+        shell = system.config_shell
+        address = channel_register_address(1, REG_DATA_THRESHOLD)
+        if value is None:
+            op = shell.read("ni1", address)
+        else:
+            op = shell.write("ni1", address, value, acknowledged=True)
+        system.run_until_idle(max_flit_cycles=2000, predicate=shell.is_idle)
+        assert op.done and not op.error
+        register = system.model.kernels["ni1"].read_register(address)
+        assert register == (op.result if value is None else value)
+
+    def test_config_writes_beyond_the_message_queue_all_issue(self, regime):
+        """``ConfigShell._tx_space_stimulus``: an issue refused by
+        ``can_submit()`` resumes when the connection shell sends a message
+        — the only other component on the configuration port's clock, and
+        it never re-probes a neighbour's standing gate."""
+        system = self._drained(regime, "config_system")
+        shell = system.config_shell
+        address = channel_register_address(1, REG_DATA_THRESHOLD)
+        ops = [shell.write("ni1", address, value)
+               for value in range(shell.shell.max_pending_messages + 6)]
+        system.run_until_idle(max_flit_cycles=2000, predicate=shell.is_idle)
+        assert all(op.done for op in ops)
+        system.run_until_idle(max_flit_cycles=2000)
+        assert (system.model.kernels["ni1"].read_register(address)
+                == len(ops) - 1)

@@ -249,6 +249,31 @@ class TestSlotCacheInvalidation:
         pair.run(16)
         assert pair.b.channel(0).dest_queue.total_fill == 4
 
+    @pytest.mark.parametrize("slots,mutate,delivered", [
+        ((), lambda table: table.reserve(3, 0), 4),
+        ((0,), lambda table: table.release(0), 2),
+        ((0, 4), lambda table: table.release_owner(0), 2),
+        ((0,), lambda table: table.clear(), 2),
+    ], ids=["reserve", "release", "release_owner", "clear"])
+    def test_every_mutator_alone_bumps_the_version(self, slots, mutate,
+                                                   delivered):
+        """One mutator per case, so no neighbour's bump covers for it: the
+        version moves, and the kernel that had cached the table schedules
+        by the new owners on its next tick."""
+        pair = KernelPair()
+        pair.open_channel(gt=True, slots=slots)
+        pair.a.channel(0).source_queue.push_many([1, 2])
+        pair.run(16)
+        assert pair.b.channel(0).dest_queue.total_fill == (2 if slots else 0)
+        table = pair.a.slot_table
+        version = table.version
+        mutate(table)
+        assert table.version != version
+        pair.a.channel(0).source_queue.push_many([3, 4])
+        pair.run(16)
+        assert pair.b.channel(0).dest_queue.total_fill == delivered
+        assert pair.a._slot_owners == table.entries()
+
     def test_consecutive_run_cache_matches_reference(self):
         pair = KernelPair()
         pair.open_channel(gt=True, slots=(2, 3, 4))

@@ -1,5 +1,6 @@
-"""reprolint: positive/negative fixtures per rule, suppressions, baseline
-round-trip, CLI exit codes, and the shipped-tree cleanliness gate.
+"""reprolint (``scripts/reprolint.py``): positive/negative fixtures per
+rule, per-line suppressions, CLI exit codes, and the shipped-tree
+cleanliness gate.
 
 Every rule id has a minimal violating snippet and a minimal compliant
 snippet; fixtures are linted with ``select=[rule_id]`` so unrelated rules
@@ -10,7 +11,7 @@ wake-protocol violation makes the analyzer (and therefore check.sh, which
 runs it first) fail.
 """
 
-import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,16 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    Baseline,
-    BaselineEntry,
-    LintError,
-    all_rules,
-    lint_paths,
-    lint_source,
-)
+from reprolint import LintError, all_rules, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+CLI = [sys.executable, str(REPO_ROOT / "scripts" / "reprolint.py")]
 
 
 def rule_ids(source: str, select=None) -> set:
@@ -84,19 +79,6 @@ FIXTURES = [
         """,
     ),
     (
-        "det-float-cycles",
-        """
-        def schedule(words):
-            delay_ps = words / 3
-            return delay_ps
-        """,
-        """
-        def schedule(words):
-            delay_ps = words // 3
-            return delay_ps
-        """,
-    ),
-    (
         "wake-mutate-no-notify",
         """
         class Producer:
@@ -117,20 +99,6 @@ FIXTURES = [
         """,
     ),
     (
-        "wake-impure-is-idle",
-        """
-        class Lazy:
-            def is_idle(self):
-                self.polls += 1
-                return not self.queue
-        """,
-        """
-        class Lazy:
-            def is_idle(self):
-                return not self.queue
-        """,
-    ),
-    (
         "gate-next-action-consistent",
         """
         class Gated:
@@ -147,45 +115,6 @@ FIXTURES = [
                 if not self.pending:
                     return cycle + 4
                 return cycle + 1
-        """,
-    ),
-    (
-        "wake-slot-version",
-        """
-        class Table:
-            def __init__(self):
-                self.version = 0
-                self.entries = {}
-
-            def reserve(self, slot, owner):
-                self.entries[slot] = owner
-        """,
-        """
-        class Table:
-            def __init__(self):
-                self.version = 0
-                self.entries = {}
-
-            def reserve(self, slot, owner):
-                self.entries[slot] = owner
-                self.version += 1
-        """,
-    ),
-    (
-        "hot-missing-slots",
-        """
-        class Flit:
-            def __init__(self, packet, index):
-                self.packet = packet
-                self.index = index
-        """,
-        """
-        class Flit:
-            __slots__ = ("packet", "index")
-
-            def __init__(self, packet, index):
-                self.packet = packet
-                self.index = index
         """,
     ),
     (
@@ -237,17 +166,6 @@ FIXTURES = [
         """,
     ),
     (
-        "ctr-raw-reset",
-        """
-        def clear_window(ctr):
-            ctr.value = 0
-        """,
-        """
-        def clear_window(ctr):
-            ctr.reset()
-        """,
-    ),
-    (
         "obs-hot-disabled",
         """
         class BufferProbe:
@@ -271,6 +189,13 @@ def test_every_registered_rule_has_a_fixture():
     assert sorted(all_rules()) == ALL_RULE_IDS
 
 
+def test_performance_md_tabulates_exactly_the_rules():
+    text = (REPO_ROOT / "PERFORMANCE.md").read_text(encoding="utf-8")
+    section = text.split("## Static contract checking", 1)[1]
+    table = section.split("### Checked dynamically instead", 1)[0]
+    assert sorted(re.findall(r"^\| `([a-z\-]+)`", table, re.M)) == ALL_RULE_IDS
+
+
 @pytest.mark.parametrize("rule_id,violating,compliant", FIXTURES,
                          ids=[f[0] for f in FIXTURES])
 def test_rule_fixtures(rule_id, violating, compliant):
@@ -283,16 +208,34 @@ def test_rule_fixtures(rule_id, violating, compliant):
 @pytest.mark.parametrize("rule_id,violating,_", FIXTURES,
                          ids=[f[0] for f in FIXTURES])
 def test_violating_fixture_fails_via_cli(rule_id, violating, _, tmp_path):
-    """`python -m repro.analysis.lint` exits nonzero on each rule's
-    violating fixture (acceptance criterion)."""
+    """`scripts/reprolint.py` exits nonzero on each rule's violating
+    fixture (acceptance criterion)."""
     fixture = tmp_path / "fixture.py"
     fixture.write_text(textwrap.dedent(violating), encoding="utf-8")
     result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", str(fixture),
-         "--no-baseline", "--select", rule_id],
+        CLI + [str(fixture), "--select", rule_id],
         capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 1, result.stdout + result.stderr
     assert rule_id in result.stdout
+
+
+def test_impure_is_idle_is_flagged_by_the_gate_rule():
+    """The purity half of ``gate-next-action-consistent`` covers both
+    engine probes, ``is_idle`` as well as ``next_action_cycle``."""
+    impure = """
+    class Lazy:
+        def is_idle(self):
+            self.polls += 1
+            return not self.queue
+    """
+    pure = """
+    class Lazy:
+        def is_idle(self):
+            return not self.queue
+    """
+    select = ["gate-next-action-consistent"]
+    assert rule_ids(impure, select=select) == set(select)
+    assert rule_ids(pure, select=select) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -322,111 +265,16 @@ def test_suppression_is_rule_specific():
     assert "det-wall-clock" in rule_ids(source, select=["det-wall-clock"])
 
 
-def test_disable_all_on_line():
-    source = """
-    import time
-
-    def stamp():
-        return time.time()  # reprolint: disable=all
-    """
-    assert rule_ids(source) == set()
-
-
-def test_file_level_suppression():
-    source = """
-    # reprolint: disable-file=det-wall-clock
-    import time
-
-    def stamp():
-        return time.time()
-
-    def stamp2():
-        return time.monotonic()
-    """
-    report = lint_source(textwrap.dedent(source),
-                         select=["det-wall-clock"])
-    assert report.ok
-    assert report.inline_suppressed == 2
-
-
 def test_multiple_ids_one_comment():
     source = """
+    import random
     import time
 
     def stamp():
-        delay_ps = time.time() / 2  # reprolint: disable=det-wall-clock, det-float-cycles
-        return delay_ps
+        return time.time() + random.random()  # reprolint: disable=det-wall-clock, det-module-random
     """
     assert rule_ids(source,
-                    select=["det-wall-clock", "det-float-cycles"]) == set()
-
-
-# ---------------------------------------------------------------------------
-# Baseline round-trip
-# ---------------------------------------------------------------------------
-
-def test_baseline_round_trip(tmp_path):
-    bad = tmp_path / "offender.py"
-    bad.write_text(textwrap.dedent("""
-        import time
-
-        def stamp():
-            return time.time()
-        """), encoding="utf-8")
-
-    raw = lint_paths([str(bad)], select=["det-wall-clock"])
-    assert len(raw.violations) == 1
-
-    baseline = Baseline.from_violations(raw.violations, reason="reviewed")
-    baseline_path = tmp_path / "baseline.json"
-    baseline.save(baseline_path)
-
-    reloaded = Baseline.load(baseline_path)
-    assert [entry.to_dict() for entry in reloaded.entries] == \
-        [entry.to_dict() for entry in baseline.entries]
-
-    gated = lint_paths([str(bad)], select=["det-wall-clock"],
-                       baseline=reloaded)
-    assert gated.ok
-    assert gated.baseline_suppressed == 1
-
-
-def test_baseline_count_bounds_absorption(tmp_path):
-    bad = tmp_path / "offender.py"
-    bad.write_text(textwrap.dedent("""
-        import time
-
-        def stamp():
-            a = time.time()
-            b = time.time()
-            return a + b
-        """), encoding="utf-8")
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="det-wall-clock", path=str(bad), symbol="stamp", count=1)])
-    report = lint_paths([str(bad)], select=["det-wall-clock"],
-                        baseline=baseline)
-    assert report.baseline_suppressed == 1
-    assert len(report.violations) == 1  # the surplus is still reported
-
-
-def test_baseline_matches_on_path_suffix(tmp_path):
-    nested = tmp_path / "deep" / "nested"
-    nested.mkdir(parents=True)
-    bad = nested / "offender.py"
-    bad.write_text("import time\nnow = time.time()\n", encoding="utf-8")
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="det-wall-clock", path="nested/offender.py",
-        symbol="<module>")])
-    report = lint_paths([str(bad)], select=["det-wall-clock"],
-                        baseline=baseline)
-    assert report.ok
-
-
-def test_malformed_baseline_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"entries": [{"path": "x.py"}]}', encoding="utf-8")
-    with pytest.raises(LintError):
-        Baseline.load(path)
+                    select=["det-wall-clock", "det-module-random"]) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -445,42 +293,11 @@ def test_parse_error_is_reported(tmp_path):
     assert [v.rule_id for v in report.violations] == ["parse-error"]
 
 
-def test_json_format_cli(tmp_path):
-    fixture = tmp_path / "fixture.py"
-    fixture.write_text("import time\nnow = time.time()\n", encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", str(fixture),
-         "--no-baseline", "--format", "json"],
-        capture_output=True, text=True, cwd=REPO_ROOT)
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert payload["ok"] is False
-    assert payload["counts_by_rule"]["det-wall-clock"] == 1
-    assert payload["violations"][0]["rule"] == "det-wall-clock"
-
-
 def test_cli_usage_error_exit_code(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint",
-         str(tmp_path / "does-not-exist"), "--no-baseline"],
+        CLI + [str(tmp_path / "does-not-exist")],
         capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 2
-
-
-def test_write_baseline_cli(tmp_path):
-    fixture = tmp_path / "fixture.py"
-    fixture.write_text("import time\nnow = time.time()\n", encoding="utf-8")
-    out = tmp_path / "new_baseline.json"
-    write = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", str(fixture),
-         "--no-baseline", "--write-baseline", str(out)],
-        capture_output=True, text=True, cwd=REPO_ROOT)
-    assert write.returncode == 0, write.stdout + write.stderr
-    gated = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", str(fixture),
-         "--baseline", str(out)],
-        capture_output=True, text=True, cwd=REPO_ROOT)
-    assert gated.returncode == 0, gated.stdout + gated.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +305,9 @@ def test_write_baseline_cli(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_shipped_tree_is_clean():
-    """`python -m repro.analysis.lint src/repro` exits 0 (acceptance)."""
+    """`scripts/reprolint.py src/repro` exits 0 (acceptance)."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.lint", "src/repro",
-         "--baseline", "reprolint_baseline.json"],
-        capture_output=True, text=True, cwd=REPO_ROOT)
+        CLI + ["src/repro"], capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 0, result.stdout + result.stderr
 
 
@@ -526,9 +341,17 @@ def test_introduced_wake_violation_fails_the_gate():
         broken, select=["wake-mutate-no-notify"])
 
 
-def test_shipped_baseline_entries_all_have_reasons():
-    baseline = Baseline.load(REPO_ROOT / "reprolint_baseline.json")
-    assert baseline.entries, "baseline should carry the reviewed exceptions"
-    for entry in baseline.entries:
-        assert entry.reason.strip(), \
-            f"baseline entry {entry.key()} has no recorded reason"
+def test_shipped_suppressions_are_few_and_all_have_reasons():
+    """Every inline suppression in the shipped tree sits right under a
+    comment saying why the contract holds anyway, and there are no more
+    than the five reviewed ones."""
+    suppressed = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for index, line in enumerate(lines):
+            if "reprolint: disable" in line:
+                suppressed.append(f"{path.name}:{index + 1}")
+                above = lines[index - 1].strip()
+                assert above.startswith("#") and len(above) > 20, \
+                    f"{suppressed[-1]}: suppression without a reason above it"
+    assert 0 < len(suppressed) <= 5, suppressed
