@@ -24,8 +24,9 @@ bench:           ## the performance ledger of BENCHMARK.json (~4 min, all five w
 bench-quick:     ## ledger smoke: every workload and metric in a few seconds
 	$(PYTHON) benchmarks/ledger/run.py --smoke
 
-census:          ## Python calls + bytecodes per flit cycle on dense_grid (exact, ~10 s)
+census:          ## Python calls + bytecodes, then retained KiB, per flit cycle on dense_grid (exact, ~20 s)
 	$(PYTHON) scripts/census.py --ledger dense_grid --segments 2 --bytecodes
+	$(PYTHON) scripts/census.py --ledger dense_grid --segments 2 --memory --top 8
 
 check:           ## lint + fast tests + examples + fault/obs/tick-gating smokes (CI gate)
 	bash scripts/check.sh

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Deterministic work census: Python calls and bytecodes per flit cycle.
+"""Deterministic work census: Python calls, bytecodes and retained memory
+per flit cycle.
 
     scripts/census.py --scenario saturated_grid --cycles 150 --warmup 50
-    scripts/census.py --ledger dense_grid --segments 2 --bytecodes
+    scripts/census.py --ledger dense_grid --segments 2 --bytecodes --memory
 
 Counts what the interpreter executes while a run advances — Python-level
 calls (``sys.setprofile``) and, with ``--bytecodes``, executed bytecodes
 (``sys.settrace`` with ``f_trace_opcodes``) — and prints them per flit
 cycle: in total, per module under ``repro/`` and for the top ``--top``
-functions.  Nothing here is timed, so the figures repeat exactly and carry
-no host noise; PERFORMANCE.md's census table is this tool's output.
+functions.  With ``--memory`` the whole process runs under ``tracemalloc``
+and the heap is compared across the counted window: KiB retained per flit
+cycle (what a run's memory grows by for as long as it runs) and the lines
+that allocated it.  Nothing here is timed, so the figures repeat exactly and
+carry no host noise; PERFORMANCE.md's census table is this tool's output.
 
 ``--scenario`` builds a registry scenario, runs ``--warmup`` flit cycles
 uncounted and ``--cycles`` counted.  ``--ledger`` imports a workload of
@@ -26,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -142,6 +147,26 @@ def report(census: Census, bytecodes: bool, flit_cycles: int,
         print(f"{label:<56}{count / flit_cycles:>10,.2f}{ops}")
 
 
+def memory_report(before: tracemalloc.Snapshot, after: tracemalloc.Snapshot,
+                  flit_cycles: int, top: int) -> None:
+    """Print what the counted window left on the heap, per flit cycle and
+    per allocating line (this file's own counters excluded)."""
+    own = [tracemalloc.Filter(False, os.path.abspath(__file__))]
+    growth = after.filter_traces(own).compare_to(before.filter_traces(own),
+                                                 "lineno")
+    retained = sum(stat.size_diff for stat in growth) / 1024
+    print(f"retained {retained / flit_cycles:,.2f} KiB per flit cycle "
+          f"({retained:,.0f} KiB over the counted window)")
+    print(f"\n{'allocation site (top ' + str(top) + ' by KiB retained)':<56}"
+          f"{'KiB':>10}{'blocks':>12}")
+    for stat in growth[:top]:
+        frame = stat.traceback[0]
+        label = f"{_module(frame.filename)}:{frame.lineno}"
+        print(f"{label:<56}{stat.size_diff / 1024:>10,.1f}"
+              f"{stat.count_diff:>12,}")
+    print()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     source = parser.add_mutually_exclusive_group(required=True)
@@ -160,10 +185,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="workload seed (--ledger)")
     parser.add_argument("--bytecodes", action="store_true",
                         help="also count executed bytecodes (slow)")
+    parser.add_argument("--memory", action="store_true",
+                        help="also report the heap the counted window "
+                             "retained (tracemalloc; slow)")
     parser.add_argument("--top", type=int, default=25,
-                        help="functions listed")
+                        help="functions (and allocation sites) listed")
     args = parser.parse_args(argv)
 
+    if args.memory:
+        # Trace from before the system exists, so that every block the
+        # window frees was seen allocated — but after the imports, whose
+        # code objects only weigh on the snapshots.
+        import ledger_workloads     # noqa: F401  (imports repro.api too)
+        tracemalloc.start()
     if args.scenario:
         advance, fingerprint = scenario_run(args.scenario, args.warmup,
                                             args.cycles)
@@ -176,6 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{LEDGER_WARMUP_SEGMENTS} warm-up + {args.segments} "
                 f"counted segments")
     census = Census()
+    heap_before = tracemalloc.take_snapshot() if args.memory else None
     sys.setprofile(census.profile)
     if args.bytecodes:
         sys.settrace(census.trace)
@@ -186,6 +221,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.setprofile(None)
     print(f"{what} = {flit_cycles} flit cycles")
     print(f"fingerprint {fingerprint()}")
+    if args.memory:
+        memory_report(heap_before, tracemalloc.take_snapshot(), flit_cycles,
+                      args.top)
+        tracemalloc.stop()
     report(census, args.bytecodes, flit_cycles, args.top)
     return 0
 

@@ -125,7 +125,7 @@ assert growth == 0, \
 print("  torus_neighbor: idle + 20000 cycles byte-identical, 0 events")
 EOF
 
-echo "== census smoke (the call/bytecode counter behind PERFORMANCE.md) =="
-python scripts/census.py --scenario saturated_grid --cycles 50 --top 5
+echo "== census smoke (the call/bytecode/heap counter behind PERFORMANCE.md) =="
+python scripts/census.py --scenario saturated_grid --cycles 50 --top 5 --memory
 
 echo "check: OK"

@@ -18,8 +18,32 @@ from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import StatsRegistry
 
 
+class _GeneratedCounter:
+    """``transactions_generated``: read through to the master's books (as
+    the kernel's ``gt_slots_unused`` is), so an arrival the shell refuses
+    is counted without being built."""
+
+    __slots__ = ("_master",)
+    name = "transactions_generated"
+
+    def __init__(self, master: "TrafficGeneratorMaster") -> None:
+        self._master = master
+
+    @property
+    def value(self) -> int:
+        return self._master._arrived()
+
+
 class TrafficGeneratorMaster(ClockedComponent):
-    """A master IP that replays a traffic pattern into a master shell."""
+    """A master IP that replays a traffic pattern into a master shell.
+
+    The pattern is asked for a transaction when the shell can take it, not
+    when it arrives: a pattern that answers ``arrivals_before`` has its
+    refused arrivals *counted* from the clock (``transactions_generated``,
+    :attr:`backlog`, :meth:`done`), so an overloaded source retains nothing
+    and wakes for completions only.  A pattern that answers ``None`` is
+    asked at every arrival, which is the only difference between the two.
+    """
 
     def __init__(self, name: str, shell: MasterShell,
                  pattern: Optional[TrafficPattern] = None,
@@ -32,19 +56,28 @@ class TrafficGeneratorMaster(ClockedComponent):
         self.stop_cycle = stop_cycle
         self.stats = StatsRegistry()
         self.completed: List[Transaction] = []
+        #: Explicitly issued transactions and at most one pull's worth.
         self._backlog: Deque[Transaction] = deque()
         # Un-gate this IP the moment the shell below appends a completion
         # (tick gating: a standing gate is only cancelled by a notify).
         shell.on_complete = self.notify_active
-        self._generated = 0
-        self._cycle = 0
-        #: Pattern fast path: cycles strictly below this are guaranteed
-        #: traffic-free (see ``TrafficPattern.next_active_cycle``), so
-        #: ``_generate`` skips the pattern call entirely.
-        self._next_active = 0
+        #: Whether arrivals are counted (``arrivals_before``) or asked for.
+        self._counted = (pattern is not None
+                         and pattern.arrivals_before(0) is not None)
+        #: Pattern transactions pulled into ``_backlog`` so far.
+        self._pulled = 0
+        #: Last cycle ticked (what a master driven by hand counts up to).
+        self._cycle = -1
+        #: Cycle of the oldest arrival not yet pulled — cycles before it
+        #: are traffic-free (``TrafficPattern.next_active_cycle``) —
+        #: or FAR_FUTURE once a cut-off excludes everything still to come.
+        self._next_active = 0 if pattern is not None else FAR_FUTURE
+        if ((max_transactions is not None and max_transactions <= 0)
+                or (stop_cycle is not None and stop_cycle <= 0)):
+            self._next_active = FAR_FUTURE
         # Hot-path counters cached as attributes (one registry lookup at
         # construction, not one per tick); still visible through ``stats``.
-        self._ctr_generated = self.stats.counter("transactions_generated")
+        self.stats.counters["transactions_generated"] = _GeneratedCounter(self)
         self._ctr_issued = self.stats.counter("transactions_issued")
         self._ctr_completed = self.stats.counter("transactions_completed")
         self._ctr_errors = self.stats.counter("transaction_errors")
@@ -53,7 +86,11 @@ class TrafficGeneratorMaster(ClockedComponent):
 
     # -------------------------------------------------------------- control
     def issue(self, transaction: Transaction) -> None:
-        """Explicitly queue one transaction (in addition to the pattern)."""
+        """Explicitly queue one transaction (in addition to the pattern),
+        behind every pattern arrival that precedes it."""
+        passed = self._passed()
+        while self._next_active <= passed:
+            self._pull()
         self._backlog.append(transaction)
         self.notify_active()
 
@@ -65,25 +102,40 @@ class TrafficGeneratorMaster(ClockedComponent):
         """True when every generated transaction has completed *and* been
         collected into :attr:`completed` (the shell completes a posted write
         one tick before this IP polls it, so the uncollected count matters)."""
-        return (not self._backlog and self.shell.outstanding == 0
+        return (not self.backlog and self.shell.outstanding == 0
                 and self.shell.uncollected_completions == 0
                 and self._pattern_exhausted())
+
+    def _passed(self) -> int:
+        """Last cycle that is over for this master: executed or slept
+        through on its clock, ticked when driven by hand."""
+        clock = self._clock
+        return self._cycle if clock is None else clock.cycle_passed
+
+    def _arrived(self) -> int:
+        """Pattern transactions generated so far, pulled or only counted."""
+        if not self._counted:
+            return self._pulled
+        due = self._passed() + 1
+        if self.stop_cycle is not None and due > self.stop_cycle:
+            due = self.stop_cycle
+        arrived = self.pattern.arrivals_before(due)
+        cap = self.max_transactions
+        return arrived if cap is None or arrived < cap else cap
 
     def _pattern_exhausted(self) -> bool:
         if self.pattern is None:
             return True
         if self.max_transactions is not None:
-            return self._generated >= self.max_transactions
+            return self._arrived() >= self.max_transactions
         if self.stop_cycle is not None:
-            return self._cycle >= self.stop_cycle
+            return self._passed() >= self.stop_cycle
         return False
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:
         self._cycle = cycle
-        if cycle >= self._next_active:
-            self._generate(cycle)
-        if self._backlog:
+        if self._backlog or cycle >= self._next_active:
             self._submit(cycle)
         if self.shell.uncollected_completions:
             self._collect(cycle)
@@ -91,72 +143,71 @@ class TrafficGeneratorMaster(ClockedComponent):
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip.
 
-        Busy while the traffic pattern can still generate transactions (the
-        pattern is cycle-indexed, so the generator must observe every cycle
-        until it is exhausted) or explicitly issued transactions await
-        submission.  Completions are collected while the shells below keep
-        the shared clock awake.
+        Busy while the traffic pattern can still generate transactions or
+        transactions — issued explicitly or arrived and only counted —
+        await submission.  Completions are collected while the shells below
+        keep the shared clock awake.
         """
-        return not self._backlog and self._pattern_exhausted()
+        return not self.backlog and self._pattern_exhausted()
 
     def next_action_cycle(self, cycle: int) -> int:
-        """Horizon: the pattern's next active cycle unless work can move now.
+        """Horizon: the pattern's next arrival unless work can move now.
 
         Dense while completions await collection or the shell would accept
-        a backlogged transaction.  A backlog the shell refuses
-        (``max_outstanding`` reached) waits for no cycle: outstanding
-        transactions only retire through a completion, and
-        ``MasterShell.on_complete`` wakes this IP then.  Otherwise the
-        generator sleeps until ``_next_active`` (the pattern's own
-        guaranteed-traffic-free fast path, so skipping to it is exact).
-        With a ``stop_cycle`` pattern the horizon is clamped to the stop
-        cycle: ``_pattern_exhausted`` reads the *recorded* ``_cycle``, so
-        one tick at the stop cycle is required before the FAR claim —
-        otherwise ``done()`` and ``is_idle`` would report unexhausted off a
-        stale cycle forever.
+        a waiting transaction.  One the shell refuses (``max_outstanding``
+        reached) waits for no cycle: outstanding transactions only retire
+        through a completion, and ``MasterShell.on_complete`` wakes this IP
+        then — so a refused master whose arrivals are counted sleeps
+        through them, and only one that has to ask wakes at each.  While
+        ``stop_cycle`` lies ahead the horizon is clamped to it: that edge
+        is where ``done()`` and ``is_idle`` turn, and ``run_until_idle``
+        must find an event there in both regimes.
         """
         shell = self.shell
-        if shell.uncollected_completions or (self._backlog
-                                             and shell.can_submit()):
+        if shell.uncollected_completions:
             return cycle + 1
-        pattern = self.pattern
-        if pattern is None:
-            return FAR_FUTURE
-        if self.max_transactions is not None:
-            if self._generated >= self.max_transactions:
-                return FAR_FUTURE
-        elif self.stop_cycle is not None and self._cycle >= self.stop_cycle:
-            return FAR_FUTURE
         nxt = self._next_active
-        if self.stop_cycle is not None and nxt > self.stop_cycle:
-            nxt = self.stop_cycle
-        if nxt <= cycle:
-            return cycle + 1
-        return nxt
+        if self._backlog or nxt <= cycle:
+            if shell.can_submit():
+                return cycle + 1
+            if self._counted:
+                nxt = FAR_FUTURE
+        stop = self.stop_cycle
+        if stop is not None and cycle < stop < nxt:
+            nxt = stop
+        return nxt if nxt > cycle else cycle + 1
 
-    def _generate(self, cycle: int) -> None:
+    def _pull(self) -> None:
+        """Ask the pattern for its oldest arrival not yet pulled — by that
+        arrival's cycle, never the current one — and where the next is."""
         pattern = self.pattern
-        if pattern is None:
-            return
-        if self.stop_cycle is not None and cycle >= self.stop_cycle:
-            return
-        if (self.max_transactions is not None
-                and self._generated >= self.max_transactions):
-            return
-        for transaction in pattern.transactions_for_cycle(cycle):
-            if (self.max_transactions is not None
-                    and self._generated >= self.max_transactions):
+        arrival = self._next_active
+        cap = self.max_transactions
+        for transaction in pattern.transactions_for_cycle(arrival):
+            if cap is not None and self._pulled >= cap:
                 break
             self._backlog.append(transaction)
-            self._generated += 1
-            self._ctr_generated.increment()
-        self._next_active = pattern.next_active_cycle(cycle + 1)
+            self._pulled += 1
+        nxt = pattern.next_active_cycle(arrival + 1)
+        if ((cap is not None and self._pulled >= cap)
+                or (self.stop_cycle is not None and nxt >= self.stop_cycle)):
+            nxt = FAR_FUTURE
+        self._next_active = nxt
 
     def _submit(self, cycle: int) -> None:
-        while self._backlog and self.shell.can_submit():
-            transaction = self._backlog.popleft()
-            if not self.shell.submit(transaction, cycle=cycle):
-                self._backlog.appendleft(transaction)
+        shell = self.shell
+        backlog = self._backlog
+        if not self._counted:
+            while self._next_active <= cycle:
+                self._pull()
+        while (backlog or self._next_active <= cycle) and shell.can_submit():
+            if not backlog:
+                self._pull()
+                if not backlog:
+                    continue
+            transaction = backlog.popleft()
+            if not shell.submit(transaction, cycle=cycle):
+                backlog.appendleft(transaction)
                 return
             self._ctr_issued.increment()
 
@@ -174,7 +225,8 @@ class TrafficGeneratorMaster(ClockedComponent):
     # ------------------------------------------------------------ reporting
     @property
     def backlog(self) -> int:
-        return len(self._backlog)
+        """Transactions generated or issued and not yet submitted."""
+        return len(self._backlog) + self._arrived() - self._pulled
 
     def latency_summary(self) -> dict:
         recorder = self.stats.latency("latency")

@@ -16,7 +16,7 @@ corresponding transaction streams:
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.protocol.transactions import Transaction
 from repro.sim.clock import FAR_FUTURE
@@ -50,6 +50,20 @@ class TrafficPattern:
         (as :class:`RandomTraffic` draws its coins ahead).
         """
         return cycle
+
+    def arrivals_before(self, cycle: int) -> Optional[int]:
+        """How many transactions the cycles ``0 .. cycle - 1`` yield, if that
+        is known without asking them one by one; ``None`` (the default) if
+        not.
+
+        A pattern that answers promises **one transaction per active
+        cycle** and an exact :meth:`next_active_cycle`, and must be pure
+        here.  Its master then counts a refused arrival instead of storing
+        it, and asks ``transactions_for_cycle(arrival)`` only once the
+        shell can take the transaction — later in host time, in the same
+        order and with the same arguments.
+        """
+        return None
 
 
 class ConstantBitRateTraffic(TrafficPattern):
@@ -96,6 +110,12 @@ class ConstantBitRateTraffic(TrafficPattern):
         remainder = (cycle - self.start_cycle) % self.period_cycles
         return cycle if remainder == 0 else cycle + self.period_cycles - remainder
 
+    def arrivals_before(self, cycle: int) -> int:
+        first = self.next_active_cycle(0)
+        if cycle <= first:
+            return 0
+        return -(-(cycle - first) // self.period_cycles)
+
 
 class BurstyTraffic(TrafficPattern):
     """On/off traffic: ``burst_transactions`` back to back, then silence."""
@@ -132,6 +152,10 @@ class BurstyTraffic(TrafficPattern):
         period = self.on_cycles + self.off_cycles
         phase = cycle % period
         return cycle if phase < self.on_cycles else cycle + period - phase
+
+    def arrivals_before(self, cycle: int) -> int:
+        bursts, phase = divmod(cycle, self.on_cycles + self.off_cycles)
+        return bursts * self.on_cycles + min(phase, self.on_cycles)
 
 
 class RandomTraffic(TrafficPattern):
@@ -209,14 +233,11 @@ class VideoLineTraffic(TrafficPattern):
         self.bursts_per_line = -(-pixels_per_line // burst_words)
         self.line_cycles = (self.bursts_per_line * cycles_per_burst
                             + blanking_cycles)
-        self._line = 0
 
     def transactions_for_cycle(self, cycle: int) -> List[Transaction]:
         phase = cycle % self.line_cycles
         active_cycles = self.bursts_per_line * self.cycles_per_burst
         if phase >= active_cycles or phase % self.cycles_per_burst != 0:
-            if phase == self.line_cycles - 1:
-                self._line += 1
             return NO_TRAFFIC
         burst_index = phase // self.cycles_per_burst
         words_left = self.pixels_per_line - burst_index * self.burst_words
@@ -231,9 +252,17 @@ class VideoLineTraffic(TrafficPattern):
     def expected_words_per_cycle(self) -> float:
         return self.pixels_per_line / self.line_cycles
 
+    def _bursts_started(self, phase: int) -> int:
+        """Bursts of a line that begin before its cycle ``phase``."""
+        return min(self.bursts_per_line, -(-phase // self.cycles_per_burst))
 
-def merge_patterns(patterns: List[TrafficPattern], cycle: int) -> Iterator[Transaction]:
-    """Chain the transactions of several patterns for one cycle."""
-    for pattern in patterns:
-        for transaction in pattern.transactions_for_cycle(cycle):
-            yield transaction
+    def next_active_cycle(self, cycle: int) -> int:
+        phase = cycle % self.line_cycles
+        burst = self._bursts_started(phase)
+        start = (burst * self.cycles_per_burst
+                 if burst < self.bursts_per_line else self.line_cycles)
+        return cycle + start - phase
+
+    def arrivals_before(self, cycle: int) -> int:
+        lines, phase = divmod(cycle, self.line_cycles)
+        return lines * self.bursts_per_line + self._bursts_started(phase)

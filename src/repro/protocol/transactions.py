@@ -159,7 +159,7 @@ class Transaction:
     def write(cls, address: int, data: List[int],
               posted: bool = False) -> "Transaction":
         command = Command.WRITE_POSTED if posted else Command.WRITE
-        return cls(command=command, address=address, write_data=list(data))
+        return cls(command=command, address=address, write_data=data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Transaction({self.command.name}, addr=0x{self.address:08x}, "

@@ -234,10 +234,10 @@ class TestIdleSkip:
 #: lowers its ceiling.
 EVENT_BUDGETS = [
     ("idle_mesh", {"rows": 4, "cols": 4}, 1500, 3),
-    ("saturated_mix", {}, 400, 1991),
-    ("saturated_grid", {}, 150, 729),
-    ("saturated_torus", {}, 200, 988),
-    ("saturated_dram", {}, 300, 1489),
+    ("saturated_mix", {}, 400, 1971),
+    ("saturated_grid", {}, 150, 728),
+    ("saturated_torus", {}, 200, 987),
+    ("saturated_dram", {}, 300, 1483),
     ("torus_neighbor", {}, 300, 497),
     ("hotspot", {}, 300, 1284),
 ]
@@ -263,14 +263,15 @@ def test_default_regime_stays_within_its_event_budget(name, params, cycles,
 #: transactions completed, ceiling on ``tick`` calls of everything on a port
 #: clock — shells and IP modules).  Events do not move when a shell goes
 #: back on the poll (the port group's edge fires either way); these do.
-#: Today's deterministic counts: 9.1 / 12.8 / 26.1 / 30.8 ticks per
-#: transaction (30.9 / 41.9 / 86.3 / 157.7 while blocked shells and waiting
-#: IP modules were ticked every cycle).
+#: Today's deterministic counts: 8.9 / 11.5 / 26.1 / 30.6 ticks per
+#: transaction (9.1 / 12.8 / 26.1 / 30.8 while a refused traffic master woke
+#: at every arrival to store it; 30.9 / 41.9 / 86.3 / 157.7 while blocked
+#: shells and waiting IP modules were ticked every cycle).
 TICK_BUDGETS = [
-    ("saturated_grid", 150, 804, 7296),
-    ("saturated_dram", 300, 369, 4741),
+    ("saturated_grid", 150, 804, 7170),
+    ("saturated_dram", 300, 369, 4226),
     ("torus_neighbor", 300, 90, 2352),
-    ("hotspot", 300, 57, 1754),
+    ("hotspot", 300, 57, 1745),
 ]
 
 
@@ -341,15 +342,17 @@ def test_kernel_ticks_per_flit_stay_within_budget(name, cycles, flits,
 #: how often the engine calls a component; this says what a tick that does
 #: work costs — on CPython the wall follows calls, and the count is exact
 #: and repeatable (``scripts/census.py`` attributes it per function).
-#: Ceilings are today's counts (198 327 / 130 319 / 72 559 / 64 413) + 2 %;
+#: Ceilings are today's counts (195 181 / 120 914 / 72 469 / 64 212) + 2 %;
+#: 198 327 / 130 319 / 72 559 / 64 413 while a traffic master built every
+#: arrival when it arrived and woke to store what its shell refused;
 #: 283 744 / 170 180 / 104 143 / 87 052 while routers re-derived every
 #: head's request per tick, ``Link.send`` woke its commit per flit through a
 #: property chain and packetization asked the FIFO for the time per word.
 CALL_BUDGETS = [
-    ("saturated_grid", 150, 202_293),
-    ("saturated_dram", 300, 132_925),
-    ("torus_neighbor", 300, 74_010),
-    ("hotspot", 300, 65_701),
+    ("saturated_grid", 150, 199_084),
+    ("saturated_dram", 300, 123_332),
+    ("torus_neighbor", 300, 73_918),
+    ("hotspot", 300, 65_496),
 ]
 
 
@@ -372,6 +375,37 @@ def test_python_calls_stay_within_budget(name, cycles, ceiling):
     finally:
         sys.setprofile(previous)
     assert calls[0] <= ceiling
+
+
+#: Standing backlog per saturated shape after 100 warm-up + 600 counted flit
+#: cycles: (scenario, ``sum(ip.backlog)``) — what the masters that stored
+#: every refused arrival held as ``Transaction`` objects.
+RETAINED = [("saturated_grid", 3102), ("saturated_dram", 1527)]
+
+
+@pytest.mark.parametrize("name,backlog", RETAINED,
+                         ids=[shape[0] for shape in RETAINED])
+def test_a_refused_source_retains_nothing(name, backlog):
+    """An overloaded source is accounted, not stored: the backlog reads
+    what it always read, no master holds more than one pull of it, and the
+    only transactions built are the ones a shell took (a master shell from
+    its IP, a slave shell off the network)."""
+    system = scenarios.build(name)
+    system.run_flit_cycles(100)
+    masters = [handle.ip for handle in system.masters.values()]
+
+    def taken():
+        return (sum(ip.stats.counter("transactions_issued").value
+                    for ip in masters)
+                + sum(handle.shell.stats.counter("requests_accepted").value
+                      for handle in system.memories.values()))
+
+    before, first_uid = taken(), Transaction.read(0, 1).uid
+    system.run_flit_cycles(600)
+    built = Transaction.read(0, 1).uid - first_uid - 1
+    assert sum(ip.backlog for ip in masters) == backlog
+    assert sum(len(ip._backlog) for ip in masters) <= len(masters)
+    assert built <= taken() - before + len(masters)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Unit tests for the IP-module models: traffic patterns, memories, slaves."""
 
+from collections import deque
+from typing import Deque, List, Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SystemBuilder
+from repro.core.shells.master import MasterShell
 from repro.ip.master import TrafficGeneratorMaster
 from repro.ip.memory import MemoryRangeError, SharedMemory
 from repro.ip.slave import MemorySlave, RegisterSlave
@@ -13,11 +17,17 @@ from repro.ip.traffic import (
     BurstyTraffic,
     ConstantBitRateTraffic,
     RandomTraffic,
+    TrafficPattern,
     VideoLineTraffic,
-    merge_patterns,
 )
-from repro.protocol.transactions import Command, ResponseError, Transaction
+from repro.protocol.transactions import (
+    Command,
+    ResponseError,
+    Transaction,
+    TransactionStatus,
+)
 from repro.sim.clock import FAR_FUTURE, ClockedComponent, always_tick
+from repro.sim.stats import StatsRegistry
 
 
 class TestSharedMemory:
@@ -213,12 +223,6 @@ class TestTrafficPatterns:
         second_line = pattern.transactions_for_cycle(pattern.line_cycles)[0]
         assert second_line.address == first_line.address + 8 * 4
 
-    def test_merge_patterns(self):
-        patterns = [ConstantBitRateTraffic(period_cycles=1, burst_words=1),
-                    ConstantBitRateTraffic(period_cycles=1, burst_words=2)]
-        merged = list(merge_patterns(patterns, cycle=0))
-        assert len(merged) == 2
-
 
 # ---------------------------------------------------------------------------
 # Oracles: the polling IP modules these replaced, kept as the reference
@@ -243,8 +247,179 @@ class PollRandomTraffic(RandomTraffic):
         return cycle
 
 
-class PollTrafficGeneratorMaster(TrafficGeneratorMaster):
-    """The traffic master this one replaced: dense while anything awaits
+class EagerTrafficGeneratorMaster(ClockedComponent):
+    """The traffic master this one replaced, verbatim (test-only reference):
+    it builds every transaction at the cycle it arrives and stores what the
+    shell refuses, so it has to wake at every arrival."""
+
+    def __init__(self, name: str, shell: MasterShell,
+                 pattern: Optional[TrafficPattern] = None,
+                 max_transactions: Optional[int] = None,
+                 stop_cycle: Optional[int] = None) -> None:
+        self.name = name
+        self.shell = shell
+        self.pattern = pattern
+        self.max_transactions = max_transactions
+        self.stop_cycle = stop_cycle
+        self.stats = StatsRegistry()
+        self.completed: List[Transaction] = []
+        self._backlog: Deque[Transaction] = deque()
+        # Un-gate this IP the moment the shell below appends a completion
+        # (tick gating: a standing gate is only cancelled by a notify).
+        shell.on_complete = self.notify_active
+        self._generated = 0
+        self._cycle = 0
+        #: Pattern fast path: cycles strictly below this are guaranteed
+        #: traffic-free (see ``TrafficPattern.next_active_cycle``), so
+        #: ``_generate`` skips the pattern call entirely.
+        self._next_active = 0
+        # Hot-path counters cached as attributes (one registry lookup at
+        # construction, not one per tick); still visible through ``stats``.
+        self._ctr_generated = self.stats.counter("transactions_generated")
+        self._ctr_issued = self.stats.counter("transactions_issued")
+        self._ctr_completed = self.stats.counter("transactions_completed")
+        self._ctr_errors = self.stats.counter("transaction_errors")
+        self._ctr_words_completed = self.stats.counter("words_completed")
+        self._lat = self.stats.latency("latency")
+
+    # -------------------------------------------------------------- control
+    def issue(self, transaction: Transaction) -> None:
+        """Explicitly queue one transaction (in addition to the pattern)."""
+        self._backlog.append(transaction)
+        self.notify_active()
+
+    def issue_many(self, transactions: List[Transaction]) -> None:
+        for transaction in transactions:
+            self.issue(transaction)
+
+    def done(self) -> bool:
+        """True when every generated transaction has completed *and* been
+        collected into :attr:`completed` (the shell completes a posted write
+        one tick before this IP polls it, so the uncollected count matters)."""
+        return (not self._backlog and self.shell.outstanding == 0
+                and self.shell.uncollected_completions == 0
+                and self._pattern_exhausted())
+
+    def _pattern_exhausted(self) -> bool:
+        if self.pattern is None:
+            return True
+        if self.max_transactions is not None:
+            return self._generated >= self.max_transactions
+        if self.stop_cycle is not None:
+            return self._cycle >= self.stop_cycle
+        return False
+
+    # ----------------------------------------------------------------- clock
+    def tick(self, cycle: int) -> None:
+        self._cycle = cycle
+        if cycle >= self._next_active:
+            self._generate(cycle)
+        if self._backlog:
+            self._submit(cycle)
+        if self.shell.uncollected_completions:
+            self._collect(cycle)
+
+    def is_idle(self) -> bool:
+        """Activity predicate for idle-skip.
+
+        Busy while the traffic pattern can still generate transactions (the
+        pattern is cycle-indexed, so the generator must observe every cycle
+        until it is exhausted) or explicitly issued transactions await
+        submission.  Completions are collected while the shells below keep
+        the shared clock awake.
+        """
+        return not self._backlog and self._pattern_exhausted()
+
+    def next_action_cycle(self, cycle: int) -> int:
+        """Horizon: the pattern's next active cycle unless work can move now.
+
+        Dense while completions await collection or the shell would accept
+        a backlogged transaction.  A backlog the shell refuses
+        (``max_outstanding`` reached) waits for no cycle: outstanding
+        transactions only retire through a completion, and
+        ``MasterShell.on_complete`` wakes this IP then.  Otherwise the
+        generator sleeps until ``_next_active`` (the pattern's own
+        guaranteed-traffic-free fast path, so skipping to it is exact).
+        With a ``stop_cycle`` pattern the horizon is clamped to the stop
+        cycle: ``_pattern_exhausted`` reads the *recorded* ``_cycle``, so
+        one tick at the stop cycle is required before the FAR claim —
+        otherwise ``done()`` and ``is_idle`` would report unexhausted off a
+        stale cycle forever.
+        """
+        shell = self.shell
+        if shell.uncollected_completions or (self._backlog
+                                             and shell.can_submit()):
+            return cycle + 1
+        pattern = self.pattern
+        if pattern is None:
+            return FAR_FUTURE
+        if self.max_transactions is not None:
+            if self._generated >= self.max_transactions:
+                return FAR_FUTURE
+        elif self.stop_cycle is not None and self._cycle >= self.stop_cycle:
+            return FAR_FUTURE
+        nxt = self._next_active
+        if self.stop_cycle is not None and nxt > self.stop_cycle:
+            nxt = self.stop_cycle
+        if nxt <= cycle:
+            return cycle + 1
+        return nxt
+
+    def _generate(self, cycle: int) -> None:
+        pattern = self.pattern
+        if pattern is None:
+            return
+        if self.stop_cycle is not None and cycle >= self.stop_cycle:
+            return
+        if (self.max_transactions is not None
+                and self._generated >= self.max_transactions):
+            return
+        for transaction in pattern.transactions_for_cycle(cycle):
+            if (self.max_transactions is not None
+                    and self._generated >= self.max_transactions):
+                break
+            self._backlog.append(transaction)
+            self._generated += 1
+            self._ctr_generated.increment()
+        self._next_active = pattern.next_active_cycle(cycle + 1)
+
+    def _submit(self, cycle: int) -> None:
+        while self._backlog and self.shell.can_submit():
+            transaction = self._backlog.popleft()
+            if not self.shell.submit(transaction, cycle=cycle):
+                self._backlog.appendleft(transaction)
+                return
+            self._ctr_issued.increment()
+
+    def _collect(self, cycle: int) -> None:
+        for transaction in self.shell.poll_completed():
+            self.completed.append(transaction)
+            self._ctr_completed.increment()
+            if transaction.status == TransactionStatus.ERROR:
+                self._ctr_errors.increment()
+            if transaction.latency_cycles is not None:
+                self._lat.record(transaction.issue_cycle,
+                                 transaction.complete_cycle)
+            self._ctr_words_completed.increment(transaction.burst_length)
+
+    # ------------------------------------------------------------ reporting
+    @property
+    def backlog(self) -> int:
+        return len(self._backlog)
+
+    def latency_summary(self) -> dict:
+        recorder = self.stats.latency("latency")
+        return {
+            "count": recorder.count,
+            "min": recorder.minimum,
+            "mean": recorder.mean,
+            "max": recorder.maximum,
+            "jitter": recorder.jitter,
+        }
+
+
+class PollTrafficGeneratorMaster(EagerTrafficGeneratorMaster):
+    """The traffic master that one replaced: dense while anything awaits
     submission, even when ``max_outstanding`` refuses it every cycle."""
 
     def next_action_cycle(self, cycle: int) -> int:
@@ -338,6 +513,167 @@ class TestRandomTrafficLookAhead:
         assert pattern.transactions_for_cycle(arrival)
 
 
+# ---------------------------------------------------------------------------
+# Asked later, never differently: a pattern yields one stream however its
+# master asks, and the three arithmetic ones count their arrivals
+# ---------------------------------------------------------------------------
+_STREAM_CYCLES = 400
+
+
+@st.composite
+def _shipped_patterns(draw):
+    """A zero-argument factory for one of the four shipped patterns, over
+    the corners of its shape: a start offset, period 1, no off cycles, a
+    short last burst on a video line, no blanking."""
+    words = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["cbr", "bursty", "random", "video"]))
+    if kind == "cbr":
+        kwargs = dict(period_cycles=draw(st.integers(1, 9)),
+                      burst_words=words, write=draw(st.booleans()),
+                      posted=draw(st.booleans()), address_wrap=64,
+                      start_cycle=draw(st.integers(0, 30)))
+        return lambda: ConstantBitRateTraffic(**kwargs)
+    if kind == "bursty":
+        kwargs = dict(on_cycles=draw(st.integers(1, 5)),
+                      off_cycles=draw(st.integers(0, 7)),
+                      burst_words=words, write=draw(st.booleans()))
+        return lambda: BurstyTraffic(**kwargs)
+    if kind == "random":
+        kwargs = dict(injection_probability=draw(
+                          st.sampled_from([0.0, 0.03, 0.5, 1.0])),
+                      burst_words=words, address_space=64,
+                      seed=draw(st.integers(0, 2**16)))
+        return lambda: RandomTraffic(**kwargs)
+    kwargs = dict(pixels_per_line=draw(st.integers(1, 20)),
+                  burst_words=draw(st.integers(1, 8)),
+                  cycles_per_burst=draw(st.integers(1, 5)),
+                  blanking_cycles=draw(st.integers(0, 9)))
+    return lambda: VideoLineTraffic(**kwargs)
+
+
+class _Recorded(TrafficPattern):
+    """Passes every question on to ``inner`` and logs, in ``_stream``'s
+    format, what each cycle asked about yielded."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stream = []
+        self.next_active_cycle = inner.next_active_cycle
+        self.arrivals_before = inner.arrivals_before
+
+    def transactions_for_cycle(self, cycle):
+        transactions = self.inner.transactions_for_cycle(cycle)
+        self.stream += [(cycle, txn.command, txn.address,
+                         tuple(txn.write_data), txn.read_length)
+                        for txn in transactions]
+        return transactions
+
+
+class _ScriptedShell:
+    """Master-shell stand-in: ``can_submit`` answers what the test set and
+    ``submit`` keeps what it is handed."""
+
+    on_complete = None
+    uncollected_completions = 0
+    outstanding = 0
+    accepts = False
+
+    def __init__(self):
+        self.submitted = []
+
+    def can_submit(self):
+        return self.accepts
+
+    def submit(self, transaction, cycle=None):
+        self.submitted.append(transaction)
+        return True
+
+
+class TestAskedLaterNeverDifferently:
+    @settings(max_examples=60, deadline=None)
+    @given(make=_shipped_patterns())
+    def test_one_stream_however_the_pattern_is_asked(self, make):
+        every_cycle = _stream(make(), _STREAM_CYCLES,
+                              lambda pattern, cycle: cycle)
+        arrivals_only = _stream(
+            make(), _STREAM_CYCLES,
+            lambda pattern, cycle: pattern.next_active_cycle(cycle))
+        assert arrivals_only == every_cycle
+        # Asked late, in one catch-up: a master refused on every cycle and
+        # then handed a shell that takes everything it has.
+        pattern, shell = _Recorded(make()), _ScriptedShell()
+        master = TrafficGeneratorMaster("ip", shell, pattern=pattern,
+                                        stop_cycle=_STREAM_CYCLES)
+        for cycle in range(_STREAM_CYCLES):
+            master.tick(cycle)
+        assert master.backlog == len(every_cycle)
+        if pattern.arrivals_before(0) is not None:
+            assert pattern.stream == [] and not master._backlog
+        shell.accepts = True
+        master.tick(_STREAM_CYCLES)
+        assert pattern.stream == every_cycle
+        assert [(txn.command, txn.address, tuple(txn.write_data),
+                 txn.read_length) for txn in shell.submitted] == [
+                     entry[1:] for entry in every_cycle]
+        assert master.backlog == 0 and master.is_idle()
+
+    @settings(max_examples=60, deadline=None)
+    @given(make=_shipped_patterns())
+    def test_arrivals_before_is_the_brute_force_count(self, make):
+        pattern = make()
+        arrivals = [entry[0] for entry in _stream(
+            make(), _STREAM_CYCLES, lambda pattern, cycle: cycle)]
+        if isinstance(pattern, RandomTraffic):
+            assert pattern.arrivals_before(7) is None
+            return
+        assert len(set(arrivals)) == len(arrivals)      # one per cycle
+        for cycle in range(_STREAM_CYCLES + 1):
+            assert pattern.arrivals_before(cycle) == sum(
+                arrival < cycle for arrival in arrivals), cycle
+            nxt = pattern.next_active_cycle(cycle)
+            assert nxt == min((a for a in arrivals if a >= cycle),
+                              default=nxt) >= cycle
+        assert vars(pattern) == vars(make())            # pure
+
+    def test_a_pattern_that_cannot_count_is_asked_as_before(self):
+        """Several transactions per cycle is outside the arithmetic
+        contract: such a pattern keeps the default ``None`` and its master
+        asks it at every cycle, storing what the shell refuses."""
+        class TwoPerCycle(TrafficPattern):
+            def transactions_for_cycle(self, cycle):
+                return [Transaction.read(8 * cycle, 1),
+                        Transaction.read(8 * cycle + 4, 1)]
+
+        shell = _ScriptedShell()
+        master = TrafficGeneratorMaster("ip", shell, pattern=TwoPerCycle(),
+                                        max_transactions=7)
+        for cycle in range(3):
+            master.tick(cycle)
+            assert master.backlog == len(master._backlog) == 2 * cycle + 2
+        shell.accepts = True
+        for cycle in range(3, 6):
+            master.tick(cycle)
+        assert [txn.address for txn in shell.submitted] == [
+            0, 4, 8, 12, 16, 20, 24]
+        assert master.stats.summary()["counter.transactions_generated"] == 7
+        assert master.is_idle()
+
+
+    @pytest.mark.parametrize("cut_off", [dict(max_transactions=0),
+                                         dict(stop_cycle=0)])
+    def test_a_cut_off_at_zero_never_asks_the_pattern(self, cut_off):
+        pattern = _Recorded(ConstantBitRateTraffic(period_cycles=1))
+        shell = _ScriptedShell()
+        shell.accepts = True
+        master = TrafficGeneratorMaster("ip", shell, pattern=pattern,
+                                        **cut_off)
+        for cycle in range(4):
+            master.tick(cycle)
+        assert pattern.stream == [] and pattern.inner._issued == 0
+        assert master.backlog == 0 and master.is_idle()
+        assert master.next_action_cycle(3) == FAR_FUTURE
+
+
 class TestMemorySlaveHorizon:
     def test_enqueue_stamps_from_the_callers_cycle(self):
         """A slave shell ticks before its slave: at its tick ``c`` an
@@ -388,6 +724,29 @@ class TestMemorySlaveHorizon:
         default = run()
         with always_tick():
             assert run() == default
+
+
+def test_stop_cycle_ends_a_quiet_run_at_the_same_instant_in_both_regimes():
+    """Everything has completed long before ``stop_cycle`` and the next
+    arrival lies beyond it: the clamped horizon is the only event left,
+    and it is where always-tick sees the master turn idle."""
+    def run():
+        system = (SystemBuilder("stop").mesh(1, 2)
+                  .add_master("m", router=(0, 0), stop_cycle=190,
+                              pattern=ConstantBitRateTraffic(
+                                  period_cycles=100, burst_words=2))
+                  .add_memory("mem", router=(0, 1))
+                  .connect("m", "mem")
+                  .build())
+        cycles = system.run_until_idle(max_flit_cycles=2000)
+        master = system.master("m")
+        assert master.done() and len(master.completed) == 2
+        assert system.sim.now == master.clock.edge_time(190)
+        return cycles, system.deep_fingerprint()
+
+    default = run()
+    with always_tick():
+        assert run() == default
 
 
 class _RefusingShell:

@@ -26,9 +26,10 @@ def test_ci_runs_reprolint():
 #: Names of the burst-batching layer, the per-component dense recheck, the
 #: idle-skip-only regime, the clock-level dense window, the testbench wrapper
 #: layer, the superseded perf harness, the kernel's observation-only
-#: idleness, the per-flit helper calls of the flit's path and the lint
-#: framework inside the package, deleted together with everything that kept
-#: them exact.
+#: idleness, the per-flit helper calls of the flit's path, the lint
+#: framework inside the package and the one producer of several
+#: transactions per cycle, deleted together with everything that kept them
+#: exact.
 _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "unbatched", "_gate_recheck",
                   # Links are wires committed by one LinkCommit per NoC: the
@@ -74,7 +75,11 @@ _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "--write-baseline", "--no-baseline", "disable-file",
                   "register_rule", "BaselineEntry", "render_json",
                   "det-float-cycles", "wake-impure-is-idle",
-                  "wake-slot-version", "hot-missing-slots", "ctr-raw-reset")
+                  "wake-slot-version", "hot-missing-slots", "ctr-raw-reset",
+                  # Shipped patterns yield one transaction per active cycle
+                  # (the ``arrivals_before`` contract); the unused helper
+                  # that chained several patterns into one cycle stays gone.
+                  "merge_patterns")
 
 
 def test_deleted_engine_names_stay_deleted():

@@ -22,7 +22,12 @@ from repro.core.shells.point_to_point import PointToPointShell
 from repro.core.shells.slave import SlaveShell
 from repro.ip.master import TrafficGeneratorMaster
 from repro.ip.slave import MemorySlave
-from repro.ip.traffic import ConstantBitRateTraffic, RandomTraffic
+from repro.ip.traffic import (
+    BurstyTraffic,
+    ConstantBitRateTraffic,
+    RandomTraffic,
+    VideoLineTraffic,
+)
 from repro.protocol.messages import (
     RequestMessage,
     ResponseMessage,
@@ -38,6 +43,7 @@ from repro.sim.clock import FAR_FUTURE, Clock
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter
 from tests.test_ip import (
+    EagerTrafficGeneratorMaster,
     PollMemorySlave,
     PollRandomTraffic,
     PollTrafficGeneratorMaster,
@@ -447,6 +453,9 @@ _PRODUCTION = dict(conn=ConnectionShell, master=MasterShell,
 _POLL = dict(conn=PollConnectionShell, master=PollMasterShell,
              slave=PollSlaveShell, ip=PollTrafficGeneratorMaster,
              memory=PollMemorySlave, random=PollRandomTraffic)
+#: The traffic master that built every arrival and stored what was refused,
+#: above the production shells.
+_EAGER = dict(_PRODUCTION, ip=EagerTrafficGeneratorMaster)
 
 
 def _plain(obj):
@@ -472,12 +481,18 @@ class LoopbackBench:
     has room), at a scripted picosecond — on or off either port grid.  It
     is an event of priority 0, the flit clock's, so a move that lands on a
     port boundary precedes that port edge exactly as a kernel tick would.
+
+    A case may also script explicit ``issue()`` calls and reads of the
+    traffic master's books (``issues`` / ``reads``: a picosecond and an
+    event priority each — 0 precedes the port edges of its timestamp, 3
+    follows them), a ``stop_cycle`` and the master port's frequency.
     """
 
     def __init__(self, classes, idle_skip, case):
         self.sim = sim = Simulator()
         sim.next_clock_priority()           # the flit clock's
-        self.m_clock = Clock(sim, 500.0, name="m", idle_skip=idle_skip)
+        self.m_clock = Clock(sim, case.get("master_mhz", 500.0), name="m",
+                             idle_skip=idle_skip)
         self.s_clock = Clock(sim, case["slave_mhz"], name="s",
                              idle_skip=idle_skip)
         ports = []
@@ -498,13 +513,19 @@ class LoopbackBench:
             probability, seed, burst = args
             pattern = classes["random"](probability, burst_words=burst,
                                         address_space=64, seed=seed)
-        else:
+        elif kind == "cbr":
             period, burst, write, posted = args
             pattern = ConstantBitRateTraffic(period, burst_words=burst,
                                              write=write, posted=posted,
                                              address_wrap=64)
+        elif kind == "bursty":
+            on, off, burst, write = args
+            pattern = BurstyTraffic(on, off, burst_words=burst, write=write)
+        else:
+            pattern = VideoLineTraffic(*args)
         self.ip = classes["ip"]("ip", self.m_shell, pattern=pattern,
-                                max_transactions=case["max_transactions"])
+                                max_transactions=case["max_transactions"],
+                                stop_cycle=case.get("stop_cycle"))
         for component in (self.ip, self.m_shell, self.m_conn):
             self.m_clock.add_component(component)
 
@@ -521,6 +542,17 @@ class LoopbackBench:
             src, dst = ((self.m_channel, self.s_channel) if to_slave
                         else (self.s_channel, self.m_channel))
             sim.schedule_at(time_ps, self._mover(src, dst, count))
+        for time_ps, priority, (address, words) in case.get("issues", ()):
+            transaction = (Transaction.write(address, [address] * words)
+                           if words else Transaction.read(address, 2))
+            sim.schedule_at(time_ps, lambda txn=transaction:
+                            self.ip.issue(txn), priority)
+        #: What each scripted read of the traffic master's books saw.
+        self.reads = []
+        for time_ps, priority in case.get("reads", ()):
+            sim.schedule_at(time_ps, lambda: self.reads.append(
+                (self.ip.stats.summary(), self.ip.backlog, self.ip.done(),
+                 self.ip.is_idle())), priority)
         self.m_clock.start()
         self.s_clock.start()
 
@@ -545,9 +577,18 @@ class LoopbackBench:
                     "rx_ready": len(shell._rx_ready),
                     "rx_partial": shell._rx_partial}
 
+        shell = self.m_shell
+        submitted = [*self.ip.completed, *shell._completed,
+                     *shell._outstanding.values(),
+                     *(txn for _, txn in shell._pending)]
         return _plain({
             "ip": self.ip.stats.summary(),
             "backlog": self.ip.backlog,
+            "done": (self.ip.done(), self.ip.is_idle()),
+            "reads": self.reads,
+            "submitted": [(t.command.name, t.address, t.write_data,
+                           t.read_length, t.issue_cycle, t.complete_cycle)
+                          for t in submitted],
             "completed": [(t.trans_id, t.command.name, t.issue_cycle,
                            t.complete_cycle, t.response.read_data)
                           for t in self.ip.completed],
@@ -618,3 +659,136 @@ def test_port_side_matches_the_poll_oracles_cycle_by_cycle(case):
         expected = reference.snapshot()
         assert gated.snapshot() == expected, cycle
         assert ticking.snapshot() == expected, cycle
+
+
+# ---------------------------------------------------------------------------
+# An overloaded source is accounted, not stored: the traffic master against
+# the eager one it replaced
+# ---------------------------------------------------------------------------
+def _compare_with_the_eager_master(case, cycles=_BENCH_CYCLES):
+    """Drive the eager master under always-tick and the production master
+    in both regimes through ``case``, comparing after every master port
+    cycle; returns the three benches."""
+    benches = (LoopbackBench(_EAGER, False, case),
+               LoopbackBench(_PRODUCTION, True, case),
+               LoopbackBench(_PRODUCTION, False, case))
+    for cycle in range(cycles):
+        for bench in benches:
+            bench.run_to_cycle(cycle)
+        expected = benches[0].snapshot()
+        assert benches[1].snapshot() == expected, cycle
+        assert benches[2].snapshot() == expected, cycle
+    return benches
+
+
+@st.composite
+def _source_cases(draw):
+    """A loopback case whose traffic master is the subject: all four
+    pattern classes, each cut-off, a master port on (500 MHz: every third
+    edge) or off (400 MHz) the 6000 ps grid of the moves, explicit issues
+    and reads of the books on and off the port grid, before and after the
+    port edges of their timestamp."""
+    case = draw(_loopback_cases())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    burst = rng.randint(1, 4)
+    case["pattern"] = rng.choice([
+        case["pattern"],
+        ("cbr", rng.randint(1, 4), burst, rng.random() < 0.5,
+         rng.random() < 0.5),
+        ("bursty", rng.randint(1, 4), rng.randint(0, 6), burst,
+         rng.random() < 0.5),
+        ("video", rng.randint(1, 12), burst, rng.randint(1, 4),
+         rng.randint(0, 9))])
+    cut_off = rng.choice(["max_transactions", "stop_cycle", None])
+    if cut_off != "max_transactions":
+        case["max_transactions"] = None
+    if cut_off == "stop_cycle":
+        case["stop_cycle"] = rng.randint(1, _BENCH_CYCLES)
+    case["master_mhz"] = rng.choice([500.0, 400.0])
+    period = 2000 if case["master_mhz"] == 500.0 else 2500
+
+    def instant():
+        on_grid = rng.randrange(_BENCH_CYCLES) * period
+        return (rng.choice([on_grid, on_grid + rng.randrange(period)]),
+                rng.choice([0, 3]))
+
+    case["issues"] = [(*instant(), (4 * rng.randrange(16), rng.randint(0, 3)))
+                      for _ in range(rng.randint(0, 6))]
+    case["reads"] = [instant() for _ in range(rng.randint(0, 12))]
+    return case
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_source_cases())
+def test_traffic_master_matches_the_eager_master_cycle_by_cycle(case):
+    """``stats.summary()`` (``transactions_generated`` is read through),
+    ``backlog``, ``done()``, ``is_idle()`` — also as read mid-timestamp —
+    and every submitted transaction's command, address, data, issue and
+    completion cycle agree at every instant, whether refused arrivals are
+    built and stored or only counted."""
+    _compare_with_the_eager_master(case)
+
+
+#: A saturating source: one posted write per cycle into a shell that holds
+#: one outstanding transaction, the words carried over every 6000 ps — a
+#: completion every three or four cycles.
+_OVERLOADED = dict(
+    moves=[(6000 * step, to_slave, 3) for step in range(1, 90)
+           for to_slave in (True, False)],
+    pattern=("cbr", 1, 2, True, True), source_words=8, dest_words=8,
+    max_pending_messages=2, max_outstanding=1, max_transactions=None,
+    latency=1, slave_mhz=500.0)
+
+
+class TestOverloadedSourceNamedCases:
+    def test_books_read_from_an_earlier_clocks_tick_at_a_shared_edge(self):
+        """A priority-0 event on a port boundary runs before that port
+        edge: the arrival of that cycle is not yet generated."""
+        case = dict(_OVERLOADED, reads=[(2000 * cycle, 0)
+                                        for cycle in range(1, 60)])
+        eager, gated, _ = _compare_with_the_eager_master(case, 70)
+        generated = [books[0]["counter.transactions_generated"]
+                     for books in gated.reads]
+        assert generated == list(range(1, 60))
+        assert len(gated.ip._backlog) <= 1 < gated.ip.backlog
+        assert len(eager.ip._backlog) == eager.ip.backlog
+
+    def test_issue_while_arrivals_are_deferred(self):
+        """The explicit transaction queues behind every arrival that
+        precedes it — which are pulled then — and ahead of the rest."""
+        case = dict(_OVERLOADED, issues=[(2000 * 40 + 700, 0, (60, 0)),
+                                         (2000 * 41, 0, (56, 0)),
+                                         (2000 * 41, 3, (52, 0))])
+        _, gated, _ = _compare_with_the_eager_master(case, 40)
+        assert not gated.ip._backlog and gated.ip.backlog > 20
+        gated.sim.run(until=2000 * 40 + 700)
+        held = [txn.address if txn.is_read else None
+                for txn in gated.ip._backlog]
+        assert held == [None] * (len(held) - 1) + [60]
+        assert len(held) == gated.ip.backlog > 20
+        _compare_with_the_eager_master(case, 180)
+
+    def test_max_transactions_reached_while_deferred(self):
+        case = dict(_OVERLOADED, max_transactions=25)
+        _, gated, _ = _compare_with_the_eager_master(case, 30)
+        summary = gated.ip.stats.summary()
+        assert summary["counter.transactions_generated"] == 25
+        assert summary["counter.transactions_issued"] < 10
+        assert not gated.ip.done() and not gated.ip.is_idle()
+        assert gated.ip.next_action_cycle(29) == FAR_FUTURE
+        _, gated, _ = _compare_with_the_eager_master(case)
+        assert gated.ip.done() and len(gated.ip.completed) == 25
+
+    def test_stop_cycle_passed_while_refused(self):
+        """The horizon of a refused master is the stop cycle and nothing
+        before it; past it, what arrived in time is still submitted."""
+        case = dict(_OVERLOADED, stop_cycle=20)
+        _, gated, _ = _compare_with_the_eager_master(case, 13)
+        assert not gated.m_shell.can_submit()
+        assert gated.ip.next_action_cycle(12) == 20
+        _, gated, _ = _compare_with_the_eager_master(case, 30)
+        assert gated.ip.stats.summary()[
+            "counter.transactions_generated"] == 20
+        assert not gated.ip.done() and gated.ip.backlog > 5
+        _, gated, _ = _compare_with_the_eager_master(case)
+        assert gated.ip.done() and len(gated.ip.completed) == 20

@@ -58,6 +58,23 @@ class TestConstruction:
         assert txn.address == 0xFFFFFFFF
         assert txn.write_data == [2]
 
+    @pytest.mark.parametrize("build", [
+        lambda data: Transaction.write(0, data),
+        lambda data: Transaction(command=Command.WRITE, address=0,
+                                 write_data=data),
+    ], ids=["write", "direct"])
+    def test_callers_list_is_neither_aliased_nor_mutated(self, build):
+        data = [0x1_0000_0002, 3]
+        txn = build(data)
+        assert data == [0x1_0000_0002, 3]
+        assert txn.write_data == [2, 3]
+        data[1] = 99
+        txn.write_data.append(4)
+        assert txn.write_data == [2, 3, 4] and data == [0x1_0000_0002, 99]
+
+    def test_write_takes_any_iterable_once(self):
+        assert Transaction.write(0, (w for w in (1, 2))).write_data == [1, 2]
+
     def test_unique_uids(self):
         assert Transaction.read(0, 1).uid != Transaction.read(0, 1).uid
 
