@@ -16,5 +16,9 @@ setup(
     packages=find_packages(where="src"),
     # 3.10+: the hot-path packet/flit dataclasses use dataclass(slots=True).
     python_requires=">=3.10",
-    install_requires=["networkx"],
+    install_requires=[],
+    # The package runs on the standard library.  The graph library among
+    # the test extras is the oracle tests/test_graph.py compares
+    # repro.network.graph with (skipped when absent).
+    extras_require={"test": ["pytest", "hypothesis", "networkx"]},
 )

@@ -37,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from repro.network import graph as graphs
 from repro.network.noc import LinkId, NoC
 from repro.network.routing import make_routing
 from repro.network.topology import Topology
@@ -62,7 +61,7 @@ class DeadlockReport:
     ``routes`` attribute naming the routes that induced it.
     """
 
-    graph: nx.DiGraph
+    graph: graphs.DiGraph
     cycle: Optional[List[LinkId]] = None
     num_routes: int = 0
     route_names: Tuple[str, ...] = ()
@@ -109,13 +108,14 @@ class DeadlockReport:
 
 
 def channel_dependency_graph(
-        named_links: Iterable[Tuple[str, Sequence[LinkId]]]) -> nx.DiGraph:
+        named_links: Iterable[Tuple[str, Sequence[LinkId]]]
+        ) -> graphs.DiGraph:
     """Build the CDG from ``(route name, [link ids in order])`` entries.
 
     Every link id becomes a channel node; consecutive links of one route
     become a dependency edge annotated with the route names inducing it.
     """
-    graph = nx.DiGraph()
+    graph = graphs.DiGraph()
     for name, links in named_links:
         for link in links:
             if link not in graph:
@@ -128,13 +128,10 @@ def channel_dependency_graph(
     return graph
 
 
-def find_cycle(graph: nx.DiGraph) -> Optional[List[LinkId]]:
+def find_cycle(graph: graphs.DiGraph) -> Optional[List[LinkId]]:
     """One witness cycle of the CDG as a node list, or ``None``."""
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in edges]
+    edges = graphs.find_cycle(graph)
+    return None if edges is None else [held for held, _ in edges]
 
 
 def analyze_route_links(named_links: Iterable[Tuple[str, Sequence[LinkId]]],

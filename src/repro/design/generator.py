@@ -37,6 +37,10 @@ class SystemModel:
     allocator: Optional[CentralizedSlotAllocator] = None
     #: True once same-rate clocks were fused into groups (first ``start``).
     _fused: bool = False
+    #: The component that last answered :meth:`functionally_idle` with
+    #: "busy".  It is asked first: ``run_until_idle`` evaluates the predicate
+    #: after every event timestamp, and what was busy then mostly still is.
+    _busy_witness: Optional[object] = None
 
     # --------------------------------------------------------------- lookups
     @property
@@ -90,14 +94,16 @@ class SystemModel:
         has a far-future horizon), so "asleep" does not imply "every
         component idle".
         """
+        witness = self._busy_witness
+        if witness is not None and _holds_work(witness):
+            return False
         clocks = [self.noc.flit_clock, *self.port_clocks.values()]
         for clock in clocks:
             for component in clock._components:
-                if component.is_idle():
-                    continue
-                quiescent = getattr(component, "is_quiescent", None)
-                if quiescent is None or not quiescent():
+                if _holds_work(component):
+                    self._busy_witness = component
                     return False
+        self._busy_witness = None
         return True
 
     def run_until_idle(self, max_flit_cycles: int = 200000,
@@ -125,6 +131,14 @@ class SystemModel:
         self.sim.run_until_idle(until=start + max_flit_cycles * period,
                                 predicate=stop)
         return -(-(self.sim.now - start) // period)
+
+
+def _holds_work(component) -> bool:
+    """Busy, and not merely for observation (the ``obs`` sampler)."""
+    if component.is_idle():
+        return False
+    quiescent = getattr(component, "is_quiescent", None)
+    return quiescent is None or not quiescent()
 
 
 def _build_topology(spec: NoCSpec) -> Topology:

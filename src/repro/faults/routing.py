@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional, Set, Tuple, Union
 
-import networkx as nx
-
+from repro.network.graph import Graph, shortest_path
 from repro.network.routing import (
     RouteError,
     RoutingStrategy,
@@ -47,7 +46,9 @@ class FaultAwareRouting(RoutingStrategy):
         self.failed_edges: Set[Edge] = (failed_edges if failed_edges is not None
                                         else set())
         self.version = 0
-        self._mask_cache: Optional[Tuple[int, int, nx.Graph]] = None
+        #: (topology, version, its graph minus the failed edges).  Holds the
+        #: topology itself: an ``id()`` can be reused by the next topology.
+        self._mask_cache: Optional[Tuple[Topology, int, Graph]] = None
 
     # ------------------------------------------------------------- mutation
     def fail_edge(self, a: Hashable, b: Hashable) -> None:
@@ -86,19 +87,18 @@ class FaultAwareRouting(RoutingStrategy):
 
     def _masked_sequence(self, topology: Topology, src: Hashable,
                          dst: Hashable) -> List[Hashable]:
-        graph = self._masked_graph(topology)
-        try:
-            return nx.shortest_path(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        path = shortest_path(self._masked_graph(topology), src, dst)
+        if path is None:
             dead = ", ".join(f"{a!r}->{b!r}"
                              for a, b in sorted(self.failed_edges, key=repr))
             raise RouteError(
                 f"no fault-free path {src!r} -> {dst!r}: failed links "
-                f"[{dead}] disconnect the endpoints") from None
+                f"[{dead}] disconnect the endpoints")
+        return path
 
-    def _masked_graph(self, topology: Topology) -> nx.Graph:
+    def _masked_graph(self, topology: Topology) -> Graph:
         cached = self._mask_cache
-        if (cached is not None and cached[0] == id(topology)
+        if (cached is not None and cached[0] is topology
                 and cached[1] == self.version):
             return cached[2]
         graph = topology.graph.copy()
@@ -107,7 +107,7 @@ class FaultAwareRouting(RoutingStrategy):
         for a, b in sorted(self.failed_edges, key=repr):
             if graph.has_edge(a, b):
                 graph.remove_edge(a, b)
-        self._mask_cache = (id(topology), self.version, graph)
+        self._mask_cache = (topology, self.version, graph)
         return graph
 
     # ---------------------------------------------------------- persistence

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
-import networkx as nx
-
+from repro.network.graph import has_path
 from repro.network.link import Link, LinkCommit
 from repro.network.packet import FLIT_WORDS, NETWORK_FREQUENCY_MHZ
 from repro.network.router import Router
@@ -218,7 +217,7 @@ class NoC:
         for a, b in self.failed_router_edges():
             if graph.has_edge(a, b):
                 graph.remove_edge(a, b)
-        return nx.has_path(graph, src.router_node, dst.router_node)
+        return has_path(graph, src.router_node, dst.router_node)
 
     # ------------------------------------------------------------ statistics
     def total_flits_forwarded(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-import networkx as nx
+from repro.network import graph as graphs
 
 
 class TopologyError(ValueError):
@@ -43,7 +43,7 @@ class Topology:
 
     def __init__(self, name: str = "noc") -> None:
         self.name = name
-        self.graph = nx.Graph()
+        self.graph = graphs.Graph()
         self._routers_cache: Optional[List[Hashable]] = None
 
     # -------------------------------------------------------------- building
@@ -90,20 +90,20 @@ class Topology:
     def shortest_path(self, src: Hashable, dst: Hashable) -> List[Hashable]:
         if src not in self.graph or dst not in self.graph:
             raise TopologyError(f"unknown router in path {src!r} -> {dst!r}")
-        try:
-            return nx.shortest_path(self.graph, src, dst)
-        except nx.NetworkXNoPath as exc:
-            raise TopologyError(f"no path from {src!r} to {dst!r}") from exc
+        path = graphs.shortest_path(self.graph, src, dst)
+        if path is None:
+            raise TopologyError(f"no path from {src!r} to {dst!r}")
+        return path
 
     def is_connected(self) -> bool:
-        if self.graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(self.graph)
+        return graphs.is_connected(self.graph)
 
     def diameter(self) -> int:
-        if self.graph.number_of_nodes() <= 1:
-            return 0
-        return nx.diameter(self.graph)
+        longest = graphs.diameter(self.graph)
+        if longest is None:
+            raise TopologyError(
+                f"topology {self.name!r} is not connected: no diameter")
+        return longest
 
     # ------------------------------------------------------------- factories
     @classmethod

@@ -230,6 +230,24 @@ class TestFaultAwareRouting:
         with pytest.raises(RouteError, match="failed links"):
             routing.router_sequence(topo, (0, 0), (0, 1))
 
+    def test_mask_cache_is_not_fooled_by_a_reused_address(self):
+        """One routing instance, a 4-ring and then a 6-ring: keyed by
+        ``id(topology)`` the cache answered the 6-ring with the 4-ring's
+        masked graph whenever CPython built it at the freed address.  The
+        entry now holds the topology, so the address cannot come back."""
+        routing = FaultAwareRouting(base="shortest")
+        routing.fail_edge(0, 1)
+        small = Topology.ring(4)
+        assert routing.router_sequence(small, 0, 1) == [0, 3, 2, 1]
+        address = id(small)
+        del small
+        for _ in range(200):
+            large = Topology.ring(6)
+            if id(large) == address:
+                break
+        # 0-3 is an edge of the 4-ring only.
+        assert routing.router_sequence(large, 0, 1) == [0, 5, 4, 3, 2, 1]
+
     def test_live_failures_refuse_spec_serialization(self):
         routing = FaultAwareRouting(base="xy")
         routing.fail_edge((0, 0), (0, 1))

@@ -14,6 +14,8 @@ A scenario that is cheap to run twice sits in the fast tier; the rest
 carry ``slow`` and run in ``make test-all`` / the full tier.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.api import scenarios
@@ -96,3 +98,44 @@ def test_run_until_idle_stops_at_the_same_instant_in_both_regimes(name):
         reference, reference_cycles = stop()
     assert (reference_cycles, reference.sim.now) == (cycles, system.sim.now)
     assert reference.deep_fingerprint() == system.deep_fingerprint()
+
+
+def _scan_says_idle(model) -> bool:
+    """``SystemModel.functionally_idle`` as it was before it kept a
+    witness: every component of every clock, first busy one wins."""
+    for clock in [model.noc.flit_clock, *model.port_clocks.values()]:
+        for component in clock._components:
+            if component.is_idle():
+                continue
+            quiescent = getattr(component, "is_quiescent", None)
+            if quiescent is None or not quiescent():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["obs_tour", "video_pipeline_dram"])
+@pytest.mark.parametrize("regime", ["default", "always_tick"])
+def test_functionally_idle_equals_the_full_scan_at_every_timestamp(
+        name, regime):
+    """The busy witness is a short cut, never an answer of its own: asked
+    after every event timestamp it agrees with the scan — while the witness
+    stays busy, when it goes idle and another component takes over (both
+    scenarios hand over several times; ``obs_tour`` ends on a sampler that
+    is busy but quiescent), and when nothing is left."""
+    answers, witnesses = [], []
+
+    def compare():
+        model = system.model
+        answer = model.functionally_idle()
+        assert answer == _scan_says_idle(model), system.sim.now
+        answers.append(answer)
+        if not witnesses or witnesses[-1] is not model._busy_witness:
+            witnesses.append(model._busy_witness)
+        return False
+
+    with always_tick() if regime == "always_tick" else nullcontext():
+        system = scenarios.build(name)
+        system.run_until_idle(max_flit_cycles=1500, predicate=compare)
+    assert system.sim.now == _STOP_PS[name]
+    assert answers.count(True) == 1 and answers[-1] is True
+    assert len(witnesses) >= 8 and witnesses[-1] is None

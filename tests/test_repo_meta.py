@@ -1,8 +1,12 @@
 """Repo-tooling invariants that scripts alone can't be trusted to keep:
-the lint gate stays wired into ``make check`` and CI, and deleted layers
-stay deleted.
+the lint gate stays wired into ``make check`` and CI, deleted layers stay
+deleted, and the package imports nothing beyond the standard library.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +86,19 @@ _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "merge_patterns")
 
 
+def _tree_texts(*directories):
+    """(repo-relative path, text) of every file under ``directories`` and of
+    ``benchmarks/*.py`` (the ledger stays outside), this file excepted."""
+    paths = [path for directory in directories
+             for path in (REPO_ROOT / directory).rglob("*")]
+    paths += (REPO_ROOT / "benchmarks").glob("*.py")
+    this_file = Path(__file__).resolve()
+    for path in sorted(paths):
+        if path.is_file() and path.suffix != ".pyc" and path != this_file:
+            yield (path.relative_to(REPO_ROOT),
+                   path.read_text(encoding="utf-8", errors="replace"))
+
+
 def test_deleted_engine_names_stay_deleted():
     """One per-flit pipeline, one commit per NoC, one clock scheduler, one
     front door, one ledger: nothing may quietly reintroduce a name of the
@@ -90,16 +107,41 @@ def test_deleted_engine_names_stay_deleted():
     suite), put a link back on a clock, give a clock its own edge loop, or
     bring back a wrapper beside ``scenarios.build`` or a harness beside
     ``benchmarks/ledger`` (which stays outside this scan)."""
-    this_file = Path(__file__).resolve()
-    paths = [path for directory in ("src", "scripts", "examples", "tests")
-             for path in (REPO_ROOT / directory).rglob("*")]
-    paths += (REPO_ROOT / "benchmarks").glob("*.py")
-    offenders = []
-    for path in sorted(paths):
-        if (not path.is_file() or path.suffix == ".pyc"
-                or path == this_file):
-            continue
-        text = path.read_text(encoding="utf-8", errors="replace")
-        offenders += [f"{path.relative_to(REPO_ROOT)}: {name}"
-                      for name in _DELETED_NAMES if name in text]
+    offenders = [f"{path}: {name}"
+                 for path, text in _tree_texts("src", "scripts", "examples",
+                                               "tests")
+                 for name in _DELETED_NAMES if name in text]
     assert not offenders, offenders
+
+
+def test_importing_the_package_loads_only_the_standard_library():
+    """README: "no dependencies beyond the standard library".  A fresh
+    interpreter that imported ``repro.api`` holds no third-party module —
+    and few modules at all: the import is the floor under every ledger
+    child, example and test session (172 modules; 536 when the graphs came
+    from networkx)."""
+    probe = ("import json, sys; import repro.api; "
+             "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    allowed = set(sys.stdlib_module_names) | {
+        "repro", "__main__",
+        # Injected by site-packages' .pth files / the site module, not by us.
+        "_distutils_hack", "sitecustomize", "usercustomize"}
+    foreign = sorted({name.partition(".")[0] for name in loaded} - allowed)
+    assert not foreign, foreign
+    assert len(loaded) <= 200, len(loaded)
+
+
+def test_networkx_is_a_test_oracle_only():
+    """One implementation (``repro.network.graph``); networkx is what
+    ``tests/test_graph.py`` compares it with, nothing that runs."""
+    offenders = [str(path)
+                 for path, text in _tree_texts("src", "scripts", "examples")
+                 if "networkx" in text]
+    assert not offenders, offenders
+    setup = (REPO_ROOT / "setup.py").read_text(encoding="utf-8")
+    assert "install_requires=[]" in setup
+    assert setup.count("networkx") == 1  # extras_require["test"]

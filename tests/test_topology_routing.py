@@ -72,6 +72,21 @@ class TestTopology:
         assert Topology.mesh(2, 2).diameter() == 2
         assert Topology.mesh(3, 3).diameter() == 4
 
+    def test_diameter_of_a_disconnected_topology_is_a_topology_error(self):
+        topo = Topology.custom([0, 1, 2], [(0, 1)], name="islands")
+        assert not topo.is_connected()
+        with pytest.raises(TopologyError, match="'islands' is not connected"):
+            topo.diameter()
+
+    @pytest.mark.parametrize("router", [(9, 9), [0, 0], {"row": 0}])
+    def test_unknown_and_unhashable_routers_are_topology_errors(self, router):
+        topo = Topology.mesh(1, 2)
+        for ask in (topo.neighbors, topo.degree, topo.node_attrs,
+                    lambda node: topo.shortest_path((0, 0), node),
+                    lambda node: topo.shortest_path(node, (0, 0))):
+            with pytest.raises(TopologyError, match="unknown router"):
+                ask(router)
+
     def test_mesh_coordinates_helper(self):
         assert mesh_coordinates((1, 2)) == (1, 2)
         with pytest.raises(TopologyError):
