@@ -11,9 +11,10 @@ calls (``sys.setprofile``) and, with ``--bytecodes``, executed bytecodes
 cycle: in total, per module under ``repro/`` and for the top ``--top``
 functions.  With ``--memory`` the whole process runs under ``tracemalloc``
 and the heap is compared across the counted window: KiB retained per flit
-cycle (what a run's memory grows by for as long as it runs) and the lines
-that allocated it.  Nothing here is timed, so the figures repeat exactly and
-carry no host noise; PERFORMANCE.md's census table is this tool's output.
+cycle (what a run's memory grows by for as long as it runs), the lines
+that allocated it and, in the module table, each module's share.  Nothing
+here is timed, so the figures repeat exactly and carry no host noise;
+PERFORMANCE.md's census table is this tool's output.
 
 ``--scenario`` builds a registry scenario, runs ``--warmup`` flit cycles
 uncounted and ``--cycles`` counted.  ``--ledger`` imports a workload of
@@ -116,9 +117,11 @@ def ledger_run(name: str, seed: int, segments: int
     return advance, lambda: ledger_workloads.fingerprint(run)
 
 
-def report(census: Census, bytecodes: bool, flit_cycles: int,
-           top: int) -> None:
-    """Print the totals, the per-module table and the top functions."""
+def report(census: Census, bytecodes: bool, flit_cycles: int, top: int,
+           growth: Optional[list] = None) -> None:
+    """Print the totals, the per-module table and the top functions; given
+    ``growth``, the table says how many of the retained KiB each module's
+    lines allocated (who still holds them is for the source to say)."""
     calls, opcodes = census.calls, census.opcodes
     totals = {"calls": sum(calls.values()) / flit_cycles}
     if bytecodes:
@@ -129,13 +132,20 @@ def report(census: Census, bytecodes: bool, flit_cycles: int,
     by_module: Dict[str, List[float]] = {}
     for counter, column in ((calls, 0), (opcodes, 1)):
         for (filename, _), count in counter.items():
-            by_module.setdefault(_module(filename), [0.0, 0.0])[column] += (
-                count / flit_cycles)
-    print(f"\n{'module':<34}{'calls':>10}{'bytecodes':>12}")
-    for module, (n_calls, n_ops) in sorted(
+            by_module.setdefault(_module(filename), [0.0, 0.0, 0.0])[
+                column] += count / flit_cycles
+    for stat in growth or ():
+        if not stat.size_diff:
+            continue
+        by_module.setdefault(_module(stat.traceback[0].filename),
+                             [0.0, 0.0, 0.0])[2] += (
+            stat.size_diff / 1024 / flit_cycles)
+    print(f"\n{'module':<34}{'calls':>10}{'bytecodes':>12}{'KiB kept':>10}")
+    for module, (n_calls, n_ops, kept) in sorted(
             by_module.items(), key=lambda item: -item[1][0]):
         ops = f"{n_ops:>12,.1f}" if bytecodes else f"{'-':>12}"
-        print(f"{module:<34}{n_calls:>10,.1f}{ops}")
+        kib = f"{'-':>10}" if growth is None else f"{kept:>10,.3f}"
+        print(f"{module:<34}{n_calls:>10,.1f}{ops}{kib}")
 
     print(f"\n{'function (top ' + str(top) + ' by calls)':<56}"
           f"{'calls':>10}{'bytecodes':>12}")
@@ -148,9 +158,10 @@ def report(census: Census, bytecodes: bool, flit_cycles: int,
 
 
 def memory_report(before: tracemalloc.Snapshot, after: tracemalloc.Snapshot,
-                  flit_cycles: int, top: int) -> None:
+                  flit_cycles: int, top: int) -> list:
     """Print what the counted window left on the heap, per flit cycle and
-    per allocating line (this file's own counters excluded)."""
+    per allocating line (this file's own counters excluded); returns the
+    per-line growth."""
     own = [tracemalloc.Filter(False, os.path.abspath(__file__))]
     growth = after.filter_traces(own).compare_to(before.filter_traces(own),
                                                  "lineno")
@@ -165,6 +176,7 @@ def memory_report(before: tracemalloc.Snapshot, after: tracemalloc.Snapshot,
         print(f"{label:<56}{stat.size_diff / 1024:>10,.1f}"
               f"{stat.count_diff:>12,}")
     print()
+    return growth
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -221,11 +233,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.setprofile(None)
     print(f"{what} = {flit_cycles} flit cycles")
     print(f"fingerprint {fingerprint()}")
+    growth = None
     if args.memory:
-        memory_report(heap_before, tracemalloc.take_snapshot(), flit_cycles,
-                      args.top)
+        growth = memory_report(heap_before, tracemalloc.take_snapshot(),
+                               flit_cycles, args.top)
         tracemalloc.stop()
-    report(census, args.bytecodes, flit_cycles, args.top)
+    report(census, args.bytecodes, flit_cycles, args.top, growth)
     return 0
 
 

@@ -33,6 +33,7 @@ from repro.protocol.messages import FLAG_FLUSH, FLAG_POSTED, RequestMessage, Res
 from repro.protocol.transactions import (
     Command,
     MAX_TRANS_ID,
+    POSTED_OK,
     ResponseError,
     Transaction,
     TransactionResponse,
@@ -238,7 +239,7 @@ class MasterShell(ClockedComponent):
                         cycle + self.timeout_cycles, 0]
             else:
                 # Posted writes complete as soon as they are handed to the NI.
-                transaction.complete(TransactionResponse(), cycle=cycle)
+                transaction.complete(POSTED_OK, cycle=cycle)
                 self._completed.append(transaction)
                 self._ctr_posted_completions.increment()
                 if self.on_complete is not None:

@@ -69,7 +69,7 @@ class ResponseError(IntEnum):
     TIMEOUT = 4
 
 
-@dataclass
+@dataclass(slots=True, frozen=True)
 class TransactionResponse:
     """Result of a transaction execution returned by a slave."""
 
@@ -81,10 +81,12 @@ class TransactionResponse:
         return self.error == ResponseError.OK
 
 
+#: What every posted write completes with: shared, so never appended to.
+POSTED_OK = TransactionResponse()
 _transaction_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """One master-initiated transaction."""
 

@@ -8,6 +8,7 @@ the analytic bounds of Section 2 of the paper.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Union
@@ -151,7 +152,8 @@ class LatencyRecorder:
     def __init__(self, name: str = "latency") -> None:
         self.name = name
         self.histogram = Histogram(name)
-        self._samples: List[int] = []
+        #: Latencies in record order; 64-bit, so no run is too long for it.
+        self._samples = array("Q")
 
     def record(self, start_cycle: int, end_cycle: int) -> None:
         if end_cycle < start_cycle:

@@ -3,14 +3,17 @@ one clock scheduler (``ClockGroup``), the tuple-based event heap, and the
 slotted hot-path objects."""
 
 import contextlib
+import linecache
 import sys
+import tracemalloc
 
 import pytest
 
-from repro.api import scenarios
+from repro.api import SystemBuilder, scenarios
 from repro.core.registers import REG_DATA_THRESHOLD, channel_register_address
 from repro.design.generator import build_system
 from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
+from repro.ip.traffic import ConstantBitRateTraffic
 from repro.network.packet import Flit, Packet, PacketHeader, packet_to_flits
 from repro.protocol.transactions import Transaction
 from repro.sim.clock import (
@@ -406,6 +409,96 @@ def test_a_refused_source_retains_nothing(name, backlog):
     assert sum(ip.backlog for ip in masters) == backlog
     assert sum(len(ip._backlog) for ip in masters) <= len(masters)
     assert built <= taken() - before + len(masters)
+
+
+def _gt_stream():
+    """Two GT-only masters streaming 8-word posted writes down a 1x8 line
+    into a memory each (the ledger's ``gt_stream`` shape)."""
+    builder = (SystemBuilder("gt_stream").mesh(1, 8, num_slots=16)
+               .slot_policy("contiguous"))
+    for index in range(2):
+        builder.add_master(f"m{index}", router=(0, index), queue_words=32,
+                           num_slots=16,
+                           pattern=ConstantBitRateTraffic(
+                               period_cycles=24, burst_words=8, write=True,
+                               posted=True, base_address=index << 16))
+        builder.add_memory(f"mem{index}", router=(0, 6 + index),
+                           queue_words=32, num_slots=16)
+        builder.connect(f"m{index}", f"mem{index}", gt=True,
+                        request_slots=6, response_slots=1)
+    return builder.build()
+
+
+#: What a run keeps per item of history, in bytes of Python heap, as
+#: ceilings: a completed 8-word posted write (the ``Transaction``, its
+#: payload and its cycle stamps: ~590 today, ~775 while it carried a
+#: ``__dict__`` and a response of its own), a word stored at sequential
+#: addresses (~6; 45-124 in a dict of boxed ints) and a latency sample (8
+#: in the array plus its growth slack, 8.2; a list slot and a boxed int
+#: before).
+WRITE_BYTES, WORD_BYTES, SAMPLE_BYTES = 640, 8, 9
+
+#: Retention budget per shape: (name, factory, warm-up and counted flit
+#: cycles — the windows of ``scripts/census.py --ledger gt_stream`` /
+#: ``dense_grid`` ``--segments 2 --memory``, past the filling of the queues
+#: — and that tool's figure, KiB retained per flit cycle, as the ceiling:
+#: 0.13 / 0.58 there today, 0.26 / 0.94 before; 0.12 / 0.47 here, where no
+#: profile hook runs beside it).  Same rule as ``CALL_BUDGETS``: lowered
+#: when a figure falls, never raised.
+RETENTION_BUDGETS = [
+    ("gt_stream", _gt_stream, 4500, 3000, 0.15),
+    ("saturated_grid", lambda: scenarios.build("saturated_grid"),
+     600, 400, 0.60),
+]
+
+
+@pytest.mark.parametrize("name,build,warmup,cycles,ceiling",
+                         RETENTION_BUDGETS,
+                         ids=[budget[0] for budget in RETENTION_BUDGETS])
+def test_history_is_retained_at_the_size_of_what_it_carries(
+        name, build, warmup, cycles, ceiling):
+    """``tracemalloc`` over a counted window: what the heap grew by, split
+    by allocation site into the word store, the latency arrays and
+    everything else — which is the completed transactions — and divided by
+    the items that arrived."""
+
+    def history(system):
+        recorders = [recorder
+                     for part in (*system.kernels.values(),
+                                  *(h.ip for h in system.masters.values()),
+                                  *(h.shell for h in system.masters.values()))
+                     for recorder in part.stats.latencies.values()]
+        return (sum(len(h.completed) for h in system.masters.values()),
+                sum(len(h.memory) for h in system.memories.values()),
+                sum(recorder.count for recorder in recorders))
+
+    tracemalloc.start()
+    try:
+        system = build()
+        system.run_flit_cycles(warmup)
+        counts, before = history(system), tracemalloc.take_snapshot()
+        system.run_flit_cycles(cycles)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    writes, words, samples = (now - then for now, then
+                              in zip(history(system), counts))
+    assert min(writes, words, samples) > 100
+    grown = {"words": 0, "samples": 0, "writes": 0}
+    for stat in after.compare_to(before, "lineno"):
+        frame = stat.traceback[0]
+        if frame.filename.endswith("memory.py"):
+            holder = "words"
+        elif "_samples.append(" in linecache.getline(frame.filename,
+                                                     frame.lineno):
+            holder = "samples"
+        else:
+            holder = "writes"
+        grown[holder] += stat.size_diff
+    assert sum(grown.values()) / 1024 / cycles <= ceiling
+    assert 0 < grown["words"] / words <= WORD_BYTES
+    assert 0 < grown["samples"] / samples <= SAMPLE_BYTES
+    assert 0 < grown["writes"] / writes <= WRITE_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.api import SystemBuilder
 from repro.core.shells.master import MasterShell
 from repro.ip.master import TrafficGeneratorMaster
-from repro.ip.memory import MemoryRangeError, SharedMemory
+from repro.ip.memory import PAGE_WORDS, MemoryRangeError, SharedMemory
 from repro.ip.slave import MemorySlave, RegisterSlave
 from repro.ip.traffic import (
     NO_TRAFFIC,
@@ -20,10 +20,12 @@ from repro.ip.traffic import (
     TrafficPattern,
     VideoLineTraffic,
 )
+from repro.mem.slave import DRAMBackedSlave
 from repro.protocol.transactions import (
     Command,
     ResponseError,
     Transaction,
+    TransactionResponse,
     TransactionStatus,
 )
 from repro.sim.clock import FAR_FUTURE, ClockedComponent, always_tick
@@ -59,6 +61,106 @@ class TestSharedMemory:
         memory.write(0, 1 << 36)
         assert memory.read(0) == 0
 
+    def test_a_word_written_as_fill_is_listed_and_its_neighbour_is_not(self):
+        memory = SharedMemory(fill=0xAA)
+        memory.write(65, 0xAA)
+        assert memory.words() == {65: 0xAA} and len(memory) == 1
+        assert memory.read_burst(64, 3) == [0xAA, 0xAA, 0xAA]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_page_one_word_short_of_full_does_not_list_that_word(
+            self, first):
+        memory = SharedMemory()
+        memory.write_burst(first, [5] * (PAGE_WORDS - 1))
+        assert sorted(memory.words()) == list(range(first,
+                                                    first + PAGE_WORDS - 1))
+        memory.write((first - 1) % PAGE_WORDS, 6)
+        assert len(memory) == PAGE_WORDS == len(memory.words())
+
+    @pytest.mark.parametrize("size_words,address", [(8, 6), (130, 127)])
+    def test_a_refused_burst_touches_nothing(self, size_words, address):
+        memory = SharedMemory(size_words)
+        with pytest.raises(MemoryRangeError):
+            memory.write_burst(address, [1, 2, 3, 4])
+        with pytest.raises(MemoryRangeError):
+            memory.read_burst(address, 4)
+        assert (memory.words(), memory.writes, memory.reads) == ({}, 0, 0)
+
+
+class _DictMemory:
+    """What :class:`SharedMemory` promises, as a dict of words: a burst is
+    checked whole, then moved word by word."""
+
+    def __init__(self, size_words, fill):
+        self.size, self.fill, self.data = size_words, fill & 0xFFFFFFFF, {}
+        self.reads = self.writes = 0
+
+    def _check(self, address, length):
+        if length > 0 and (address < 0
+                           or self.size and address + length > self.size):
+            raise MemoryRangeError(address)
+
+    def read(self, address):
+        return self.read_burst(address, 1)[0]
+
+    def write(self, address, value):
+        self.write_burst(address, [value])
+
+    def read_burst(self, address, length):
+        self._check(address, length)
+        self.reads += max(length, 0)
+        return [self.data.get(address + i, self.fill) for i in range(length)]
+
+    def write_burst(self, address, data):
+        self._check(address, len(data))
+        self.writes += len(data)
+        for offset, word in enumerate(data):
+            self.data[address + offset] = word & 0xFFFFFFFF
+
+
+#: Where a paged store can go wrong: address 0, both sides of the first two
+#: page boundaries, and far beyond 32 bits (no bound) or around the bound.
+_WORDS = st.integers(-2, (1 << 33) + 1)
+_SIZES = st.sampled_from([0, 0, 1, 5, PAGE_WORDS, PAGE_WORDS + 3,
+                          2 * PAGE_WORDS + 1])
+
+
+@st.composite
+def _memory_scripts(draw):
+    size = draw(_SIZES)
+    near = [0, PAGE_WORDS, 2 * PAGE_WORDS, size or 1 << 32, (1 << 32) + 64]
+    addresses = st.builds(lambda base, offset: base + offset,
+                          st.sampled_from(near), st.integers(-3, 3))
+    lengths = st.sampled_from([0, 1, 2, 5, *range(PAGE_WORDS - 3,
+                                                  PAGE_WORDS + 4)])
+    steps = st.one_of(
+        st.tuples(st.just("read"), addresses),
+        st.tuples(st.just("write"), addresses, _WORDS),
+        st.tuples(st.just("read_burst"), addresses, lengths),
+        st.tuples(st.just("write_burst"), addresses, lengths.flatmap(
+            lambda n: st.lists(_WORDS, min_size=n, max_size=n))))
+    return size, draw(_WORDS), draw(st.lists(steps, max_size=12))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_memory_scripts())
+def test_shared_memory_equals_a_dict_of_words(script):
+    size, fill, steps = script
+    memory, model = SharedMemory(size, fill), _DictMemory(size, fill)
+    assert memory.fill == model.fill and memory.size_words == size
+
+    def outcome(target, step):
+        operation, *args = step
+        try:
+            return getattr(target, operation)(*args)
+        except MemoryRangeError:
+            return MemoryRangeError
+
+    for step in steps:
+        assert outcome(memory, step) == outcome(model, step), step
+        assert memory.words() == model.data and len(memory) == len(model.data)
+        assert (memory.reads, memory.writes) == (model.reads, model.writes)
+
 
 class TestMemorySlave:
     def test_executes_after_latency(self):
@@ -93,6 +195,29 @@ class TestMemorySlave:
         slave.tick(0)
         _, response = slave.pop_response()
         assert response.error == ResponseError.DECODE_ERROR
+
+    @pytest.mark.parametrize("make", [
+        lambda memory: MemorySlave("m", memory=memory, latency_cycles=0),
+        lambda memory: DRAMBackedSlave("d", memory=memory, timing="fast"),
+    ], ids=["ideal", "dram"])
+    def test_a_burst_past_the_end_is_refused_whole(self, make):
+        """Not executed up to the bound and then refused: the memory, its
+        counters (``System.fingerprint`` carries them) and the slave's own
+        agree that nothing happened."""
+        slave = make(SharedMemory(size_words=8))
+        slave.enqueue(Transaction.write(6, [1, 2, 3, 4]))
+        slave.enqueue(Transaction.read(6, 4))
+        responses = []
+        for cycle in range(200):
+            slave.tick(cycle)
+            while (produced := slave.pop_response()) is not None:
+                responses.append(produced[1])
+        assert responses == [
+            TransactionResponse(error=ResponseError.DECODE_ERROR)] * 2
+        memory = slave.memory
+        assert (memory.words(), memory.writes, memory.reads) == ({}, 0, 0)
+        assert [slave.stats.counter(name).value
+                for name in ("errors", "reads", "writes")] == [2, 0, 0]
 
     def test_throughput_limit_per_cycle(self):
         slave = MemorySlave("m", latency_cycles=0, transactions_per_cycle=1)

@@ -108,3 +108,18 @@ class TestTransactionResponse:
     def test_ok_flag(self):
         assert TransactionResponse().ok
         assert not TransactionResponse(error=ResponseError.DECODE_ERROR).ok
+
+    def test_a_response_is_frozen(self):
+        with pytest.raises(AttributeError):
+            TransactionResponse().error = ResponseError.SLAVE_ERROR
+
+
+@pytest.mark.parametrize("instance", [Transaction.read(0, 1),
+                                      TransactionResponse()],
+                         ids=["Transaction", "TransactionResponse"])
+def test_an_ad_hoc_attribute_fails_loudly(instance):
+    """Slotted: a run keeps one of these per completed transaction, and a
+    stray attribute would bring the per-instance dict back."""
+    assert not hasattr(instance, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        instance.note = "ad hoc"
