@@ -61,8 +61,8 @@ def noc_latency(num_masters):
             name=f"s{index}", router=(0, index + 1),
             ports=[PortSpec(name="p", kind="slave", shell="p2p",
                             channels=[ChannelSpec(8, 8)])]))
-    spec = NoCSpec(name="scaling", topology="mesh", rows=1, cols=cols,
-                   nis=ni_specs)
+    spec = NoCSpec(name="scaling", topology="mesh",
+                   topology_params={"rows": 1, "cols": cols}, nis=ni_specs)
     system = build_system(spec)
     configurator = system.functional_configurator()
     masters = []

@@ -21,8 +21,8 @@ def make_spec(rows, cols):
         for c in range(cols):
             ni = reference_ni_spec(name=f"ni_{r}_{c}", router=(r, c))
             nis.append(ni)
-    return NoCSpec(name=f"mesh_{rows}x{cols}", topology="mesh", rows=rows,
-                   cols=cols, nis=nis)
+    return NoCSpec(name=f"mesh_{rows}x{cols}", topology="mesh",
+                   topology_params={"rows": rows, "cols": cols}, nis=nis)
 
 
 def instantiation_rows():

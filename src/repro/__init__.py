@@ -8,11 +8,10 @@ Goossens, Rijpkema, Wielage — DATE 2004):
 * :mod:`repro.core` — the network interface itself: kernel (queues, GT/BE
   scheduler, packetization, credit-based end-to-end flow control, memory-
   mapped configuration registers) and shells (narrowcast, multicast,
-  multi-connection, DTL/AXI adapters, configuration shell);
+  multi-connection, master/slave adapters, configuration shell);
 * :mod:`repro.network` — the NoC substrate: GT/BE routers, links, TDM slot
   tables, topologies, source routing;
-* :mod:`repro.protocol` — transactions and message formats (Figure 7), DTL /
-  AXI / DTL-MMIO adapters;
+* :mod:`repro.protocol` — transactions and message formats (Figure 7);
 * :mod:`repro.config` — run-time configuration: slot allocation, register
   programs, centralized configuration over the NoC, distributed model;
 * :mod:`repro.design` — design-time instantiation from (XML) specs, plus the

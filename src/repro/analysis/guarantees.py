@@ -128,12 +128,6 @@ class GTGuarantees:
                                                      self.num_slots)
 
     @property
-    def raw_throughput_words_per_flit_cycle(self) -> float:
-        return throughput_bound_words_per_flit_cycle(self.slots_reserved,
-                                                     self.num_slots,
-                                                     payload_only=False)
-
-    @property
     def throughput_gbit_s(self) -> float:
         return throughput_bound_gbit_s(self.slots_reserved, self.num_slots)
 

@@ -60,10 +60,6 @@ class VerificationReport:
     def add(self, check: GuaranteeCheck) -> None:
         self.checks.append(check)
 
-    @property
-    def all_satisfied(self) -> bool:
-        return all(check.satisfied for check in self.checks)
-
     def failures(self) -> List[GuaranteeCheck]:
         return [check for check in self.checks if not check.satisfied]
 

@@ -60,7 +60,13 @@ from repro.core.shells.narrowcast import AddressRange, NarrowcastShell
 from repro.core.shells.point_to_point import PointToPointShell
 from repro.core.shells.slave import SlaveShell
 from repro.design.generator import SystemModel, build_system
-from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
+from repro.design.spec import (
+    ChannelSpec,
+    NISpec,
+    NoCSpec,
+    PortSpec,
+    SpecError,
+)
 from repro.faults import FaultInjector, FaultManager, FaultPlan, HealthReport
 from repro.obs import OBS_TARGETS, Observatory, build_observatory
 from repro.ip.master import TrafficGeneratorMaster
@@ -563,11 +569,8 @@ class SystemBuilder:
         self._decls: List[_IPDecl] = []
         self._connections: List[_ConnDecl] = []
         self._mode = "functional"
-        self._sim: Optional[Simulator] = None
         self._tracer: Tracer = NULL_TRACER
         self._obs: Optional[_ObsDecl] = None
-        self._router_slot_tables = False
-        self._strict_gt = True
         self._auto_router = 0
 
     # ------------------------------------------------------------- topology
@@ -701,17 +704,10 @@ class SystemBuilder:
         (longer packets, lower header overhead).  Falls back per channel to
         the spread choice when no long-enough contiguous run is free.
         """
-        if policy not in ("spread", "contiguous"):
-            raise BuilderError(f"unknown slot policy {policy!r}")
         self._slot_policy = policy
         return self
 
     # -------------------------------------------------------------- options
-    def with_sim(self, sim: Simulator) -> "SystemBuilder":
-        """Build onto an existing simulator (default: a fresh one)."""
-        self._sim = sim
-        return self
-
     def trace(self, tracer: Optional[Tracer] = None) -> "SystemBuilder":
         """Record trace events (routers, links, shells) during simulation."""
         self._tracer = tracer if tracer is not None else Tracer()
@@ -752,9 +748,8 @@ class SystemBuilder:
                              series_cap=series_cap)
         return self
 
-    def options(self, *, router_slot_tables: Optional[bool] = None,
-                strict_gt: Optional[bool] = None,
-                deadlock_check: Optional[str] = None) -> "SystemBuilder":
+    def options(self, *, deadlock_check: Optional[str] = None
+                ) -> "SystemBuilder":
         """Tune build-time behavior.
 
         ``deadlock_check`` controls the channel-dependency-graph analysis
@@ -765,10 +760,6 @@ class SystemBuilder:
         analysis entirely.  Guaranteed-throughput connections are exempt
         (TDMA slots never block).
         """
-        if router_slot_tables is not None:
-            self._router_slot_tables = router_slot_tables
-        if strict_gt is not None:
-            self._strict_gt = strict_gt
         if deadlock_check is not None:
             if deadlock_check not in ("warn", "error", "off"):
                 raise BuilderError(
@@ -819,11 +810,6 @@ class SystemBuilder:
             raise BuilderError(
                 f"unknown fault kind {kind!r} "
                 "(expected 'link_down' or 'transient')")
-        return self
-
-    def fault_plan(self, plan: FaultPlan) -> "SystemBuilder":
-        """Merge a pre-built :class:`~repro.faults.plan.FaultPlan`."""
-        self._fault_plan.merge(plan)
         return self
 
     def retry(self, timeout_cycles: int, *, max_retries: int = 3,
@@ -1088,11 +1074,6 @@ class SystemBuilder:
         return topology
 
     def _validate(self, topology: Topology) -> None:
-        # Routing strategies must resolve (system-wide and per-connection).
-        try:
-            make_routing(self._routing)
-        except RouteError as exc:
-            raise BuilderError(str(exc)) from None
         # Unique declaration and NI names.
         seen_names: Dict[str, str] = {}
         seen_nis: Dict[str, str] = {}
@@ -1300,10 +1281,8 @@ class SystemBuilder:
                     (conn, slave_index))
 
         spec = self._elaborate_spec(nodes, master_conn, memory_conns,
-                                    cnip_nodes, config_decl)
-        model = build_system(spec, sim=self._sim,
-                             router_slot_tables=self._router_slot_tables,
-                             strict_gt=self._strict_gt, tracer=self._tracer)
+                                    cnip_nodes)
+        model = build_system(spec, tracer=self._tracer)
 
         # Deadlock safety net for the declared best-effort routes (GT
         # channels move on reserved TDMA slots and cannot block).
@@ -1451,83 +1430,86 @@ class SystemBuilder:
     def _elaborate_spec(self, nodes: List[Hashable],
                         master_conn: Dict[str, _ConnDecl],
                         memory_conns: Dict[str, List[Tuple[_ConnDecl, int]]],
-                        cnip_nodes: List[_NodeDecl],
-                        config_decl: Optional[_ConfigDecl]) -> NoCSpec:
+                        cnip_nodes: List[_NodeDecl]) -> NoCSpec:
+        """Lower the declarations to the design description.  The spec
+        dataclasses validate every field they hold; what they refuse leaves
+        here as a :class:`BuilderError` naming the declaration."""
         ni_specs: List[NISpec] = []
         for decl in self._decls:
-            router = self._place(decl, nodes)
-            num_slots = decl.num_slots or self._num_slots
-            qw = decl.queue_words
-            if isinstance(decl, _MasterDecl):
-                conn = master_conn.get(decl.name)
-                num_channels = (len(conn.slaves)
-                                if conn is not None and len(conn.slaves) > 1
-                                else 1)
-                if conn is not None and conn.multicast:
-                    shell = "multicast"
-                elif conn is not None and (len(conn.slaves) > 1
-                                           or conn.narrowcast_ranges
-                                           is not None):
-                    shell = "narrowcast"
-                else:
-                    shell = "p2p"
-                ports = [PortSpec(name=decl.port, kind="master", shell=shell,
-                                  protocol=decl.protocol,
-                                  clock_mhz=decl.clock_mhz,
-                                  channels=[ChannelSpec(qw, qw)
-                                            for _ in range(num_channels)])]
-            elif isinstance(decl, _MemoryDecl):
-                refs = memory_conns.get(decl.name, [])
-                num_channels = max(len(refs), 1)
-                shell = "multiconnection" if len(refs) > 1 else "p2p"
-                ports = [PortSpec(name=decl.port, kind="slave", shell=shell,
-                                  protocol=decl.protocol,
-                                  clock_mhz=decl.clock_mhz,
-                                  channels=[ChannelSpec(qw, qw)
-                                            for _ in range(num_channels)])]
-            elif isinstance(decl, _ConfigDecl):
+            try:
+                ni_specs.append(self._ni_spec(decl, self._place(decl, nodes),
+                                              master_conn, memory_conns,
+                                              cnip_nodes))
+            except SpecError as exc:
+                raise BuilderError(f"{decl.name!r}: {exc}") from None
+        try:
+            return NoCSpec(name=self.name, topology=self._topology_kind,
+                           num_slots=self._num_slots,
+                           be_buffer_flits=self._be_buffer_flits,
+                           routing=self._routing,
+                           slot_policy=self._slot_policy,
+                           topology_params=dict(self._topology_params),
+                           nis=ni_specs)
+        except SpecError as exc:
+            raise BuilderError(f"system {self.name!r}: {exc}") from None
+
+    def _ni_spec(self, decl: _IPDecl, router: Hashable,
+                 master_conn: Dict[str, _ConnDecl],
+                 memory_conns: Dict[str, List[Tuple[_ConnDecl, int]]],
+                 cnip_nodes: List[_NodeDecl]) -> NISpec:
+        num_slots = decl.num_slots or self._num_slots
+        qw = decl.queue_words
+        if isinstance(decl, _MasterDecl):
+            conn = master_conn.get(decl.name)
+            num_channels = (len(conn.slaves)
+                            if conn is not None and len(conn.slaves) > 1
+                            else 1)
+            if conn is not None and conn.multicast:
+                shell = "multicast"
+            elif conn is not None and (len(conn.slaves) > 1
+                                       or conn.narrowcast_ranges
+                                       is not None):
+                shell = "narrowcast"
+            else:
+                shell = "p2p"
+            ports = [PortSpec(name=decl.port, kind="master", shell=shell,
+                              protocol=decl.protocol,
+                              clock_mhz=decl.clock_mhz,
+                              channels=[ChannelSpec(qw, qw)
+                                        for _ in range(num_channels)])]
+        elif isinstance(decl, _MemoryDecl):
+            refs = memory_conns.get(decl.name, [])
+            num_channels = max(len(refs), 1)
+            shell = "multiconnection" if len(refs) > 1 else "p2p"
+            ports = [PortSpec(name=decl.port, kind="slave", shell=shell,
+                              protocol=decl.protocol,
+                              clock_mhz=decl.clock_mhz,
+                              channels=[ChannelSpec(qw, qw)
+                                        for _ in range(num_channels)])]
+        elif isinstance(decl, _ConfigDecl):
+            cnq = max(qw, MIN_CNIP_QUEUE_WORDS)
+            ports = [PortSpec(name=decl.port, kind="master", shell=None,
+                              clock_mhz=decl.clock_mhz,
+                              channels=[ChannelSpec(cnq, cnq)
+                                        for _ in cnip_nodes])]
+        else:  # _NodeDecl
+            ports = []
+            if decl.cnip:
                 cnq = max(qw, MIN_CNIP_QUEUE_WORDS)
-                ports = [PortSpec(name=decl.port, kind="master", shell=None,
-                                  clock_mhz=decl.clock_mhz,
-                                  channels=[ChannelSpec(cnq, cnq)
-                                            for _ in cnip_nodes])]
-            else:  # _NodeDecl
-                ports = []
-                if decl.cnip:
-                    cnq = max(qw, MIN_CNIP_QUEUE_WORDS)
-                    ports.append(PortSpec(name="cnip", kind="config",
-                                          shell="config",
-                                          clock_mhz=decl.clock_mhz,
-                                          channels=[ChannelSpec(cnq, cnq)]))
-                if decl.channels > 0:
-                    ports.append(PortSpec(name=decl.port, kind=decl.kind,
-                                          shell=None,
-                                          clock_mhz=decl.clock_mhz,
-                                          channels=[ChannelSpec(qw, qw)
-                                                    for _ in
-                                                    range(decl.channels)]))
-            ni_specs.append(NISpec(name=decl.ni, router=router,
-                                   num_slots=num_slots,
-                                   be_arbiter=decl.be_arbiter,
-                                   max_packet_words=decl.max_packet_words,
-                                   ports=ports))
-        params = self._topology_params
-        if self._topology_kind in ("mesh", "torus"):
-            rows, cols = int(params["rows"]), int(params["cols"])
-        elif self._topology_kind == "ring":
-            # Legacy spec encoding kept for compatibility: a ring was
-            # historically stored as (rows=1, cols=n); the authoritative
-            # size now lives in topology_params["num_routers"].
-            rows, cols = 1, int(params["num_routers"])
-        else:
-            rows, cols = 1, max(len(nodes), 1)
-        return NoCSpec(name=self.name, topology=self._topology_kind,
-                       rows=rows, cols=cols,
-                       num_slots=self._num_slots,
-                       be_buffer_flits=self._be_buffer_flits,
-                       routing=self._routing,
-                       slot_policy=self._slot_policy,
-                       topology_params=dict(params), nis=ni_specs)
+                ports.append(PortSpec(name="cnip", kind="config",
+                                      shell="config",
+                                      clock_mhz=decl.clock_mhz,
+                                      channels=[ChannelSpec(cnq, cnq)]))
+            if decl.channels > 0:
+                ports.append(PortSpec(name=decl.port, kind=decl.kind,
+                                      shell=None,
+                                      clock_mhz=decl.clock_mhz,
+                                      channels=[ChannelSpec(qw, qw)
+                                                for _ in
+                                                range(decl.channels)]))
+        return NISpec(name=decl.ni, router=router, num_slots=num_slots,
+                      be_arbiter=decl.be_arbiter,
+                      max_packet_words=decl.max_packet_words, ports=ports)
 
     def _attach_master(self, model: SystemModel, decl: _MasterDecl,
                        conn: Optional[_ConnDecl],
@@ -1558,7 +1540,6 @@ class SystemBuilder:
         retry_backoff = (decl.retry_backoff if decl.retry_backoff is not None
                          else defaults[2])
         shell = MasterShell(decl.shell_name, conn_shell,
-                            protocol=decl.protocol,
                             seq_latency_cycles=decl.seq_latency_cycles,
                             max_outstanding=decl.max_outstanding,
                             timeout_cycles=timeout_cycles,
@@ -1595,7 +1576,7 @@ class SystemBuilder:
                              latency_cycles=decl.latency,
                              transactions_per_cycle=decl.transactions_per_cycle)
         shell = SlaveShell(decl.shell_name, conn_shell, ip,
-                           protocol=decl.protocol, tracer=self._tracer)
+                           tracer=self._tracer)
         for component in (conn_shell, shell, ip):
             clock.add_component(component)
         return MemoryHandle(name=decl.name, ni=decl.ni, port=decl.port,

@@ -13,12 +13,9 @@ This package provides:
   conflict checking (the shared-resource part of opening a connection);
 * :mod:`repro.config.manager` — the centralized configuration manager that
   programs the NIs over the NoC itself, a functional configurator for tests,
-  and the distributed-configuration model of Section 3;
-* :mod:`repro.config.address_map` — the global memory map of all NI
-  configuration ports.
+  and the distributed-configuration model of Section 3.
 """
 
-from repro.config.address_map import ConfigAddressMap
 from repro.config.connection import (
     ChannelEndpointRef,
     ChannelPairSpec,
@@ -45,7 +42,6 @@ __all__ = [
     "CentralizedSlotAllocator",
     "ChannelEndpointRef",
     "ChannelPairSpec",
-    "ConfigAddressMap",
     "ConfigurationError",
     "ConnectionSpec",
     "DistributedConfigurationModel",

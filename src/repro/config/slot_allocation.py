@@ -22,6 +22,10 @@ from repro.network.noc import LinkId, NoC
 from repro.network.slot_table import SlotTable
 
 
+#: Slot allocation policies (see :class:`CentralizedSlotAllocator`).
+SLOT_POLICIES = ("spread", "contiguous")
+
+
 class SlotAllocationError(RuntimeError):
     """Raised when a request cannot be satisfied."""
 
@@ -74,7 +78,7 @@ class CentralizedSlotAllocator:
     def __init__(self, num_slots: int, policy: str = "spread") -> None:
         if num_slots <= 0:
             raise SlotAllocationError("slot table size must be positive")
-        if policy not in ("spread", "contiguous"):
+        if policy not in SLOT_POLICIES:
             raise SlotAllocationError(
                 f"unknown slot allocation policy {policy!r}")
         self.num_slots = num_slots
@@ -92,15 +96,6 @@ class CentralizedSlotAllocator:
 
     def allocation_of(self, ni: str, channel: int) -> Optional["Allocation"]:
         return self._allocations.get((ni, channel))
-
-    def link_occupancy(self) -> Dict[LinkId, float]:
-        return {lid: table.occupancy()
-                for lid, table in self._link_tables.items()}
-
-    def total_reserved_slots(self) -> int:
-        return sum(len(table.free_slots()) * 0 +
-                   (table.size - len(table.free_slots()))
-                   for table in self._link_tables.values())
 
     # ------------------------------------------------------------ allocation
     def injection_slot_free(self, request: SlotRequest, slot: int) -> bool:

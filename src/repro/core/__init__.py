@@ -7,9 +7,9 @@ The NI is split exactly as in Figure 1 of the paper:
   and depacketization, the GT/BE scheduler, end-to-end flow control with
   credit piggybacking, and the memory-mapped configuration register file;
 * the **shells** (:mod:`repro.core.shells`) add connection types (narrowcast,
-  multicast, multi-connection), master/slave protocol adapters (simplified
-  DTL and AXI) and the configuration shell, and can be plugged in or left out
-  at design time.
+  multicast, multi-connection), master/slave protocol adapters (they take
+  ``Transaction`` objects) and the configuration shell, and can be plugged
+  in or left out at design time.
 """
 
 from repro.core.channel import Channel, ChannelRegisters, FlowControlError

@@ -1,30 +1,27 @@
-"""The assembled network interface: kernel plus shells.
+"""The assembled network interface: kernel plus port clocks.
 
 :class:`NetworkInterface` is a convenience container matching Figure 1: one
-NI kernel, its kernel ports, and the shells plugged onto those ports.  The
-design-time generator (:mod:`repro.design.generator`) builds these from an
-instance specification; tests and examples can also assemble them by hand.
+NI kernel, its kernel ports and the clock domain of each.  The design-time
+generator (:mod:`repro.design.generator`) builds these from an instance
+specification; shells are plugged onto the ports by
+:class:`~repro.api.builder.SystemBuilder`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.kernel import NIKernel
 from repro.core.port import NIPort
-from repro.sim.clock import Clock, ClockedComponent
-from repro.sim.engine import Simulator
+from repro.sim.clock import Clock
 
 
 class NetworkInterface:
-    """An NI instance: kernel + ports + shells."""
+    """An NI instance: kernel + ports + port clocks."""
 
     def __init__(self, name: str, kernel: NIKernel) -> None:
         self.name = name
         self.kernel = kernel
-        #: Shells and adapters by name (connection shells, master/slave
-        #: shells, config shells, CNIP slaves ...).
-        self.shells: Dict[str, object] = {}
         #: Clock domain of each IP-side port (ports may run at different
         #: frequencies; the kernel runs at the network flit clock).
         self.port_clocks: Dict[str, Clock] = {}
@@ -37,23 +34,6 @@ class NetworkInterface:
     def ports(self) -> Dict[str, NIPort]:
         return dict(self.kernel.ports)
 
-    # ---------------------------------------------------------------- shells
-    def add_shell(self, name: str, shell: object,
-                  clock: Optional[Clock] = None) -> object:
-        """Register a shell; if it is clocked and a clock is given, drive it."""
-        if name in self.shells:
-            raise ValueError(f"NI {self.name}: duplicate shell name {name!r}")
-        self.shells[name] = shell
-        if clock is not None and isinstance(shell, ClockedComponent):
-            clock.add_component(shell)
-        return shell
-
-    def shell(self, name: str):
-        try:
-            return self.shells[name]
-        except KeyError as exc:
-            raise KeyError(f"NI {self.name}: unknown shell {name!r}") from exc
-
     # ------------------------------------------------------------- reporting
     def describe(self) -> Dict[str, object]:
         """A printable summary of the instance (used by examples and docs)."""
@@ -63,7 +43,6 @@ class NetworkInterface:
             "slots": self.kernel.num_slots,
             "ports": {name: port.channel_indices
                       for name, port in self.kernel.ports.items()},
-            "shells": sorted(self.shells),
             "queue_words": self.kernel.queue_words_total(),
         }
 

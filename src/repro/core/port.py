@@ -69,9 +69,6 @@ class NIPort:
                 f"port {self.name}: source queue of connection {conn} is full")
         channel.source_queue.push(word)
 
-    def source_space(self, conn: int) -> int:
-        return self.channel(conn).source_queue.space
-
     def flush(self, conn: int) -> None:
         """Raise the flush signal for a connection (Section 4.1)."""
         self.channel(conn).request_flush()

@@ -145,10 +145,6 @@ class HardwareFifo:
             raise QueueError(f"fifo {self.name}: peek on empty/unsynchronized fifo")
         return self._items[0][1]
 
-    def peek_many(self, count: int) -> List[int]:
-        available = min(count, self.fill)
-        return [self._items[i][1] for i in range(available)]
-
     def pop(self) -> int:
         if not self.can_pop():
             raise QueueError(f"fifo {self.name}: pop on empty/unsynchronized fifo")

@@ -95,7 +95,3 @@ def decode_path(word: int) -> Tuple[int, ...]:
 
 def encode_ctrl(enabled: bool, gt: bool) -> int:
     return (CTRL_ENABLE if enabled else 0) | (CTRL_GT if gt else 0)
-
-
-def decode_ctrl(word: int) -> Tuple[bool, bool]:
-    return bool(word & CTRL_ENABLE), bool(word & CTRL_GT)

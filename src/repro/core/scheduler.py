@@ -9,7 +9,7 @@ configured with one of them at instantiation time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.channel import Channel
 
@@ -123,7 +123,3 @@ def make_arbiter(name: str, **kwargs) -> Arbiter:
         raise ValueError(
             f"unknown arbiter {name!r}; choose from {sorted(_ARBITERS)}") from exc
     return factory(**kwargs)
-
-
-def available_arbiters() -> List[str]:
-    return sorted(_ARBITERS)

@@ -2,9 +2,9 @@
 
 Shells wrap the NI kernel ports and add higher-level functionality: connection
 types beyond point-to-point (narrowcast, multicast), arbitration between
-multiple connections at a slave port, protocol adapters (simplified DTL and
-AXI master/slave shells), and the configuration shell.  "All these shells can
-be plugged in or left out at design time according to the needs."
+multiple connections at a slave port, protocol adapters (master/slave shells
+taking ``Transaction`` objects), and the configuration shell.  "All these
+shells can be plugged in or left out at design time according to the needs."
 """
 
 from repro.core.shells.base import ConnectionShell, ShellError

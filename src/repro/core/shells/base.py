@@ -141,12 +141,6 @@ class ConnectionShell(ClockedComponent):
             return self._rx_ready.popleft()
         return None
 
-    def pending_tx_messages(self) -> int:
-        return len(self._tx_queue)
-
-    def pending_tx_words(self) -> int:
-        return sum(len(words) for _, words in self._tx_queue)
-
     def idle(self) -> bool:
         return (not self._tx_queue and not self._rx_ready
                 and not any(self._rx_partial))

@@ -143,11 +143,6 @@ class ConfigShell(ClockedComponent):
         self.notify_active()
         return op
 
-    # Design-time wiring: mapping a remote NI name to a connection index
-    # cannot raise eligibility (the op queue is what drives activity).
-    def add_remote(self, ni_name: str, conn: int) -> None:  # reprolint: disable=wake-mutate-no-notify
-        self.remote_conns[ni_name] = conn
-
     def is_idle(self) -> bool:
         """No operation queued or awaiting acknowledgement.
 
@@ -186,10 +181,6 @@ class ConfigShell(ClockedComponent):
         """The connection shell sent a message: a refused issue may go."""
         if self._queue:
             self.notify_active()
-
-    @property
-    def pending_operations(self) -> int:
-        return len(self._queue) + len(self._in_flight)
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:

@@ -5,8 +5,8 @@ their flags, addresses, and write data in request messages, and to
 desequentialize messages into read data, and write responses."
 
 The master shell accepts :class:`~repro.protocol.transactions.Transaction`
-objects from a master IP module (via the simplified DTL or AXI signal
-groups), assigns them wrapping 8-bit transaction ids, converts them to
+objects from a master IP module (the DTL / AXI signal groups are not
+modelled), assigns them wrapping 8-bit transaction ids, converts them to
 request messages and hands them to the connection shell below (point-to-
 point, narrowcast or multicast).  Responses coming back are matched to the
 outstanding transactions and completed.
@@ -51,7 +51,6 @@ class MasterShell(ClockedComponent):
     """Transaction-to-message adapter for a master IP module."""
 
     def __init__(self, name: str, shell: ConnectionShell,
-                 protocol: str = "dtl",
                  seq_latency_cycles: int = DEFAULT_SEQ_LATENCY,
                  max_outstanding: int = 16,
                  timeout_cycles: Optional[int] = None,
@@ -60,8 +59,6 @@ class MasterShell(ClockedComponent):
                  tracer: Tracer = NULL_TRACER) -> None:
         if shell.role != "master":
             raise ShellError(f"master shell {name} needs a master-role connection shell")
-        if protocol not in ("dtl", "axi"):
-            raise ShellError(f"master shell {name}: unknown protocol {protocol!r}")
         if timeout_cycles is not None and timeout_cycles <= 0:
             raise ShellError(f"master shell {name}: timeout_cycles must be positive")
         if max_retries < 0:
@@ -70,7 +67,6 @@ class MasterShell(ClockedComponent):
             raise ShellError(f"master shell {name}: retry_backoff must be >= 1")
         self.name = name
         self.shell = shell
-        self.protocol = protocol
         self.seq_latency_cycles = seq_latency_cycles
         self.max_outstanding = max_outstanding
         self.timeout_cycles = timeout_cycles
@@ -337,4 +333,4 @@ class MasterShell(ClockedComponent):
                               trans_id=transaction.trans_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"MasterShell({self.name}, protocol={self.protocol})"
+        return f"MasterShell({self.name})"

@@ -83,8 +83,3 @@ class MulticastShell(ConnectionShell):
         return ResponseMessage(command=first.command, error=worst,
                                read_data=list(first.read_data),
                                trans_id=first.trans_id)
-
-    # ------------------------------------------------------------ inspection
-    @property
-    def outstanding_acks(self) -> int:
-        return len(self._pending_acks)

@@ -31,16 +31,12 @@ class SlaveShell(ClockedComponent):
     """Message-to-transaction adapter for a slave IP module."""
 
     def __init__(self, name: str, shell: ConnectionShell, slave,
-                 protocol: str = "dtl",
                  tracer: Tracer = NULL_TRACER) -> None:
         if shell.role != "slave":
             raise ShellError(f"slave shell {name} needs a slave-role connection shell")
-        if protocol not in ("dtl", "axi"):
-            raise ShellError(f"slave shell {name}: unknown protocol {protocol!r}")
         self.name = name
         self.shell = shell
         self.slave = slave
-        self.protocol = protocol
         self.tracer = tracer
         self.stats = StatsRegistry()
         #: Requests handed to the slave IP that expect a response, in order.
@@ -185,4 +181,4 @@ class SlaveShell(ClockedComponent):
         return FAR_FUTURE
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"SlaveShell({self.name}, protocol={self.protocol})"
+        return f"SlaveShell({self.name})"

@@ -70,9 +70,6 @@ class AreaReport:
     def total_mm2(self) -> float:
         return self.kernel_mm2 + self.shells_total_mm2
 
-    def shell_fraction_of_kernel(self, shell: str) -> float:
-        return self.shells_mm2[shell] / self.kernel_mm2
-
     def rows(self) -> list:
         """Printable rows: (component, area mm^2, % of kernel)."""
         out = [("NI kernel", self.kernel_mm2, 100.0)]

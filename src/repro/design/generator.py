@@ -19,7 +19,7 @@ from repro.core.kernel import NIKernel
 from repro.core.ni import NetworkInterface
 from repro.design.spec import NISpec, NoCSpec, SpecError
 from repro.network.noc import NoC, NoCBuilder
-from repro.network.topology import Topology, make_topology
+from repro.network.topology import Topology, TopologyError, make_topology
 from repro.sim.clock import Clock, fuse_clocks
 from repro.sim.engine import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -142,35 +142,20 @@ def _holds_work(component) -> bool:
 
 
 def _build_topology(spec: NoCSpec) -> Topology:
-    """Instantiate the spec's topology through the factory registry.
-
-    ``topology_params`` carries the factory arguments; when absent the
-    legacy ``rows`` / ``cols`` encoding of the three seed kinds applies
-    (ring size was historically packed as ``(rows=1, cols=n)``).
-    """
-    if spec.topology_params:
+    """Instantiate the spec's topology through the factory registry."""
+    try:
         return make_topology(spec.topology, **spec.topology_params)
-    if spec.topology == "mesh":
-        return Topology.mesh(spec.rows, spec.cols)
-    if spec.topology == "ring":
-        return Topology.ring(max(spec.rows * spec.cols, spec.cols))
-    if spec.topology in ("single", "single_router"):
-        return Topology.single_router()
-    return make_topology(spec.topology)
+    except TopologyError as exc:
+        raise SpecError(
+            f"topology_params {spec.topology_params!r}: {exc}") from None
 
 
-def build_system(spec: NoCSpec, sim: Optional[Simulator] = None,
-                 router_slot_tables: bool = False,
-                 strict_gt: bool = True,
-                 tracer: Tracer = NULL_TRACER) -> SystemModel:
+def build_system(spec: NoCSpec, tracer: Tracer = NULL_TRACER) -> SystemModel:
     """Instantiate a complete simulated system from a NoC specification."""
-    sim = sim if sim is not None else Simulator()
+    sim = Simulator()
     topology = _build_topology(spec)
 
-    builder = NoCBuilder(topology, num_slots=spec.num_slots,
-                         be_buffer_flits=spec.be_buffer_flits,
-                         router_slot_tables=router_slot_tables,
-                         strict_gt=strict_gt,
+    builder = NoCBuilder(topology, be_buffer_flits=spec.be_buffer_flits,
                          routing_algorithm=spec.routing,
                          tracer=tracer)
     for ni_spec in spec.nis:
@@ -183,8 +168,7 @@ def build_system(spec: NoCSpec, sim: Optional[Simulator] = None,
 
     system = SystemModel(spec=spec, sim=sim, noc=noc,
                          allocator=CentralizedSlotAllocator(
-                             spec.num_slots,
-                             policy=getattr(spec, "slot_policy", "spread")))
+                             spec.num_slots, policy=spec.slot_policy))
 
     for ni_spec in spec.nis:
         ni = _build_ni(ni_spec, sim, noc, system, tracer)

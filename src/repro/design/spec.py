@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.network.routing import ROUTING_STRATEGIES
+from repro.config.slot_allocation import SLOT_POLICIES
+from repro.core.scheduler import make_arbiter
+from repro.network.routing import RouteError, make_routing
 from repro.network.topology import TOPOLOGY_FACTORIES
 
 #: Port kinds.
@@ -24,12 +26,19 @@ PORT_KINDS = ("master", "slave", "config")
 #: Shells that may be attached to a port at design time.
 PORT_SHELLS = ("p2p", "narrowcast", "multicast", "multiconnection", "config",
                None)
-#: Supported IP protocols for the adapter shells.
+#: IP protocols a port may name: selects the adapter's area in
+#: :class:`~repro.design.area.AreaModel` (the shells take ``Transaction``s).
 PORT_PROTOCOLS = ("dtl", "axi")
 
 
 class SpecError(ValueError):
-    """Raised for inconsistent instance specifications."""
+    """Raised for inconsistent instance specifications.
+
+    The dataclasses below are the one structural validator: the XML reader
+    and :class:`~repro.api.builder.SystemBuilder` construct them and add no
+    check of their own for anything a field here already refuses (the
+    builder re-raises as its ``BuilderError``, naming the declaration).
+    """
 
 
 @dataclass
@@ -41,7 +50,9 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         if self.source_queue_words <= 0 or self.dest_queue_words <= 0:
-            raise SpecError("queue sizes must be positive")
+            raise SpecError(
+                "queue sizes (queue_words) must be positive, got "
+                f"{self.source_queue_words} / {self.dest_queue_words}")
 
 
 @dataclass
@@ -64,8 +75,9 @@ class PortSpec:
             raise SpecError(f"port {self.name}: unknown protocol {self.protocol!r}")
         if not self.channels:
             raise SpecError(f"port {self.name}: needs at least one channel")
-        if self.clock_mhz <= 0:
-            raise SpecError(f"port {self.name}: clock must be positive")
+        if not self.clock_mhz > 0:
+            raise SpecError(f"port {self.name}: clock_mhz must be positive, "
+                            f"got {self.clock_mhz}")
 
     @property
     def num_channels(self) -> int:
@@ -85,7 +97,15 @@ class NISpec:
 
     def __post_init__(self) -> None:
         if self.num_slots <= 0:
-            raise SpecError(f"NI {self.name}: slot table must have slots")
+            raise SpecError(f"NI {self.name}: num_slots must be positive, "
+                            f"got {self.num_slots}")
+        if self.max_packet_words <= 0:
+            raise SpecError(f"NI {self.name}: max_packet_words must be "
+                            f"positive, got {self.max_packet_words}")
+        try:
+            make_arbiter(self.be_arbiter)
+        except ValueError as exc:
+            raise SpecError(f"NI {self.name}: be_arbiter: {exc}") from None
         names = [p.name for p in self.ports]
         if len(set(names)) != len(names):
             raise SpecError(f"NI {self.name}: duplicate port names")
@@ -117,10 +137,9 @@ class NoCSpec:
     (:data:`repro.network.topology.TOPOLOGY_FACTORIES`: ``mesh``, ``ring``,
     ``single``, ``torus``, ``double_ring``, ``tree``, ``custom``, plus any
     user-registered kind); ``topology_params`` carries that factory's
-    keyword arguments (e.g. ``{"num_routers": 5}`` for a ring or the
-    node/edge lists of a custom graph).  When ``topology_params`` is empty,
-    the legacy ``rows`` / ``cols`` encoding is used for the three seed
-    kinds, so old specs and XML files elaborate unchanged.
+    keyword arguments (``{"rows": 1, "cols": 2}`` for a mesh,
+    ``{"num_routers": 5}`` for a ring, the node/edge lists of a custom
+    graph; nothing for ``single``).
 
     ``routing`` is a registered strategy name (``auto`` / ``xy`` /
     ``shortest`` / ``torus``) or a
@@ -129,8 +148,6 @@ class NoCSpec:
 
     name: str = "aethereal"
     topology: str = "mesh"
-    rows: int = 1
-    cols: int = 2
     num_slots: int = 8
     be_buffer_flits: int = 8
     routing: object = "auto"
@@ -146,12 +163,18 @@ class NoCSpec:
             known = ", ".join(sorted(TOPOLOGY_FACTORIES))
             raise SpecError(
                 f"unknown topology {self.topology!r} (registered: {known})")
-        if (isinstance(self.routing, str)
-                and self.routing not in ROUTING_STRATEGIES):
-            known = ", ".join(sorted(ROUTING_STRATEGIES))
-            raise SpecError(
-                f"unknown routing {self.routing!r} (registered: {known}; "
-                "or pass a RoutingStrategy instance)")
+        try:
+            make_routing(self.routing)
+        except RouteError as exc:
+            raise SpecError(f"routing: {exc}") from None
+        if self.num_slots <= 0:
+            raise SpecError(f"num_slots must be positive, got {self.num_slots}")
+        if self.be_buffer_flits <= 0:
+            raise SpecError("be_buffer_flits must be positive, got "
+                            f"{self.be_buffer_flits}")
+        if self.slot_policy not in SLOT_POLICIES:
+            raise SpecError(f"unknown slot_policy {self.slot_policy!r} "
+                            f"(expected one of {', '.join(SLOT_POLICIES)})")
         names = [ni.name for ni in self.nis]
         if len(set(names)) != len(names):
             raise SpecError("duplicate NI names in the NoC spec")
@@ -161,10 +184,6 @@ class NoCSpec:
             if ni.name == name:
                 return ni
         raise SpecError(f"unknown NI {name!r}")
-
-    @property
-    def num_nis(self) -> int:
-        return len(self.nis)
 
 
 def reference_ni_spec(name: str = "ni_ref", router: object = 0) -> NISpec:
@@ -191,7 +210,6 @@ def reference_noc_spec() -> NoCSpec:
     """A small two-router NoC carrying two reference NIs (examples/tests)."""
     return NoCSpec(
         name="aethereal_ref",
-        topology="mesh",
-        rows=1, cols=2,
+        topology="mesh", topology_params={"rows": 1, "cols": 2},
         nis=[reference_ni_spec("ni0", router=(0, 0)),
              reference_ni_spec("ni1", router=(0, 1))])

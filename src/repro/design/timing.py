@@ -67,10 +67,6 @@ class LatencyModel:
         """The 4-10 cycle range the paper quotes for the same breakdown."""
         return PAPER_LATENCY_RANGE_CYCLES
 
-    def within_paper_range(self, measured_cycles: int) -> bool:
-        low, high = self.paper_range
-        return low <= measured_cycles <= high
-
 
 @dataclass
 class TimingModel:
@@ -88,30 +84,3 @@ class TimingModel:
     def raw_bandwidth_gbit_s(self) -> float:
         """Raw link bandwidth toward the router, per direction."""
         return self.link_bits * self.frequency_mhz / 1000.0
-
-    def slot_bandwidth_gbit_s(self, slots_reserved: int, num_slots: int,
-                              header_words: int = 1,
-                              flit_words: int = 3) -> float:
-        """Effective payload bandwidth of a GT channel.
-
-        ``slots_reserved`` slots out of ``num_slots`` give a share of the raw
-        link bandwidth; each slot (flit) loses ``header_words`` of its
-        ``flit_words`` to the packet header when every flit starts a packet
-        (worst case).  Consecutive slot reservations amortize the header.
-        """
-        if not 0 <= slots_reserved <= num_slots:
-            raise ValueError("slots_reserved outside the slot table")
-        share = slots_reserved / num_slots
-        payload_fraction = (flit_words - header_words) / flit_words
-        return self.raw_bandwidth_gbit_s * share * payload_fraction
-
-    def cycles_to_ns(self, cycles: int) -> float:
-        return cycles * self.period_ns
-
-    def software_stack_latency_cycles(self, instructions: int =
-                                      SOFTWARE_PACKETIZATION_INSTRUCTIONS,
-                                      cycles_per_instruction: float = 1.0
-                                      ) -> float:
-        """Latency of a software protocol stack executing on an embedded core
-        clocked at the NI frequency (the paper's [4] comparison point)."""
-        return instructions * cycles_per_instruction

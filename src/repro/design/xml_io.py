@@ -6,17 +6,27 @@ XML description; here the same XML describes the Python instances that
 
 .. code-block:: xml
 
-    <noc name="aethereal" topology="mesh" rows="1" cols="2" slots="8">
+    <noc name="aethereal" topology="mesh" slots="8" be_buffer_flits="8"
+         routing="auto" slot_policy="spread">
+      <topology rows="1" cols="2"/>
       <ni name="ni0" router="0,0" slots="8" arbiter="round_robin">
         <port name="m0" kind="master" protocol="dtl" shell="p2p" clock_mhz="200">
           <channel source_queue="8" dest_queue="8"/>
         </port>
       </ni>
     </noc>
+
+``<topology>`` carries the keyword arguments of the named topology factory
+(``<node>`` / ``<edge>`` children for a custom graph) and is always written.
+Documents from before it existed — ``<noc topology="mesh|ring|single"
+rows= cols=>`` with no ``<topology>`` child — are still read: this module
+is the one place that knows that encoding.  Every refusal is a
+:class:`~repro.design.spec.SpecError`.
 """
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from typing import List, Union
 
@@ -53,6 +63,27 @@ def _scalar_from_str(text: str) -> Union[int, float, str]:
         return float(text)
     except ValueError:
         return text
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _parsed(element: ET.Element, attribute: str, default, convert):
+    """``convert`` applied to an attribute's text (``default`` when absent);
+    text it refuses is a :class:`SpecError` naming element and attribute."""
+    text = element.get(attribute)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a finite number"
+        raise SpecError(f"<{element.tag}> attribute {attribute}={text!r} "
+                        f"is not {kind}") from None
 
 
 #: Attribute-value types a custom-topology node attribute may carry in XML.
@@ -108,7 +139,8 @@ def _topology_params_from_xml(topo_el: ET.Element) -> dict:
         attrs = {}
         for attr_el in node_el.findall("attr"):
             convert = _ATTR_TYPES.get(attr_el.get("type", "str"), str)
-            attrs[attr_el.get("key", "")] = convert(attr_el.get("value", ""))
+            attrs[attr_el.get("key", "")] = _parsed(attr_el, "value", "",
+                                                    convert)
         nodes.append((node, attrs) if attrs else node)
     edges = [(_router_from_str(edge_el.get("a", "0")),
               _router_from_str(edge_el.get("b", "0")))
@@ -122,6 +154,19 @@ def _topology_params_from_xml(topo_el: ET.Element) -> dict:
     elif edges:
         params["edges"] = edges
     return params
+
+
+def _legacy_topology_params(root: ET.Element, topology: str) -> dict:
+    """Factory arguments of a document that has no ``<topology>`` child: the
+    three seed kinds sized by ``<noc rows= cols=>`` (a ring of ``n`` was
+    written as ``rows="1" cols="n"``); any other kind gets no arguments."""
+    rows = _parsed(root, "rows", 1, int)
+    cols = _parsed(root, "cols", 1, int)
+    if topology == "mesh":
+        return {"rows": rows, "cols": cols}
+    if topology == "ring":
+        return {"num_routers": max(rows * cols, cols)}
+    return {}
 
 
 def to_xml(spec: NoCSpec) -> str:
@@ -138,14 +183,12 @@ def to_xml(spec: NoCSpec) -> str:
     root = ET.Element("noc", {
         "name": spec.name,
         "topology": spec.topology,
-        "rows": str(spec.rows),
-        "cols": str(spec.cols),
         "slots": str(spec.num_slots),
         "be_buffer_flits": str(spec.be_buffer_flits),
         "routing": routing,
+        "slot_policy": spec.slot_policy,
     })
-    if spec.topology_params:
-        _topology_params_to_xml(root, spec.topology_params)
+    _topology_params_to_xml(root, spec.topology_params)
     for ni in spec.nis:
         ni_el = ET.SubElement(root, "ni", {
             "name": ni.name,
@@ -183,8 +226,8 @@ def from_xml(text: str) -> NoCSpec:
         ports: List[PortSpec] = []
         for port_el in ni_el.findall("port"):
             channels = [ChannelSpec(
-                source_queue_words=int(ch.get("source_queue", "8")),
-                dest_queue_words=int(ch.get("dest_queue", "8")))
+                source_queue_words=_parsed(ch, "source_queue", 8, int),
+                dest_queue_words=_parsed(ch, "dest_queue", 8, int))
                 for ch in port_el.findall("channel")]
             if not channels:
                 channels = [ChannelSpec()]
@@ -195,23 +238,27 @@ def from_xml(text: str) -> NoCSpec:
                 protocol=port_el.get("protocol", "dtl"),
                 shell=None if shell == "none" else shell,
                 channels=channels,
-                clock_mhz=float(port_el.get("clock_mhz", "500"))))
+                clock_mhz=_parsed(port_el, "clock_mhz", 500.0,
+                                  _finite_float)))
         nis.append(NISpec(
             name=ni_el.get("name", "ni"),
             router=_router_from_str(ni_el.get("router", "0")),
-            num_slots=int(ni_el.get("slots", "8")),
+            num_slots=_parsed(ni_el, "slots", 8, int),
             be_arbiter=ni_el.get("arbiter", "round_robin"),
-            max_packet_words=int(ni_el.get("max_packet_words", "23")),
+            max_packet_words=_parsed(ni_el, "max_packet_words", 23, int),
             ports=ports))
+    topology = root.get("topology", "mesh")
     topo_el = root.find("topology")
-    params = _topology_params_from_xml(topo_el) if topo_el is not None else {}
+    if topo_el is not None:
+        params = _topology_params_from_xml(topo_el)
+    else:
+        params = _legacy_topology_params(root, topology)
     return NoCSpec(
         name=root.get("name", "noc"),
-        topology=root.get("topology", "mesh"),
-        rows=int(root.get("rows", "1")),
-        cols=int(root.get("cols", "1")),
-        num_slots=int(root.get("slots", "8")),
-        be_buffer_flits=int(root.get("be_buffer_flits", "8")),
+        topology=topology,
+        num_slots=_parsed(root, "slots", 8, int),
+        be_buffer_flits=_parsed(root, "be_buffer_flits", 8, int),
         routing=root.get("routing", "auto"),
+        slot_policy=root.get("slot_policy", "spread"),
         topology_params=params,
         nis=nis)

@@ -31,10 +31,6 @@ class FaultInjector(ClockedComponent):
     def exhausted(self) -> bool:
         return self._next >= len(self._events)
 
-    @property
-    def events_applied(self) -> int:
-        return self._next
-
     def tick(self, cycle: int) -> None:
         events = self._events
         while self._next < len(events) and events[self._next].cycle <= cycle:

@@ -94,10 +94,6 @@ class FaultPlan:
         """Events in application order (stable by cycle)."""
         return sorted(self.events, key=lambda event: event.cycle)
 
-    def merge(self, other: "FaultPlan") -> "FaultPlan":
-        self.events.extend(other.events)
-        return self
-
     def __bool__(self) -> bool:
         return bool(self.events)
 

@@ -167,10 +167,6 @@ class Link:
         self.sink_port = sink_port
 
     # --------------------------------------------------------------- sending
-    def can_send(self) -> bool:
-        """True when no flit has been offered this cycle."""
-        return self._incoming is None
-
     def can_send_be(self) -> bool:
         """True when a best-effort flit may be sent without overflowing the sink."""
         if self._incoming is not None:

@@ -22,7 +22,6 @@ from repro.network.routing import (
     make_routing,
     ports_from_router_sequence,
 )
-from repro.network.slot_table import RouterSlotTable
 from repro.network.topology import PortMap, Topology, TopologyError, build_port_map
 from repro.sim.clock import Clock
 from repro.sim.engine import Simulator
@@ -233,18 +232,12 @@ class NoC:
 class NoCBuilder:
     """Collects the topology and NI attachments, then builds the network."""
 
-    def __init__(self, topology: Topology, num_slots: int = 8,
-                 be_buffer_flits: int = 8,
-                 router_slot_tables: bool = False,
-                 strict_gt: bool = True,
+    def __init__(self, topology: Topology, be_buffer_flits: int = 8,
                  routing_algorithm: Union[str, RoutingStrategy] = "auto",
                  flit_frequency_mhz: Optional[float] = None,
                  tracer: Tracer = NULL_TRACER) -> None:
         self.topology = topology
-        self.num_slots = num_slots
         self.be_buffer_flits = be_buffer_flits
-        self.router_slot_tables = router_slot_tables
-        self.strict_gt = strict_gt
         self.routing_algorithm = routing_algorithm
         self.tracer = tracer
         #: The network moves one flit (3 words) per flit-clock cycle; the
@@ -262,10 +255,6 @@ class NoCBuilder:
             raise TopologyError(f"duplicate NI attachment name {name!r}")
         self._declared.append((name, router_node))
 
-    @property
-    def declared_nis(self) -> List[Tuple[str, Hashable]]:
-        return list(self._declared)
-
     # -------------------------------------------------------------- building
     def build(self, sim: Simulator) -> NoC:
         local_counts: Dict[Hashable, int] = {}
@@ -279,15 +268,9 @@ class NoCBuilder:
 
         routers: Dict[Hashable, Router] = {}
         for node in self.topology.routers:
-            slot_table = None
-            if self.router_slot_tables:
-                slot_table = RouterSlotTable(port_map.num_ports[node],
-                                             self.num_slots)
             router = Router(name=f"R{node!r}",
                             num_ports=port_map.num_ports[node],
                             be_buffer_flits=self.be_buffer_flits,
-                            slot_table=slot_table,
-                            strict_gt=self.strict_gt,
                             tracer=self.tracer,
                             sim=sim)
             routers[node] = router

@@ -12,7 +12,6 @@ Sizing follows the paper's prototype:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -107,19 +106,11 @@ class Packet:
         return 1 + len(self.payload)
 
     @property
-    def num_flits(self) -> int:
-        return math.ceil(self.total_words / FLIT_WORDS)
-
-    @property
     def header_overhead(self) -> float:
         """Fraction of transported words that are header (efficiency metric)."""
         return 1.0 / self.total_words
 
     # ----------------------------------------------------------------- route
-    @property
-    def hops_remaining(self) -> int:
-        return len(self.header.path) - self._route_pos
-
     def peek_route(self) -> int:
         """Output port the packet wants at the router currently holding it."""
         if self._route_pos >= len(self.header.path):
@@ -127,16 +118,6 @@ class Packet:
                 f"packet {self.packet_id} has exhausted its route "
                 f"{self.header.path}")
         return self.header.path[self._route_pos]
-
-    def advance_route(self) -> int:
-        """Consume and return the next output port of the source route."""
-        port = self.peek_route()
-        self._route_pos += 1
-        return port
-
-    def reset_route(self) -> None:
-        """Rewind the route pointer (used when replaying packets in tests)."""
-        self._route_pos = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "GT" if self.header.is_gt else "BE"

@@ -422,14 +422,6 @@ class Router(ClockedComponent):
                            packet=flit.packet.packet_id, flit=flit.index)
 
     # ------------------------------------------------------------- inspection
-    def buffered_flits(self) -> int:
-        """Total flits buffered in this router (cost metric of [21])."""
-        return self._gt_buffered + self._be_buffered
-
-    def be_queue_depth(self, port: int) -> int:
-        self._check_port(port)
-        return len(self._inputs[port].be_queue)
-
     def input_fill(self, port: int, gt: bool = True) -> int:
         """Flits buffered at one input port (probe hook)."""
         self._check_port(port)

@@ -347,13 +347,3 @@ def make_routing(spec: Union[str, RoutingStrategy]) -> RoutingStrategy:
             f"(registered: {', '.join(routing_names())}; or pass a "
             "RoutingStrategy instance, e.g. TableRouting)") from None
     return factory()
-
-
-def route_hop_count(route: Tuple[int, ...]) -> int:
-    """Number of routers a packet with this source route traverses."""
-    return len(route)
-
-
-def links_on_route(sequence: List[Hashable]) -> List[Tuple[Hashable, Hashable]]:
-    """Router-to-router links traversed by a router sequence."""
-    return list(zip(sequence, sequence[1:]))

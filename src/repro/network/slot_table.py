@@ -84,11 +84,6 @@ class SlotTable:
     def is_free(self, slot: int) -> bool:
         return self.owner(slot) is None
 
-    @property
-    def has_reservations(self) -> bool:
-        """True when any slot is reserved (O(1); used by kernel idle-skip)."""
-        return self._reserved > 0
-
     def slots_of(self, owner: Hashable) -> List[int]:
         return [s for s, o in enumerate(self._entries) if o == owner]
 
@@ -133,28 +128,6 @@ class SlotTable:
         table._entries = list(self._entries)
         table._reserved = self._reserved
         return table
-
-    # --------------------------------------------------------------- service
-    def max_gap(self, owner: Hashable) -> Optional[int]:
-        """Largest distance between consecutive reservations of ``owner``.
-
-        This is the jitter bound of Section 2 ("jitter is given by the maximum
-        distance between two slot reservations"), measured in slots.  Returns
-        ``None`` when the owner has no reservations.
-        """
-        slots = self.slots_of(owner)
-        if not slots:
-            return None
-        if len(slots) == 1:
-            return self.size
-        gaps = []
-        for i, slot in enumerate(slots):
-            nxt = slots[(i + 1) % len(slots)]
-            gap = (nxt - slot) % self.size
-            if gap == 0:
-                gap = self.size
-            gaps.append(gap)
-        return max(gaps)
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.size:

@@ -384,12 +384,3 @@ def mesh_coordinates(node: Hashable) -> Tuple[int, int]:
             and all(isinstance(x, int) for x in node)):
         return node  # type: ignore[return-value]
     raise TopologyError(f"node {node!r} does not carry mesh coordinates")
-
-
-def attach_points(topology: Topology, ni_names: Iterable[str]) -> Dict[str, Hashable]:
-    """Spread NIs over routers round-robin (helper for quick experiment setup)."""
-    routers = topology.routers
-    mapping: Dict[str, Hashable] = {}
-    for index, name in enumerate(ni_names):
-        mapping[name] = routers[index % len(routers)]
-    return mapping

@@ -131,10 +131,6 @@ class Transaction:
         return self.read_length
 
     @property
-    def is_write(self) -> bool:
-        return self.command in WRITE_COMMANDS
-
-    @property
     def is_read(self) -> bool:
         return self.command in (Command.READ, Command.READ_LINKED)
 

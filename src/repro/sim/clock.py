@@ -325,17 +325,6 @@ class Clock:
         """True while the next edge is deferred beyond the next boundary."""
         return self._gated
 
-    @property
-    def bandwidth_gbit_s(self) -> float:
-        """Raw bandwidth of a 32-bit link clocked by this clock, in Gbit/s."""
-        return 32.0 * self.frequency_mhz / 1000.0
-
-    def cycles_to_ps(self, cycles: int) -> int:
-        return cycles * self.period_ps
-
-    def ps_to_cycles(self, ps: int) -> int:
-        return ps // self.period_ps
-
     def edge_time(self, index: int) -> int:
         """Absolute time of edge ``index`` (the clock must have started)."""
         return self._epoch + index * self.period_ps

@@ -26,9 +26,6 @@ class Counter:
             raise ValueError("Counter.increment requires a non-negative amount")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}={self.value})"
 
@@ -137,9 +134,6 @@ class Histogram:
             if running >= threshold:
                 return sample
         return self._max
-
-    def to_dict(self) -> Dict[int, int]:
-        return dict(sorted(self._bins.items()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Histogram({self.name}, n={self._count}, "

@@ -218,8 +218,8 @@ class TestIdleSkip:
                           ports=[PortSpec(name="p", kind="master", shell=None,
                                           channels=[ChannelSpec(8, 8)])])
                    for r in range(4) for c in range(4)]
-            spec = NoCSpec(name="idle", topology="mesh", rows=4, cols=4,
-                           nis=nis)
+            spec = NoCSpec(name="idle", topology="mesh",
+                           topology_params={"rows": 4, "cols": 4}, nis=nis)
             system = build_system(spec)
             system.run_flit_cycles(1000)
             return system.sim.executed_events

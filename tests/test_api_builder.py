@@ -469,5 +469,5 @@ class TestSlotPolicy:
         assert system.model.allocator.policy == "spread"
 
     def test_unknown_policy_raises(self):
-        with pytest.raises(BuilderError, match="unknown slot policy"):
-            SystemBuilder("sp").slot_policy("zigzag")
+        with pytest.raises(BuilderError, match="unknown slot_policy 'zigzag'"):
+            SystemBuilder("sp").mesh(1, 2).slot_policy("zigzag").build()

@@ -89,9 +89,9 @@ class TestRegistry:
 
         try:
             system = scenarios.build("tmp_test_scenario")
-            assert system.spec.cols == 2
+            assert system.spec.topology_params["cols"] == 2
             system = scenarios.build("tmp_test_scenario", cols=3)
-            assert system.spec.cols == 3
+            assert system.spec.topology_params["cols"] == 3
         finally:
             del scenarios._REGISTRY["tmp_test_scenario"]
 
@@ -147,8 +147,8 @@ class TestNewScenarios:
 
     def test_random_seeds_produce_different_systems(self):
         shapes = {
-            (scenarios.build("random_system", seed=seed).spec.rows,
-             scenarios.build("random_system", seed=seed).spec.cols,
+            (*scenarios.build("random_system",
+                              seed=seed).spec.topology_params.values(),
              len(scenarios.build("random_system", seed=seed).masters))
             for seed in range(1, 7)
         }

@@ -12,7 +12,6 @@ from repro.design.spec import reference_ni_spec
 from repro.design.timing import (
     LatencyModel,
     PAPER_LATENCY_RANGE_CYCLES,
-    SOFTWARE_PACKETIZATION_INSTRUCTIONS,
     TimingModel,
 )
 
@@ -103,11 +102,6 @@ class TestLatencyModel:
         low, high = PAPER_LATENCY_RANGE_CYCLES
         assert low <= model.min_cycles <= model.max_cycles <= high
 
-    def test_within_paper_range_helper(self):
-        model = LatencyModel()
-        assert model.within_paper_range(5)
-        assert not model.within_paper_range(40)
-
 
 class TestTimingModel:
     def test_raw_bandwidth_is_16_gbit_per_second(self):
@@ -116,20 +110,3 @@ class TestTimingModel:
     def test_period(self):
         assert TimingModel().period_ns == pytest.approx(2.0)
 
-    def test_slot_bandwidth_scales_with_reserved_slots(self):
-        model = TimingModel()
-        one = model.slot_bandwidth_gbit_s(1, 8)
-        four = model.slot_bandwidth_gbit_s(4, 8)
-        assert four == pytest.approx(4 * one)
-        with pytest.raises(ValueError):
-            model.slot_bandwidth_gbit_s(9, 8)
-
-    def test_software_stack_latency(self):
-        model = TimingModel()
-        cycles = model.software_stack_latency_cycles()
-        assert cycles == SOFTWARE_PACKETIZATION_INSTRUCTIONS
-        assert model.software_stack_latency_cycles(cycles_per_instruction=2.0) \
-            == 2 * SOFTWARE_PACKETIZATION_INSTRUCTIONS
-
-    def test_cycles_to_ns(self):
-        assert TimingModel().cycles_to_ns(10) == pytest.approx(20.0)

@@ -86,7 +86,8 @@ def legacy_gt_be_mix(num_gt=1, num_be=1, gt_slots=2, num_slots=8,
             ports=[PortSpec(name="p", kind="slave", shell="p2p",
                             clock_mhz=port_clock_mhz,
                             channels=[ChannelSpec(queue_words, queue_words)])]))
-    spec = NoCSpec(name="mix_tb", topology="mesh", rows=1, cols=2,
+    spec = NoCSpec(name="mix_tb", topology="mesh",
+                   topology_params={"rows": 1, "cols": 2},
                    num_slots=num_slots, nis=ni_specs)
     system = build_system(spec)
     configurator = system.functional_configurator()
@@ -149,8 +150,9 @@ def legacy_narrowcast(num_slaves=2, range_words=1024, rows=1, cols=2,
             ports=[PortSpec(name="p", kind="slave", shell="p2p",
                             clock_mhz=port_clock_mhz,
                             channels=[ChannelSpec(queue_words, queue_words)])]))
-    spec = NoCSpec(name="narrowcast_tb", topology="mesh", rows=rows,
-                   cols=cols, num_slots=num_slots, nis=ni_specs)
+    spec = NoCSpec(name="narrowcast_tb", topology="mesh",
+                   topology_params={"rows": rows, "cols": cols},
+                   num_slots=num_slots, nis=ni_specs)
     system = build_system(spec)
 
     ranges = [AddressRange(base=i * range_words * 4, size=range_words * 4,
@@ -192,7 +194,8 @@ def legacy_point_to_point_traced(tracer, gt, max_transactions):
     master_ni, slave_ni = "ni_m", "ni_s"
     queue_words = 8
     spec = NoCSpec(
-        name="p2p_tb", topology="mesh", rows=1, cols=2, num_slots=8,
+        name="p2p_tb", topology="mesh",
+        topology_params={"rows": 1, "cols": 2}, num_slots=8,
         nis=[
             NISpec(name=master_ni, router=(0, 0), num_slots=8,
                    ports=[PortSpec(name="p", kind="master", shell="p2p",

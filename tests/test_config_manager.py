@@ -21,7 +21,8 @@ from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
 
 def make_system(num_slots=8):
     spec = NoCSpec(
-        name="t", topology="mesh", rows=1, cols=2, num_slots=num_slots,
+        name="t", topology="mesh", num_slots=num_slots,
+        topology_params={"rows": 1, "cols": 2},
         nis=[
             NISpec(name="m", router=(0, 0),
                    ports=[PortSpec(name="p", kind="master",

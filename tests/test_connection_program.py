@@ -26,7 +26,8 @@ from repro.design.spec import ChannelSpec, NISpec, NoCSpec, PortSpec
 
 def make_system():
     spec = NoCSpec(
-        name="t", topology="mesh", rows=1, cols=2, num_slots=8,
+        name="t", topology="mesh", num_slots=8,
+        topology_params={"rows": 1, "cols": 2},
         nis=[
             NISpec(name="m", router=(0, 0),
                    ports=[PortSpec(name="p", kind="master",

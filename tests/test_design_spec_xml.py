@@ -1,7 +1,12 @@
 """Unit tests for instance specifications, XML round-trips and generation."""
 
-import pytest
+import warnings
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import BuilderError, SystemBuilder, scenarios
 from repro.design.generator import build_system
 from repro.design.spec import (
     ChannelSpec,
@@ -85,8 +90,9 @@ class TestXmlRoundTrip:
 
     def test_custom_instance_round_trips(self):
         spec = NoCSpec(
-            name="custom", topology="ring", rows=1, cols=5, num_slots=16,
-            be_buffer_flits=4, routing="shortest",
+            name="custom", topology="ring",
+            topology_params={"num_routers": 5}, num_slots=16,
+            be_buffer_flits=4, routing="shortest", slot_policy="contiguous",
             nis=[NISpec(name="ni_a", router=3, num_slots=16,
                         be_arbiter="queue_fill", max_packet_words=11,
                         ports=[PortSpec(name="x", kind="slave", protocol="axi",
@@ -124,7 +130,7 @@ class TestGenerator:
 
     def test_queue_sizes_follow_spec(self):
         spec = NoCSpec(
-            rows=1, cols=1, topology="mesh",
+            topology="mesh", topology_params={"rows": 1, "cols": 1},
             nis=[NISpec(name="a", router=(0, 0),
                         ports=[PortSpec(name="p",
                                         channels=[ChannelSpec(4, 32)])])])
@@ -134,14 +140,14 @@ class TestGenerator:
         assert channel.dest_queue.capacity == 32
 
     def test_unknown_router_rejected(self):
-        spec = NoCSpec(rows=1, cols=1,
+        spec = NoCSpec(topology_params={"rows": 1, "cols": 1},
                        nis=[NISpec(name="a", router=(5, 5),
                                    ports=[PortSpec(name="p")])])
         with pytest.raises(SpecError):
             build_system(spec)
 
     def test_ring_and_single_topologies_build(self):
-        ring = NoCSpec(topology="ring", rows=1, cols=4,
+        ring = NoCSpec(topology="ring", topology_params={"num_routers": 4},
                        nis=[NISpec(name="a", router=0, ports=[PortSpec(name="p")]),
                             NISpec(name="b", router=2, ports=[PortSpec(name="p")])])
         system = build_system(ring)
@@ -168,3 +174,144 @@ class TestGenerator:
         description = system.ni("ni0").describe()
         assert description["channels"] == 8
         assert description["queue_words"] == 128
+
+
+# ---------------------------------------------------------------------------
+# One encoding, written and read whole: every registry scenario's spec
+# survives XML, slot policy included, and elaborates again.
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(scenarios.names()))
+def test_every_registry_spec_round_trips_through_xml(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # the ring's DeadlockWarning
+        spec = scenarios.build(name).spec
+    recovered = from_xml(to_xml(spec))
+    assert recovered == spec
+    rebuilt = build_system(recovered)
+    assert set(rebuilt.nis) == {ni.name for ni in spec.nis}
+    assert rebuilt.allocator.policy == spec.slot_policy
+
+
+@pytest.mark.parametrize("attributes, router, routers", [
+    ('topology="mesh" rows="2" cols="3"', "1,2",
+     [(r, c) for r in range(2) for c in range(3)]),
+    ('topology="ring" rows="1" cols="5"', "4", list(range(5))),
+    ('topology="single" rows="1" cols="1"', "0", [0]),
+    ('', "0,0", [(0, 0)]),                      # every default: a 1x1 mesh
+], ids=["mesh", "ring", "single", "defaults"])
+def test_documents_older_than_the_topology_element_still_elaborate(
+        attributes, router, routers):
+    """``<noc rows= cols=>`` with no ``<topology>`` child: only ``from_xml``
+    knows that encoding, and what it returns is an ordinary spec."""
+    spec = from_xml(f'<noc {attributes}><ni name="a" router="{router}">'
+                    '<port name="p"/></ni></noc>')
+    assert not hasattr(spec, "rows")
+    assert list(build_system(spec).noc.topology.routers) == routers
+    assert from_xml(to_xml(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# One validation, one error type per front door, the field named.
+# ---------------------------------------------------------------------------
+def _declared(**topology):
+    return SystemBuilder("bad").mesh(1, 2, **topology)
+
+
+def _with_master(**master):
+    return (SystemBuilder("bad").mesh(1, 2)
+            .add_master("cpu", router=(0, 0), **master)
+            .add_memory("mem", router=(0, 1)).connect("cpu", "mem"))
+
+
+_CLOCKED = '<noc><ni name="a"><port name="p" clock_mhz="{}"/></ni></noc>'
+
+_MALFORMED = [
+    # front door, input, error type, what the message must name
+    ("builder", lambda: _declared(num_slots=0), BuilderError,
+     ["'bad'", "num_slots", "0"]),
+    ("builder", lambda: _declared(be_buffer_flits=0), BuilderError,
+     ["'bad'", "be_buffer_flits", "0"]),
+    ("builder", lambda: _declared().slot_policy("zigzag"), BuilderError,
+     ["'bad'", "slot_policy", "zigzag"]),
+    ("builder", lambda: _declared().routing("scenic"), BuilderError,
+     ["'bad'", "routing", "scenic"]),
+    ("builder", lambda: _with_master(queue_words=0), BuilderError,
+     ["'cpu'", "queue_words", "0"]),
+    ("builder", lambda: _with_master(clock_mhz=0), BuilderError,
+     ["'cpu'", "clock_mhz", "0"]),
+    ("builder", lambda: _with_master(protocol="ahb"), BuilderError,
+     ["'cpu'", "protocol", "ahb"]),
+    ("builder", lambda: _with_master(max_packet_words=0), BuilderError,
+     ["'cpu'", "max_packet_words", "0"]),
+    ("builder", lambda: _with_master(be_arbiter="nope"), BuilderError,
+     ["'cpu'", "be_arbiter", "nope"]),
+    ("xml", '<noc slots="eight"/>', SpecError, ["<noc>", "slots", "eight"]),
+    ("xml", '<noc be_buffer_flits="many"/>', SpecError,
+     ["<noc>", "be_buffer_flits", "many"]),
+    ("xml", '<noc rows="two"/>', SpecError, ["<noc>", "rows", "two"]),
+    ("xml", _CLOCKED.format("fast"), SpecError,
+     ["<port>", "clock_mhz", "fast"]),
+    ("xml", _CLOCKED.format("inf"), SpecError, ["<port>", "clock_mhz", "inf"]),
+    ("xml", '<noc><ni name="a" slots="x"/></noc>', SpecError,
+     ["<ni>", "slots", "x"]),
+    ("xml", '<noc><ni name="a"><port name="p"><channel dest_queue="1.5"/>'
+     '</port></ni></noc>', SpecError, ["<channel>", "dest_queue", "1.5"]),
+    ("xml", '<noc topology="custom"><topology><node id="0">'
+     '<attr key="level" type="int" value="top"/></node></topology></noc>',
+     SpecError, ["<attr>", "value", "top"]),
+    ("xml", '<noc slots="0"/>', SpecError, ["num_slots", "0"]),
+    ("xml", '<noc be_buffer_flits="-3"/>', SpecError,
+     ["be_buffer_flits", "-3"]),
+    ("xml", '<noc slot_policy="zigzag"/>', SpecError,
+     ["slot_policy", "zigzag"]),
+    ("xml", '<noc><ni name="a" max_packet_words="0"/></noc>', SpecError,
+     ["NI a", "max_packet_words", "0"]),
+    ("xml", '<noc><ni name="a" arbiter="nope"/></noc>', SpecError,
+     ["NI a", "be_arbiter", "nope"]),
+]
+
+
+@pytest.mark.parametrize(
+    "door, bad, error, named", _MALFORMED,
+    ids=[f"{door}-{'-'.join(named[-2:])}" for door, _, _, named in _MALFORMED])
+def test_malformed_input_is_refused_by_type_and_by_name(door, bad, error,
+                                                        named):
+    with pytest.raises(error) as caught:
+        if door == "builder":
+            bad().build()
+        else:
+            from_xml(bad)
+    assert type(caught.value) is error      # not a SpecError under a builder
+    for fragment in named:
+        assert fragment in str(caught.value), str(caught.value)
+
+
+_NUMERIC_SLOTS = [
+    '<noc slots="{}"/>', '<noc be_buffer_flits="{}"/>',
+    '<noc rows="{}"/>', '<noc cols="{}" topology="ring"/>',
+    '<noc><ni name="a" slots="{}"/></noc>',
+    '<noc><ni name="a" max_packet_words="{}"/></noc>',
+    _CLOCKED,
+    '<noc><ni name="a"><port name="p"><channel source_queue="{}"/></port>'
+    '</ni></noc>',
+    '<noc><ni name="a"><port name="p"><channel dest_queue="{}"/></port>'
+    '</ni></noc>',
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_NUMERIC_SLOTS),
+       st.one_of(st.integers(-5, 40).map(str),
+                 st.floats(allow_nan=True, allow_infinity=True).map(str),
+                 st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters='<&"'),
+                         max_size=6)))
+def test_any_text_in_a_numeric_slot_is_a_spec_error_or_a_valid_spec(
+        template, text):
+    """Nothing but :class:`SpecError` leaves ``from_xml``; what it accepts
+    survives its own serialization."""
+    try:
+        spec = from_xml(template.format(text))
+    except SpecError:
+        return
+    assert from_xml(to_xml(spec)) == spec

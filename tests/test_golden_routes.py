@@ -102,6 +102,5 @@ def test_ring_spec_fields_unchanged():
         system = scenarios.build("ring")
     spec = system.spec
     assert spec.topology == "ring"
-    assert (spec.rows, spec.cols) == (1, 6)
     assert spec.topology_params == {"num_routers": 6}
     assert system.noc.topology.num_routers == 6

@@ -414,7 +414,7 @@ class PollKernel(NIKernel):
     def is_idle(self) -> bool:
         if self._gt_flits or self._be_flits:
             return False
-        if self.slot_table.has_reservations:
+        if self.slot_table.occupancy():
             return False
         from_network = self.from_network
         if from_network is not None and from_network.occupancy:

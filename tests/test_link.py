@@ -62,11 +62,12 @@ class TestLink:
 
     def test_can_send_reflects_incoming_register(self):
         link = Link("l", LinkCommit())
-        assert link.can_send()
-        link.send(make_flit())
-        assert not link.can_send()
+        assert link._incoming is None
+        flit = make_flit()
+        link.send(flit)
+        assert link._incoming is flit
         link.commit.post_tick(0)
-        assert link.can_send()
+        assert link._incoming is None
 
     def test_undrained_flit_raises_on_commit(self):
         link = Link("l", LinkCommit())

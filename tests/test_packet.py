@@ -42,10 +42,10 @@ class TestPacket:
         assert make_packet(5).total_words == 6
 
     def test_num_flits_rounds_up(self):
-        assert make_packet(0).num_flits == 1   # header only
-        assert make_packet(2).num_flits == 1   # 3 words exactly
-        assert make_packet(3).num_flits == 2
-        assert make_packet(8).num_flits == 3
+        assert len(packet_to_flits(make_packet(0))) == 1   # header only
+        assert len(packet_to_flits(make_packet(2))) == 1   # 3 words exactly
+        assert len(packet_to_flits(make_packet(3))) == 2
+        assert len(packet_to_flits(make_packet(8))) == 3
 
     def test_header_overhead(self):
         assert make_packet(0).header_overhead == pytest.approx(1.0)
@@ -53,23 +53,16 @@ class TestPacket:
 
     def test_route_advances_hop_by_hop(self):
         packet = make_packet(1, path=(3, 1, 4))
-        assert packet.peek_route() == 3
-        assert packet.advance_route() == 3
-        assert packet.advance_route() == 1
-        assert packet.advance_route() == 4
-        assert packet.hops_remaining == 0
+        for port in (3, 1, 4):
+            assert packet.peek_route() == port
+            packet._route_pos += 1      # what a router does per hop
+        assert packet._route_pos == len(packet.header.path)
 
     def test_route_exhaustion_raises(self):
         packet = make_packet(1, path=(2,))
-        packet.advance_route()
+        packet._route_pos += 1
         with pytest.raises(PacketError):
             packet.peek_route()
-
-    def test_reset_route(self):
-        packet = make_packet(1, path=(2, 3))
-        packet.advance_route()
-        packet.reset_route()
-        assert packet.peek_route() == 2
 
     def test_packet_ids_are_unique(self):
         assert make_packet(1).packet_id != make_packet(1).packet_id

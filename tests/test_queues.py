@@ -93,12 +93,6 @@ class TestBasicFifo:
         assert fifo.peek() == 7
         assert fifo.fill == 1
 
-    def test_peek_many(self):
-        fifo = HardwareFifo(4)
-        fifo.push_many([1, 2, 3])
-        assert fifo.peek_many(2) == [1, 2]
-        assert fifo.peek_many(10) == [1, 2, 3]
-
     def test_counters(self):
         fifo = HardwareFifo(4)
         fifo.push_many([1, 2, 3])

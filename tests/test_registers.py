@@ -5,6 +5,8 @@ import pytest
 from repro.core.kernel import NIKernel
 from repro.core.registers import (
     CHANNEL_REG_STRIDE,
+    CTRL_ENABLE,
+    CTRL_GT,
     REG_CREDIT_THRESHOLD,
     REG_CTRL,
     REG_DATA_THRESHOLD,
@@ -17,7 +19,6 @@ from repro.core.registers import (
     NI_INFO_BASE,
     RegisterError,
     channel_register_address,
-    decode_ctrl,
     decode_path,
     encode_ctrl,
     encode_path,
@@ -42,7 +43,9 @@ class TestPathEncoding:
     def test_ctrl_round_trip(self):
         for enabled in (False, True):
             for gt in (False, True):
-                assert decode_ctrl(encode_ctrl(enabled, gt)) == (enabled, gt)
+                word = encode_ctrl(enabled, gt)
+                assert bool(word & CTRL_ENABLE) == enabled
+                assert bool(word & CTRL_GT) == gt
 
 
 class TestAddressHelpers:

@@ -3,8 +3,10 @@ the lint gate stays wired into ``make check`` and CI, deleted layers stay
 deleted, and the package imports nothing beyond the standard library.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +85,19 @@ _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   # Shipped patterns yield one transaction per active cycle
                   # (the ``arrivals_before`` contract); the unused helper
                   # that chained several patterns into one cycle stays gone.
-                  "merge_patterns")
+                  "merge_patterns",
+                  # ``src/repro`` holds what something runs: the bus-signal
+                  # and address-map modules nothing imported, the builder
+                  # knobs nothing set and the helper functions only their
+                  # own unit tests called stay gone (distinctive spellings
+                  # only; the short accessors are held by the reachability
+                  # test below).
+                  "repro.protocol.axi", "repro.protocol.dtl",
+                  "repro.protocol.mmio", "repro.config.address_map",
+                  "ConfigAddressMap", "MMIORegisterFile",
+                  "dtl_to_transaction", "transaction_to_axi", "with_sim(",
+                  "fault_plan(", "router_slot_tables", "links_on_route", "attach_points", "decode_ctrl",
+                  "available_arbiters(")
 
 
 def _tree_texts(*directories):
@@ -112,6 +126,40 @@ def test_deleted_engine_names_stay_deleted():
                                                "tests")
                  for name in _DELETED_NAMES if name in text]
     assert not offenders, offenders
+
+
+#: Public names nothing under ``src/``, ``examples/``, ``benchmarks/`` or
+#: ``scripts/`` uses, with the reason each is kept.
+_UNUSED_BUT_KEPT = {
+    "run_cycles": "documented API (PERFORMANCE.md: its ps-based contract); "
+                  "the unit tests of hand-built clocked components drive it",
+}
+
+
+def test_every_public_name_is_used_by_something_that_runs():
+    """Every public top-level class or function defined under ``src/repro``
+    is named, somewhere other than on its own ``def`` / ``class`` line, in a
+    file that runs: ``src/`` (a package ``__init__`` re-export is not a
+    use), ``examples/``, ``benchmarks/`` or ``scripts/``.  A name only its
+    own unit tests call is a second program to maintain; it goes, with the
+    assertions that exercised it."""
+    running = {path: path.read_text(encoding="utf-8").splitlines()
+               for directory in ("src", "examples", "benchmarks", "scripts")
+               for path in (REPO_ROOT / directory).rglob("*.py")
+               if path.name != "__init__.py"}
+    unused = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(line)
+                       for other, lines in running.items()
+                       for number, line in enumerate(lines, 1)
+                       if (other, number) != (path, node.lineno)):
+                unused.append(node.name)
+    assert sorted(unused) == sorted(_UNUSED_BUT_KEPT), unused
 
 
 def test_importing_the_package_loads_only_the_standard_library():

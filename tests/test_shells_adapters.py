@@ -153,12 +153,6 @@ class TestMasterShell:
         with pytest.raises(ShellError):
             MasterShell("m", slave_shell)
 
-    def test_unknown_protocol_rejected(self):
-        _, port = make_port()
-        conn_shell = PointToPointShell("c", port, role="master")
-        with pytest.raises(ShellError):
-            MasterShell("m", conn_shell, protocol="ocp2")
-
 
 class TestSlaveShell:
     def make(self, latency=0):

@@ -67,7 +67,7 @@ class TestBaseStreaming:
         assert shell.stats.counter("tx_stalls").value > 0
         drain_source(port, 0)
         run_ticks(shell, 20)
-        assert shell.pending_tx_messages() == 0
+        assert not shell._tx_queue
 
     def test_reassembles_incoming_response(self):
         _, port = make_port()
@@ -262,7 +262,7 @@ class TestMulticastShell:
         shell.submit(RequestMessage(command=Command.WRITE, address=0x4,
                                     write_data=[9], trans_id=5))
         run_ticks(shell, 10)
-        assert shell.outstanding_acks == 1
+        assert len(shell._pending_acks) == 1
         feed_dest(port, 0, ResponseMessage(command=Command.WRITE,
                                            trans_id=5).to_words())
         run_ticks(shell, 5)
@@ -273,7 +273,7 @@ class TestMulticastShell:
         run_ticks(shell, 5)
         message, _ = shell.poll()
         assert message.error == ResponseError.SLAVE_ERROR   # worst error wins
-        assert shell.outstanding_acks == 0
+        assert not shell._pending_acks
 
     def test_subset_of_connections(self):
         _, port = make_port(num_channels=3)

@@ -122,10 +122,6 @@ class TestClock:
         clock = Clock(sim, 500.0)
         assert clock.period_ps == 2000
 
-    def test_bandwidth_of_32bit_link_at_500mhz_is_16_gbit(self):
-        clock = Clock(Simulator(), 500.0)
-        assert clock.bandwidth_gbit_s == pytest.approx(16.0)
-
     def test_invalid_frequency_raises(self):
         with pytest.raises(SimulationError):
             Clock(Simulator(), 0)
@@ -187,7 +183,3 @@ class TestClock:
         # Only one edge per period despite the double start.
         assert recorder.ticks == [0, 1, 2]
 
-    def test_cycle_time_conversions(self):
-        clock = Clock(Simulator(), 500.0)
-        assert clock.cycles_to_ps(3) == 6000
-        assert clock.ps_to_cycles(6000) == 3

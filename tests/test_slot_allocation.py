@@ -111,8 +111,8 @@ class TestCentralizedAllocator:
     def test_link_occupancy(self):
         allocator = CentralizedSlotAllocator(8)
         allocator.allocate(SlotRequest("a", 0, 2, [("l", "l'")]))
-        occupancy = allocator.link_occupancy()
-        assert occupancy[("l", "l'")] == pytest.approx(0.25)
+        assert allocator.link_table(("l", "l'")).occupancy() \
+            == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -79,27 +79,6 @@ class TestSlotTable:
         table.clear()
         assert table.free_slots() == [0, 1, 2, 3]
 
-    # --- jitter bound helper -------------------------------------------------
-    def test_max_gap_single_reservation_is_table_size(self):
-        table = SlotTable(8)
-        table.reserve(2, "a")
-        assert table.max_gap("a") == 8
-
-    def test_max_gap_evenly_spaced(self):
-        table = SlotTable(8)
-        table.reserve(0, "a")
-        table.reserve(4, "a")
-        assert table.max_gap("a") == 4
-
-    def test_max_gap_uneven_spacing(self):
-        table = SlotTable(8)
-        table.reserve(0, "a")
-        table.reserve(1, "a")
-        assert table.max_gap("a") == 7
-
-    def test_max_gap_unknown_owner_is_none(self):
-        assert SlotTable(8).max_gap("nobody") is None
-
 
 class TestRouterSlotTable:
     def test_try_reserve_accepts_then_rejects(self):

@@ -6,14 +6,12 @@ from repro.network.routing import (
     RouteError,
     make_routing,
     ports_from_router_sequence,
-    route_hop_count,
     router_sequence_shortest,
     router_sequence_xy,
 )
 from repro.network.topology import (
     Topology,
     TopologyError,
-    attach_points,
     build_port_map,
     mesh_coordinates,
 )
@@ -92,13 +90,6 @@ class TestTopology:
         with pytest.raises(TopologyError):
             mesh_coordinates("router0")
 
-    def test_attach_points_round_robin(self):
-        topo = Topology.mesh(1, 2)
-        mapping = attach_points(topo, ["a", "b", "c"])
-        assert len(mapping) == 3
-        assert mapping["a"] != mapping["b"]
-        assert mapping["a"] == mapping["c"]
-
 
 class TestPortMap:
     def test_neighbor_ports_then_locals(self):
@@ -160,7 +151,7 @@ class TestRouting:
         local = self.port_map.local_port((1, 2), 0)
         route = make_routing("xy").route(self.topo, self.port_map,
                                          (0, 0), (1, 2), local)
-        assert route_hop_count(route) == 4
+        assert len(route) == 4
 
     def test_compute_route_auto_uses_xy_on_mesh(self):
         local = self.port_map.local_port((1, 2), 0)
@@ -175,7 +166,7 @@ class TestRouting:
         port_map = build_port_map(ring, {n: 1 for n in ring.routers})
         local = port_map.local_port(2, 0)
         route = make_routing("auto").route(ring, port_map, 0, 2, local)
-        assert route_hop_count(route) == 3
+        assert len(route) == 3
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(RouteError):

@@ -18,7 +18,7 @@ class TestConstruction:
         assert txn.command == Command.READ
         assert txn.read_length == 4
         assert txn.expects_response
-        assert txn.is_read and not txn.is_write
+        assert txn.is_read
         assert txn.burst_length == 4
 
     def test_write_factory(self):
@@ -26,7 +26,7 @@ class TestConstruction:
         assert txn.command == Command.WRITE
         assert txn.write_data == [1, 2, 3]
         assert txn.expects_response
-        assert txn.is_write
+        assert not txn.is_read
         assert txn.burst_length == 3
 
     def test_posted_write_has_no_response(self):
