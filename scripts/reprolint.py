@@ -183,8 +183,8 @@ def tick_reachable_methods(class_node: ast.ClassDef, roots: Sequence[str]
     """Methods reachable from the per-cycle ``roots`` through ``self.X()``.
 
     The per-class closure over direct ``self`` method calls: the hot-path
-    rules apply to everything a ``tick()``/``post_tick()`` body can run
-    every cycle, not just the literal tick body.  Cross-class calls (into a
+    rules apply to everything a ``tick()`` body can run every cycle, not
+    just the literal tick body.  Cross-class calls (into a
     queue object, say) are outside the closure — the queue's own module
     carries the rules for those.
     """
@@ -459,7 +459,7 @@ _WIRING_PREFIXES = ("connect", "attach", "register_", "configure", "build")
 
 #: Methods the engine only calls while the clock is already awake — the
 #: per-cycle entry points themselves need no wake hook.
-_ENGINE_DRIVEN = {"tick", "post_tick"}
+_ENGINE_DRIVEN = {"tick"}
 
 
 def _is_self_call(node: ast.AST, names: Set[str]) -> bool:
@@ -569,26 +569,25 @@ class GateNextActionConsistentRule(LintRule):
 
 # The hot path ----------------------------------------------------------------
 #
-# PERFORMANCE.md ("The hot path"): per-cycle ``tick()``/``post_tick()``
-# bodies of the components that move flits and words must not allocate (no
+# PERFORMANCE.md ("The hot path"): per-cycle ``tick()`` bodies of the
+# components that move flits and words must not allocate (no
 # ``sorted()`` materialisations, no list/dict/set comprehensions) and bump
 # ``Counter`` objects cached at construction — from a registry that is
 # therefore never rebound — instead of re-resolving string keys.  Tier-1's
 # call budget has headroom for an allocation or a lookup per tick, and sees
 # a rebind only in a method some test runs and then reads a counter after.
 
-#: Modules whose tick()/post_tick() closures must stay allocation-free.
+#: Modules whose tick() closures must stay allocation-free.
 _HOT_TICK_MODULES = (
     "core/kernel.py",
     "network/router.py",
-    "network/link.py",
     "core/shells/base.py",
     "core/shells/multiconnection.py",
 )
 
-#: Per-cycle roots: the clock's two phases plus the policy hooks that
-#: base-class tick bodies call on subclasses every cycle.
-_TICK_ROOTS = ("tick", "post_tick", "_rx_conn_candidates", "_select_conns")
+#: Per-cycle roots: the clock's tick plus the policy hooks that base-class
+#: tick bodies call on subclasses every cycle.
+_TICK_ROOTS = ("tick", "_rx_conn_candidates", "_select_conns")
 
 _ALLOC_NODES = (ast.ListComp, ast.DictComp, ast.SetComp)
 
@@ -596,8 +595,8 @@ _ALLOC_NODES = (ast.ListComp, ast.DictComp, ast.SetComp)
 class AllocInTickRule(LintRule):
     """No allocation-heavy constructs in tick-reachable methods.
 
-    The per-class closure from ``tick()``/``post_tick()`` (plus the
-    per-cycle policy hooks) over direct ``self.X()`` calls must stay free
+    The per-class closure from ``tick()`` (plus the per-cycle policy
+    hooks) over direct ``self.X()`` calls must stay free
     of ``sorted()`` and list/dict/set comprehensions: each one allocates
     every cycle the component is awake.  Hoist the computation to a
     configuration-time method, cache it behind a version check, or keep a

@@ -47,7 +47,7 @@ from repro.core.registers import (
     encode_path,
 )
 from repro.core.scheduler import Arbiter, make_arbiter
-from repro.network.link import Link
+from repro.network.link import Link, LinkContentionError
 from repro.network.noc import Attachment
 from repro.network.packet import (
     DEFAULT_MAX_PACKET_WORDS,
@@ -129,6 +129,9 @@ class NIKernel(ClockedComponent):
         self.from_network: Optional[Link] = None
         self._gt_flits: Deque[Flit] = deque()
         self._be_flits: Deque[Flit] = deque()
+        #: Flits on ``from_network``, in the order ``Link.send`` delivered
+        #: them; ``_receive`` accepts the one sent before its cycle.
+        self._arrivals: Deque[Flit] = deque()
         #: Accounting cursor of ``gt_slots_unused``: the last cycle ticked
         #: or settled (FAR_FUTURE until the first tick: nothing to settle).
         self._cycle = FAR_FUTURE
@@ -310,12 +313,9 @@ class NIKernel(ClockedComponent):
         pushed into a source queue (``on_push``), ``Channel.add_space`` /
         ``add_credit`` / ``request_flush`` (the tx-wake closure),
         :meth:`write_register`, and a flit offered on ``from_network``
-        (``Link.send`` notifies the ``LinkCommit``, which arms the sink
-        for the edge after it stages the flit).
+        (``Link.send`` arms its sink for the edge after the send).
         """
-        link = self.from_network
-        if link is not None and (
-                link._stage is not None or link._incoming is not None):
+        if self._arrivals:
             return cycle + 1
         if self._slot_cache_version != self.slot_table.version:
             return cycle + 1
@@ -370,13 +370,17 @@ class NIKernel(ClockedComponent):
 
     # --------------------------------------------------------------- receive
     def _receive(self, cycle: int) -> None:
-        link = self.from_network
-        if link is None:
+        arrivals = self._arrivals
+        if not arrivals:
             return
-        flit = link._stage      # Link.take(), inlined
-        if flit is None:
-            return
-        link._stage = None
+        flit = arrivals[0]
+        if flit.sent_cycle != cycle - 1:
+            if flit.sent_cycle >= cycle:
+                return          # sent in this cycle: readable from the next
+            raise LinkContentionError(
+                f"link {flit.link.name}: sink did not drain flit {flit!r}")
+        arrivals.popleft()
+        flit.link._in_flight -= 1
         packet = flit.packet
         qid = packet.header.remote_qid
         if qid >= len(self.channels):
@@ -431,7 +435,7 @@ class NIKernel(ClockedComponent):
         # Continue an in-flight GT packet: its length was bounded by the
         # consecutive slots reserved for the channel, so the slot is ours.
         if self._gt_flits:
-            self.to_network.send(self._gt_flits.popleft())
+            self.to_network.send(self._gt_flits.popleft(), cycle)
             self._ctr_gt_flits_sent.value += 1
             return True
         if self._slot_cache_version != self.slot_table.version:
@@ -449,7 +453,7 @@ class NIKernel(ClockedComponent):
                                    max_payload=min(self.max_packet_words,
                                                    FLIT_WORDS * run - 1))
         flits = packet_to_flits(packet)
-        self.to_network.send(flits[0])
+        self.to_network.send(flits[0], cycle)
         self._gt_flits.extend(flits[1:])
         self._ctr_gt_flits_sent.value += 1
         self._ctr_gt_packets_sent.value += 1
@@ -458,7 +462,7 @@ class NIKernel(ClockedComponent):
     def _transmit_be(self, cycle: int) -> None:
         if self._be_flits:
             if self.to_network.can_send_be():
-                self.to_network.send(self._be_flits.popleft())
+                self.to_network.send(self._be_flits.popleft(), cycle)
                 self._ctr_be_flits_sent.value += 1
             else:
                 self._ctr_be_stalls.value += 1
@@ -500,7 +504,7 @@ class NIKernel(ClockedComponent):
         packet = self._form_packet(channel, gt=False, cycle=cycle,
                                    max_payload=self.max_packet_words)
         flits = packet_to_flits(packet)
-        self.to_network.send(flits[0])
+        self.to_network.send(flits[0], cycle)
         self._be_flits.extend(flits[1:])
         self._ctr_be_flits_sent.value += 1
         self._ctr_be_packets_sent.value += 1

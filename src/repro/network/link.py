@@ -4,9 +4,13 @@ A link carries at most one flit per flit cycle in one direction (a flit is
 three words; the underlying 32-bit wires move one word per 500 MHz cycle).
 Links are modeled as a single register stage: a flit sent during cycle *t*
 becomes visible to the sink at cycle *t+1*, giving one cycle of link latency
-per hop.  A link is a wire, not a clocked component: :meth:`Link.send` puts
-it on the dirty list of its NoC's one :class:`LinkCommit`, so a flit-clock
-edge costs the links that carry a flit, not the links that are wired.
+per hop.  A link is a wire, not a clocked component, and crossing it is one
+step: :meth:`Link.send` stamps the flit with the cycle it was sent in, puts
+it in the sink's arrival queue (``_arrivals``, a deque each router and NI
+kernel owns) and arms the sink for the next edge; the sink's tick accepts
+the flits stamped *before* its cycle, so a sink ticked after its sender in
+cycle *t* leaves the flit of cycle *t* alone, and an edge costs the links
+that carry a flit, not the links that are wired.
 
 Best-effort traffic uses link-level backpressure: the sender calls
 :meth:`Link.can_send_be` which queries the sink's free best-effort buffer
@@ -35,7 +39,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.network.packet import Flit
-from repro.sim.clock import FAR_FUTURE, ClockedComponent
 from repro.sim.stats import WindowedRate
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -44,92 +47,30 @@ class LinkContentionError(RuntimeError):
     """Two flits were offered to the same link in the same cycle."""
 
 
-class LinkCommit(ClockedComponent):
-    """The register stages of all links of one NoC, clocked as one component.
+class Link:
+    """A unidirectional link with one register stage.
 
-    Sits on the flit clock after the routers and before the NI kernels.
-    Wake-protocol contract (PERFORMANCE.md): :meth:`Link.send` notifies
-    *this* component, it arms a gated sink for the edge after it staged the
-    flit, and it reports busy (and a dense horizon) exactly while some link
-    holds a flit in either register, so the clock stays awake until every
-    flit is staged and its sink has consumed it.
+    The sink is a :class:`~repro.sim.clock.ClockedComponent` with an
+    ``_arrivals`` deque, ticked at ``cycle + 1`` after a ``send(flit,
+    cycle)``; it pops each flit it accepts and decrements the
+    ``_in_flight`` of the flit's ``link``.
     """
 
-    def __init__(self) -> None:
-        #: Links offered a flit since the last commit (appended by send()).
-        self._dirty: List["Link"] = []
-        #: Links the last commit staged, or whose sink has not drained since.
-        self._staged: List["Link"] = []
-
-    def next_action_cycle(self, cycle: int) -> int:
-        if self._dirty:
-            return cycle + 1
-        for link in self._staged:
-            if link._stage is not None:
-                return cycle + 1
-        return FAR_FUTURE
-
-    def is_idle(self) -> bool:
-        return self.next_action_cycle(0) == FAR_FUTURE
-
-    def post_tick(self, cycle: int) -> None:
-        staged = self._staged
-        if staged:
-            # Forget the drained links, in place (no per-edge allocation).
-            undrained = 0
-            for link in staged:
-                if link._stage is not None:
-                    staged[undrained] = link
-                    undrained += 1
-            del staged[undrained:]
-        dirty = self._dirty
-        if dirty:
-            nxt = cycle + 1
-            for link in dirty:
-                if link._stage is not None:
-                    # The sink failed to drain the previous flit.  GT flits
-                    # are always drained; BE senders check space first, so
-                    # this is a model bug, not a legal network condition.
-                    raise LinkContentionError(
-                        f"link {link.name}: sink did not drain flit "
-                        f"{link._stage!r}")
-                link._stage = link._incoming
-                link._incoming = None
-                # Tick gating: the sink may hold a standing next-action
-                # gate computed while this wire was empty, and only the
-                # link knows the sink to tell.  The flit is readable from
-                # the next edge, so that is the edge the sink is armed for
-                # — not this one, where it would find the stage empty.
-                sink = link._sink
-                if link._sink_clocked and sink._gate_until:
-                    if sink._clock is not self._clock:
-                        sink.notify_active()
-                    elif sink._gate_until > nxt:
-                        sink._gate_until = nxt
-            staged.extend(dirty)
-            dirty.clear()
-
-
-class Link:
-    """A unidirectional link with one register stage, committed by ``commit``."""
-
-    def __init__(self, name: str, commit: LinkCommit,
-                 tracer: Tracer = NULL_TRACER) -> None:
+    def __init__(self, name: str, tracer: Tracer = NULL_TRACER) -> None:
         self.name = name
-        self.commit = commit
         self.tracer = tracer
         self._sink: Optional[object] = None
         #: Sink's bound ``be_space`` method, cached at wiring time so the
         #: per-flit backpressure check skips the hasattr probe (hot path).
         self._sink_be_space = None
-        #: True when the sink participates in tick gating (cached isinstance
-        #: so send() pays one bool test, not a type check per flit).
-        self._sink_clocked = False
         self.sink_port: int = 0
         self.source: Optional[object] = None
         self.source_port: int = 0
-        self._stage: Optional[Flit] = None
-        self._incoming: Optional[Flit] = None
+        #: Flits sent and not yet accepted by the sink (2 between a send
+        #: and the tick of a sink that runs later in the same edge).
+        self._in_flight = 0
+        #: Cycle of the last send: the wire carries one flit per cycle.
+        self._sent_cycle: Optional[int] = None
         #: Optional flits/cycle sliding-window meter (health_report).
         self.meter: Optional[WindowedRate] = None
         self.flits_carried = 0
@@ -156,7 +97,6 @@ class Link:
     def sink(self, component: Optional[object]) -> None:
         self._sink = component
         self._sink_be_space = getattr(component, "be_space", None)
-        self._sink_clocked = isinstance(component, ClockedComponent)
 
     # ---------------------------------------------------------------- wiring
     def connect(self, source: object, source_port: int,
@@ -169,49 +109,53 @@ class Link:
     # --------------------------------------------------------------- sending
     def can_send_be(self) -> bool:
         """True when a best-effort flit may be sent without overflowing the sink."""
-        if self._incoming is not None:
-            return False
         be_space = self._sink_be_space
-        if be_space is None:
-            return True
-        in_flight = (1 if self._stage is not None else 0)
-        return be_space(self.sink_port) - in_flight > 0
+        return be_space is None or be_space(self.sink_port) > self._in_flight
 
-    def send(self, flit: Flit) -> None:
+    def send(self, flit: Flit, cycle: int) -> None:
+        """Carry ``flit`` to the sink, which may read it from ``cycle + 1``."""
         if self._unreliable and flit.is_head:
             self._fault_mark(flit)
-        if self._incoming is not None:
+        if cycle == self._sent_cycle:
+            flits = [*self._flits_in_flight()[-1:], flit]
             raise LinkContentionError(
                 f"link {self.name}: two flits offered in the same cycle "
-                f"({self._incoming!r} and {flit!r})")
-        self._incoming = flit
+                f"({' and '.join(map(repr, flits))})")
+        self._sent_cycle = flit.sent_cycle = cycle
+        flit.link = self
+        self._in_flight += 1
         self.flits_carried += 1
         self.words_carried += flit.num_words
         if flit.is_gt:
             self.gt_flits_carried += 1
         else:
             self.be_flits_carried += 1
-        commit = self.commit
-        clock = commit._clock
         meter = self.meter
-        if meter is not None and clock is not None:
-            # WindowedRate.add and Clock.cycle_now, inlined.  The meter's
-            # one-item-per-cycle premise is this link's own rule: a second
-            # flit before the next commit raised above.
-            meter._cycles.append(
-                (clock.sim._now - clock._epoch) // clock.period_ps)
+        if meter is not None:
+            # WindowedRate.add, inlined: its one-item-per-cycle premise is
+            # this link's own rule (a second flit in this cycle raised above).
+            meter._cycles.append(cycle)
             meter.total += 1
-        # Wake-up protocol contract: the commit component shares the sink's
-        # clock and stays busy until the flit is staged and consumed; it
-        # tells the sink when it stages the flit.  Only the first offer
-        # since the last commit has anything to wake (notify_active,
-        # inlined): the commit stays due until it has emptied this list.
-        dirty = commit._dirty
-        if not dirty:
-            commit._gate_until = 0
-            if clock is not None and (clock._sleeping or clock._gated):
+        # Wake-up protocol contract: the flit is readable from the next
+        # edge, so a standing gate computed while this wire was empty is
+        # lowered to that edge (not cancelled: at this one the sink would
+        # find nothing to accept).  Only then can the sink's clock be asleep
+        # or deferred: it is while every gate, the sink's included, lies
+        # beyond the next edge.
+        sink = self._sink
+        sink._arrivals.append(flit)
+        nxt = cycle + 1
+        if sink._gate_until > nxt:
+            sink._gate_until = nxt
+            clock = sink._clock
+            if clock._sleeping or clock._gated:
                 clock.wake()
-        dirty.append(self)
+
+    def _flits_in_flight(self) -> List[Flit]:
+        """This link's flits in the sink's arrival queue, oldest first."""
+        if not self._in_flight:
+            return []
+        return [flit for flit in self._sink._arrivals if flit.link is self]
 
     # ---------------------------------------------------------------- faults
     @property
@@ -238,8 +182,8 @@ class Link:
             return
         self._faulty = True
         self._unreliable = True
-        for flit in (self._incoming, self._stage):
-            if flit is not None and not flit.packet.poisoned:
+        for flit in self._flits_in_flight():
+            if not flit.packet.poisoned:
                 self._poison(flit.packet)
 
     def repair(self) -> None:
@@ -276,23 +220,13 @@ class Link:
         packet.poisoned = True
         self.packets_poisoned += 1
         self.words_poisoned += len(packet.payload)
-        clock = self.commit._clock
+        clock = self._sink._clock
         now_ps = clock.sim.now if clock is not None else 0
         self.tracer.record(now_ps, self.name, "packet_poisoned",
                            packet=packet.packet_id,
                            channel=packet.header.channel_key)
 
-    # ------------------------------------------------------------- receiving
-    def peek(self) -> Optional[Flit]:
-        """The flit available to the sink this cycle (without consuming it)."""
-        return self._stage
-
-    def take(self) -> Optional[Flit]:
-        """Consume the flit available this cycle (None if the link is idle)."""
-        flit = self._stage
-        self._stage = None
-        return flit
-
+    # ------------------------------------------------------------- inspection
     def attach_meter(self, window_cycles: int = 64) -> WindowedRate:
         """Install (or return) the flits/cycle sliding-window meter."""
         if self.meter is None:
@@ -301,9 +235,8 @@ class Link:
 
     @property
     def occupancy(self) -> int:
-        """Flits currently inside the link register stages."""
-        return (1 if self._stage is not None else 0) + \
-               (1 if self._incoming is not None else 0)
+        """Flits on the wire: sent, and not yet accepted by the sink."""
+        return self._in_flight
 
     def utilization(self, window_cycles: int) -> float:
         """Fraction of flit cycles the link carried a flit over ``window_cycles``."""

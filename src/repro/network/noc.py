@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.network.graph import has_path
-from repro.network.link import Link, LinkCommit
+from repro.network.link import Link
 from repro.network.packet import FLIT_WORDS, NETWORK_FREQUENCY_MHZ
 from repro.network.router import Router
 from repro.network.routing import (
@@ -276,13 +276,10 @@ class NoCBuilder:
             routers[node] = router
             flit_clock.add_component(router)
 
-        # One commit for all links: after the routers, before the kernels.
-        commit = LinkCommit()
-        flit_clock.add_component(commit)
         links: Dict[LinkId, Link] = {}
 
         def make_link(link_id: LinkId) -> Link:
-            link = Link(name=f"{link_id[0]}->{link_id[1]}", commit=commit,
+            link = Link(name=f"{link_id[0]}->{link_id[1]}",
                         tracer=self.tracer)
             links[link_id] = link
             return link

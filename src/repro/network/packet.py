@@ -140,7 +140,10 @@ class Flit:
     is_tail: bool
     is_gt: bool         # copy of packet.header.is_gt, read per hop
     num_words: int = FLIT_WORDS
+    #: Stamped per hop by ``Link.send``: the cycle the flit was sent in (its
+    #: sink reads it from the next one) and the link it is crossing.
     sent_cycle: Optional[int] = field(default=None, compare=False)
+    link: Optional[object] = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         marks = ("H" if self.is_head else "") + ("T" if self.is_tail else "")

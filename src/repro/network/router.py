@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
-from repro.network.link import Link
+from repro.network.link import Link, LinkContentionError
 from repro.network.packet import Flit
 from repro.network.slot_table import RouterSlotTable
 from repro.sim.clock import FAR_FUTURE, ClockedComponent
@@ -85,9 +85,9 @@ class Router(ClockedComponent):
         #: counted, so idleness is two integer reads, not an input scan.
         self._gt_buffered = 0
         self._be_buffered = 0
-        #: (port, link) pairs for the connected inputs only, so the per-cycle
-        #: accept loop skips unwired ports without a None test each.
-        self._wired_in_links: List[tuple] = []
+        #: Flits on the input links, in the order ``Link.send`` delivered
+        #: them; ``tick`` accepts those sent before its cycle.
+        self._arrivals: Deque[Flit] = deque()
         # Flat per-output arrays for GT arbitration: stamped with a private
         # monotonic tick stamp instead of being cleared every cycle.
         self._gt_claim_stamp = [-1] * num_ports
@@ -122,8 +122,6 @@ class Router(ClockedComponent):
         # Bounds-checked above, once: per-flit queries skip be_space's check.
         link._sink_be_space = self._be_space
         self.in_links[port] = link
-        self._wired_in_links = [(p, l) for p, l in enumerate(self.in_links)
-                                if l is not None]
 
     def connect_output(self, port: int, link: Link) -> None:
         self._check_port(port)
@@ -146,13 +144,21 @@ class Router(ClockedComponent):
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:
-        for port, link in self._wired_in_links:
-            # Inlined link.take(): one attribute read on the (very common)
-            # idle-link path instead of a method call per link per cycle.
-            flit = link._stage
-            if flit is None:
-                continue
-            link._stage = None
+        arrivals = self._arrivals
+        last = cycle - 1
+        while arrivals:
+            flit = arrivals[0]
+            if flit.sent_cycle != last:
+                if flit.sent_cycle > last:
+                    break       # sent in this cycle: readable from the next
+                # GT flits are always drained and BE senders check space
+                # first, so this is a model bug, not a network condition.
+                raise LinkContentionError(
+                    f"link {flit.link.name}: sink did not drain flit {flit!r}")
+            arrivals.popleft()
+            link = flit.link
+            link._in_flight -= 1
+            port = link.sink_port
             state = self._inputs[port]
             if flit.is_gt:
                 state.gt_queue.append(flit)
@@ -203,13 +209,8 @@ class Router(ClockedComponent):
             rate.items += sent
 
     def is_idle(self) -> bool:
-        """Idle when no flit is buffered at any input.
-
-        Flits still inside an attached link keep the NoC's ``LinkCommit``
-        busy (it shares this router's clock), so the router will be ticked
-        to accept them; it does not need to inspect the links here.
-        """
-        return not (self._gt_buffered or self._be_buffered)
+        """Idle when no flit is buffered at any input or on its way to one."""
+        return not (self._gt_buffered or self._be_buffered or self._arrivals)
 
     def next_action_cycle(self, cycle: int) -> int:
         """Dense while anything is buffered or in flight on an input link.
@@ -218,14 +219,10 @@ class Router(ClockedComponent):
         backpressure can change each edge), so no horizon tighter than
         ``cycle + 1`` is attempted — the win is the FAR claim for the empty
         router, which lets a saturated run gate the routers a flow does not
-        cross.  In-flight flits are covered by the in-link scan plus the
-        ``LinkCommit`` arming the sink as it stages them.
+        cross; ``Link.send`` lowers that gate to the edge after the send.
         """
-        if self._gt_buffered or self._be_buffered:
+        if self._gt_buffered or self._be_buffered or self._arrivals:
             return cycle + 1
-        for _port, link in self._wired_in_links:
-            if link._stage is not None or link._incoming is not None:
-                return cycle + 1
         return FAR_FUTURE
 
     # -------------------------------------------------------------- incoming
@@ -332,11 +329,10 @@ class Router(ClockedComponent):
                         if desired[later] == output:
                             port = later
                             break
-            # Inlined Link.can_send_be (one flit may sit in the stage).
+            # Inlined Link.can_send_be (a flit may still be on the wire).
             be_space = link._sink_be_space
-            if link._incoming is not None or (
-                    be_space is not None and be_space(link.sink_port)
-                    <= (link._stage is not None)):
+            if be_space is not None and (
+                    be_space(link.sink_port) <= link._in_flight):
                 self._ctr_be_backpressure.value += 1
                 continue
             # The pop may expose a head for an output scanned later.
@@ -366,7 +362,7 @@ class Router(ClockedComponent):
             state.gt_active_output = output
         if flit.is_tail:
             state.gt_active_output = None
-        link.send(flit)
+        link.send(flit, cycle)
         self._ctr_gt_flits_out.value += 1
         if self.tracer.enabled:
             self._trace_forward(port, output, "gt", flit)
@@ -391,7 +387,7 @@ class Router(ClockedComponent):
         if flit.is_tail:
             state.be_active_output = None
             self._be_output_locked_input[output] = None
-        self.out_links[output].send(flit)
+        self.out_links[output].send(flit, cycle)
         self._ctr_be_flits_out.value += 1
         if self.tracer.enabled:
             self._trace_forward(port, output, "be", flit)

@@ -3,10 +3,10 @@
 Every NI port may run at its own frequency (Section 4.1 of the paper: the
 hardware FIFOs implement the clock-domain crossing).  A :class:`Clock` fires a
 rising edge every ``period_ps`` picoseconds and calls ``tick(cycle)`` on each
-registered :class:`ClockedComponent`, then ``post_tick(cycle)`` on every
-component that implements it.  The two-phase tick keeps same-edge evaluation
-order-insensitive: components read state and compute in ``tick`` and commit
-externally visible updates in ``post_tick``.
+registered :class:`ClockedComponent`, in registration order.  An edge has one
+phase: what must not be seen before the next edge is stamped with the cycle
+it was produced in (``Link.send``) or with a time (the FIFOs' CDC delay),
+and the reader compares.
 
 Activity-driven scheduling
 --------------------------
@@ -21,9 +21,9 @@ a flit, a configuration register write).
 
 The wake-up contract (see ``PERFORMANCE.md`` for the full protocol):
 
-* ``is_idle()`` may return True only when ``tick``/``post_tick`` would be
-  observable no-ops (no state change, no statistics) *and* the component can
-  only become active again through a stimulus that calls ``notify_active()``.
+* ``is_idle()`` may return True only when ``tick`` would be an observable
+  no-op (no state change, no statistics) *and* the component can only
+  become active again through a stimulus that calls ``notify_active()``.
   The conservative default is False (always active), which reproduces the
   seed's always-tick behaviour for components that have not opted in.
 * A woken clock fires its next edge at the first period boundary the
@@ -36,12 +36,12 @@ The wake-up contract (see ``PERFORMANCE.md`` for the full protocol):
   edge at that timestamp ahead of it, so a wake that lands exactly on one
   of its boundaries from an earlier-created clock's tick (a kernel draining
   a source queue at a flit edge that is also a port edge) fires *at* the
-  wake time.  Commit-phase and out-of-event wakes are always strictly
-  after: every tick of the timestamp has run by then.
+  wake time.  Out-of-event wakes are always strictly after: every tick of
+  the timestamp has run by then.
 * Cycle indices are derived from simulation time (``(now - epoch) // period``)
   so TDMA slot alignment is preserved across skipped edges.
-* Links are not clocked: the NoC's one ``LinkCommit`` shares the clock of
-  every link's sink and stays busy until each flit in flight is consumed.
+* Links are not clocked: ``Link.send`` puts the flit in its sink's arrival
+  queue and arms the sink, which stays busy until it has accepted it.
 
 Next-action tick gating
 -----------------------
@@ -52,7 +52,7 @@ per component and to *future* cycles (a component without an override
 contributes ``cycle + 1`` while non-idle and nothing while idle, so clock
 sleep is the degenerate case): a component may override
 :meth:`ClockedComponent.next_action_cycle` to report the earliest future
-cycle at which its tick/post_tick could change observable state, and the
+cycle at which its tick could change observable state, and the
 clock skips it — and, when every component's horizon lies beyond the next
 boundary, skips whole edges by scheduling directly at the earliest horizon.
 The rules that make gating a pure optimization (byte-identical results):
@@ -84,7 +84,7 @@ One scheduler, two regimes
 --------------------------
 
 Every started clock is a member of a :class:`ClockGroup`, whose loop is the
-only edge / commit / reschedule code there is.  :func:`fuse_clocks` puts
+only edge / reschedule code there is.  :func:`fuse_clocks` puts
 same-rate clocks with contiguous priorities into one group (one heap event
 per timestamp for all of them); a clock it leaves alone gets a group of one
 on :meth:`Clock.start`, which pushes exactly the events a self-scheduling
@@ -94,9 +94,8 @@ Setting ``idle_skip=False`` on a clock (or, for every clock built inside
 it, the :func:`always_tick` context manager) gives the reference regime:
 the seed's unconditional rescheduling, no sleeping and no gating, which
 every equivalence test and benchmark compares the default against.
-Always-tick clocks never share a group — the reference keeps the seed's
-one tick event plus one commit event per clock per period, the event-count
-denominator of the perf harness.
+Always-tick clocks never share a group — the reference keeps one event per
+clock per period, the event-count denominator of the perf harness.
 """
 
 from __future__ import annotations
@@ -111,13 +110,6 @@ from repro.sim.engine import Event, SimulationError, Simulator
 #: report it goes to sleep instead of scheduling an edge that would never
 #: pop.  Every cycle arithmetic in the simulator saturates at this ceiling.
 FAR_FUTURE = 1 << 60
-
-#: Each clock's tick callbacks run at a distinct priority allocated in clock
-#: creation order (see ``Simulator.next_clock_priority``), so coincident edges
-#: of different clocks always execute earliest-created first — in both engine
-#: modes.  post_tick commits run above this base on the same timestamp so all
-#: ticks of a timestamp complete before any commit.
-_POST_TICK_PRIORITY_BASE = 1 << 20
 
 #: Module-wide default for ``Clock.idle_skip``; :func:`always_tick` flips it
 #: to build the always-tick reference.
@@ -139,8 +131,7 @@ def always_tick() -> Iterator[None]:
 class ClockedComponent:
     """Base class for anything driven by a :class:`Clock`.
 
-    Subclasses override :meth:`tick` (compute phase) and optionally
-    :meth:`post_tick` (commit phase).  Components that can be quiescent
+    Subclasses override :meth:`tick`.  Components that can be quiescent
     additionally override :meth:`is_idle` and arrange for every stimulus
     that can end the quiescence to call :meth:`notify_active`.  Components
     whose next state change is *predictable* further override
@@ -161,10 +152,7 @@ class ClockedComponent:
     _has_next_action: bool = False
 
     def tick(self, cycle: int) -> None:  # pragma: no cover - interface default
-        """Compute phase of the clock edge."""
-
-    def post_tick(self, cycle: int) -> None:  # pragma: no cover - default
-        """Commit phase of the clock edge."""
+        """The clock edge at ``cycle``."""
 
     def is_idle(self) -> bool:
         """True when ticking this component is an observable no-op.
@@ -176,7 +164,7 @@ class ClockedComponent:
         return False
 
     def next_action_cycle(self, cycle: int) -> int:
-        """Earliest future cycle at which tick/post_tick could change state.
+        """Earliest future cycle at which :meth:`tick` could change state.
 
         Called by a gating clock after this component's edge at ``cycle``
         (and only then); the returned horizon stands until the component
@@ -252,10 +240,8 @@ class Clock:
         #: created before the clocks that stimulate it — which the system
         #: builders do.  This makes the strictly-after wake-up exact.
         self._tick_priority = sim.next_clock_priority()
-        self._commit_priority = _POST_TICK_PRIORITY_BASE + self._tick_priority
         self._cycle = -1
         self._components: List[ClockedComponent] = []
-        self._post_tick_components: List[ClockedComponent] = []
         self._started = False
         self._epoch = 0
         self._sleeping = False
@@ -281,8 +267,6 @@ class Clock:
         component._has_next_action = (
             type(component).next_action_cycle
             is not ClockedComponent.next_action_cycle)
-        if type(component).post_tick is not ClockedComponent.post_tick:
-            self._post_tick_components.append(component)
         # A component added to a sleeping or gated clock must get a chance
         # to tick; the next edge re-evaluates idleness and horizons.
         if self._sleeping or self._gated:
@@ -398,9 +382,9 @@ class ClockGroup:
     """The scheduler: one event per timestamp for clocks that share a
     period and phase.
 
-    A system of N same-frequency port clocks would pay N heap events (plus
-    up to N commit events) per period even though every edge lands on the
-    same timestamp.  A group fires **one** event per timestamp and ticks its
+    A system of N same-frequency port clocks would pay N heap events per
+    period even though every edge lands on the same timestamp.  A group
+    fires **one** event per timestamp and ticks its
     members in sequence — in clock-creation order, which is why members must
     hold *contiguous* tick priorities: the group event runs at the first
     member's priority, so no non-member clock's edge on a shared timestamp
@@ -418,8 +402,8 @@ class ClockGroup:
 
     Fusing changes telemetry only: executed-event counts shrink (one event
     per timestamp instead of one per awake member), which is the point.
-    Workload-visible state is untouched — ticks and commits run in the same
-    order at the same times however the clocks are grouped.
+    Workload-visible state is untouched — ticks run in the same order at
+    the same times however the clocks are grouped.
     """
 
     def __init__(self, members: List[Clock]) -> None:
@@ -448,7 +432,10 @@ class ClockGroup:
         self.period_ps = first.period_ps
         self.members = list(members)
         self._tick_priority = first._tick_priority
-        self._commit_priority = first._commit_priority
+        #: One past the last member's tick priority: a clock created later
+        #: (``sim._clock_priorities`` beyond it) runs its coincident edges
+        #: after this group's, and before its settle (see :meth:`_edge`).
+        self._priorities_end = members[-1]._tick_priority + 1
         self._epoch = 0
         self._started = False
         #: Time of the pending (scheduled, not yet fired) group edge, or -1;
@@ -515,7 +502,6 @@ class ClockGroup:
         # Derive the cycle index from time so TDMA slot alignment survives
         # skipped edges (an NI slot is `cycle % num_slots`).
         self._cycle = cycle = (now - self._epoch) // self.period_ps
-        commit = False
         for member in self.members:
             if member._sleeping or member._gate_cycle > cycle:
                 continue
@@ -526,37 +512,22 @@ class ClockGroup:
                 if component._gate_until > cycle:
                     continue
                 component.tick(cycle)
-            for component in member._post_tick_components:
-                # Due like a tick is: its gate expired, or a tick above
-                # cancelled it (``Link.send`` does, for the ``LinkCommit``).
-                if component._gate_until <= cycle:
-                    commit = True
-        if commit:
-            self.sim._push(now, self._commit_priority, self._commit_edge)
+        sim = self.sim
+        if sim._clock_priorities > self._priorities_end:
+            # Later-created clocks may have an edge at this timestamp, and
+            # what they push (a word into a source queue at a port edge
+            # that is also a flit edge) belongs in the horizons: settle
+            # once the timestamp's events have all run, so the stimulus is
+            # folded into the horizon instead of cancelling it for a tick
+            # that finds nothing to do.
+            sim._settles.append(self._after_edge)
         else:
-            # No member commits anything: skip the commit event entirely.
-            self._after_edge(cycle)
+            self._after_edge()
 
-    def _commit_edge(self) -> None:
-        cycle = (self.sim.now - self._epoch) // self.period_ps
-        for member in self.members:
-            # ``_cycle == cycle`` marks the members that ticked this edge
-            # (a member woken mid-timestamp by another's stimulus has not
-            # ticked and must not commit).
-            if member._cycle == cycle:
-                for component in member._post_tick_components:
-                    if component._gate_until > cycle:
-                        continue
-                    component.post_tick(cycle)
-        self._after_edge(cycle)
-
-    def _after_edge(self, cycle: int) -> None:
-        """Per-member horizon/idleness evaluation, then one reschedule.
-
-        Runs after the commit phase so idleness and next-action horizons
-        reflect post_tick state (e.g. a link that just staged a flit is not
-        idle).
-        """
+    def _after_edge(self) -> None:
+        """Per-member horizon/idleness evaluation after the edge at
+        ``self._cycle``, then one reschedule."""
+        cycle = self._cycle
         cycle1 = cycle + 1
         group_horizon = FAR_FUTURE
         for member in self.members:

@@ -89,6 +89,10 @@ class Simulator:
         #: clock woken mid-timestamp reads it to tell whether its own edge
         #: at this timestamp is still to come (``ClockGroup._wake``).
         self._priority: Optional[int] = None
+        #: Callbacks owed to the current timestamp, run once its last event
+        #: has executed (:meth:`_peek_time`): where a clock group takes its
+        #: horizons after the coincident edges of later-created clocks.
+        self._settles: List[Callable[[], None]] = []
         #: High-water mark of the heap size (telemetry): cancelled entries
         #: stay queued until popped or compacted, and this makes what that
         #: costs observable instead of guessed at.
@@ -187,26 +191,26 @@ class Simulator:
     # --------------------------------------------------------------- running
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False when empty."""
-        queue = self._queue
-        while queue:
-            time, priority, seq, callback, handle = heapq.heappop(queue)
-            if handle is not None:
-                if handle.cancelled:
-                    handle._consumed = True
-                    self._cancelled_count -= 1
-                    continue
-                handle._consumed = True
-            self._now = time
-            if self.event_hook is not None:
-                self.event_hook(time, priority, seq)
-            self._priority = priority
-            try:
-                callback()
-            finally:
-                self._priority = None
-            self._executed_events += 1
-            return True
-        return False
+        if self._peek_time() is None:
+            return False
+        self._execute_head()
+        self._peek_time()       # the timestamp's last event? then finish it
+        return True
+
+    def _execute_head(self) -> None:
+        """Pop and run the head event, which :meth:`_peek_time` found live."""
+        time, priority, seq, callback, handle = heapq.heappop(self._queue)
+        if handle is not None:
+            handle._consumed = True
+        self._now = time
+        if self.event_hook is not None:
+            self.event_hook(time, priority, seq)
+        self._priority = priority
+        try:
+            callback()
+        finally:
+            self._priority = None
+        self._executed_events += 1
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> None:
@@ -222,14 +226,16 @@ class Simulator:
         self._running = True
         try:
             while True:
+                # Peek first: it finishes the timestamp ``max_events`` may
+                # have cut the run at, unless events of it remain.
+                nxt = self._peek_time()
                 if max_events is not None and executed >= max_events:
                     return
-                nxt = self._peek_time()
                 if nxt is None:
                     break
                 if until is not None and nxt > until:
                     break
-                self.step()
+                self._execute_head()
                 executed += 1
             if until is not None and until > self._now:
                 self._now = until
@@ -272,14 +278,24 @@ class Simulator:
                 return True
 
     def _peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event (discards cancelled heads)."""
+        """Timestamp of the next live event (discards cancelled heads).
+
+        When that is not the current timestamp, the current one is over:
+        what it still owes (``_settles``) runs first, and may schedule
+        events earlier than the one just seen.
+        """
         queue = self._queue
-        while queue:
-            handle = queue[0][4]
-            if handle is not None and handle.cancelled:
+        settles = self._settles
+        while True:
+            while queue:
+                handle = queue[0][4]
+                if handle is None or not handle.cancelled:
+                    break
                 heapq.heappop(queue)
                 handle._consumed = True
                 self._cancelled_count -= 1
-                continue
-            return queue[0][0]
-        return None
+            head = queue[0][0] if queue else None
+            if not settles or head == self._now:
+                return head
+            while settles:
+                settles.pop(0)()

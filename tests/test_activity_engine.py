@@ -132,14 +132,14 @@ class TestIdleSkip:
             assert Clock(Simulator(), 500.0).idle_skip is False
         assert Clock(Simulator(), 500.0).idle_skip is True
 
-    def test_commit_event_skipped_without_post_tick_components(self):
+    def test_an_edge_is_one_event(self):
         sim = Simulator()
         clock = Clock(sim, 500.0, idle_skip=False)
-        clock.add_component(AlwaysBusy())   # no post_tick override
+        clock.add_component(AlwaysBusy())
         clock.start()
         sim.run_for(10000)
-        # 6 edges (0..5), no commit events: one event per cycle plus the
-        # pending edge for cycle 6.
+        # 6 edges (0..5): one event per cycle plus the pending edge for
+        # cycle 6.
         assert sim.executed_events == 6
 
     def test_component_added_to_sleeping_clock_gets_ticked(self):
@@ -234,15 +234,16 @@ class TestIdleSkip:
 #: parameters, flit cycles, ceiling).  The ceilings are today's
 #: deterministic ``sim.executed_events``; a clock that stops sleeping or a
 #: horizon that stops gating exceeds one, and a change that lowers a count
-#: lowers its ceiling.
+#: lowers its ceiling (3 / 1971 / 728 / 987 / 1483 / 497 / 1284 while every
+#: flit-clock edge with a flit on a wire pushed a second, commit event).
 EVENT_BUDGETS = [
-    ("idle_mesh", {"rows": 4, "cols": 4}, 1500, 3),
-    ("saturated_mix", {}, 400, 1971),
-    ("saturated_grid", {}, 150, 728),
-    ("saturated_torus", {}, 200, 987),
-    ("saturated_dram", {}, 300, 1483),
-    ("torus_neighbor", {}, 300, 497),
-    ("hotspot", {}, 300, 1284),
+    ("idle_mesh", {"rows": 4, "cols": 4}, 1500, 2),
+    ("saturated_mix", {}, 400, 1572),
+    ("saturated_grid", {}, 150, 579),
+    ("saturated_torus", {}, 200, 788),
+    ("saturated_dram", {}, 300, 1184),
+    ("torus_neighbor", {}, 300, 367),
+    ("hotspot", {}, 300, 985),
 ]
 
 
@@ -345,17 +346,18 @@ def test_kernel_ticks_per_flit_stay_within_budget(name, cycles, flits,
 #: how often the engine calls a component; this says what a tick that does
 #: work costs — on CPython the wall follows calls, and the count is exact
 #: and repeatable (``scripts/census.py`` attributes it per function).
-#: Ceilings are today's counts (195 181 / 120 914 / 72 469 / 64 212) + 2 %;
+#: Ceilings are today's counts (192 388 / 117 542 / 70 817 / 61 461) + 2 %;
+#: 195 181 / 120 914 / 72 469 / 64 212 while links had a commit phase;
 #: 198 327 / 130 319 / 72 559 / 64 413 while a traffic master built every
 #: arrival when it arrived and woke to store what its shell refused;
 #: 283 744 / 170 180 / 104 143 / 87 052 while routers re-derived every
 #: head's request per tick, ``Link.send`` woke its commit per flit through a
 #: property chain and packetization asked the FIFO for the time per word.
 CALL_BUDGETS = [
-    ("saturated_grid", 150, 199_084),
-    ("saturated_dram", 300, 123_332),
-    ("torus_neighbor", 300, 73_918),
-    ("hotspot", 300, 65_496),
+    ("saturated_grid", 150, 196_235),
+    ("saturated_dram", 300, 119_892),
+    ("torus_neighbor", 300, 72_233),
+    ("hotspot", 300, 62_690),
 ]
 
 
@@ -543,40 +545,37 @@ class TestReservedAndIdle:
             total += grown
         assert total > 0
 
-    def test_edge_with_nothing_to_commit_is_one_event(self):
-        """A flit edge on which no link is offered a flit pushes no commit
-        event: a kernel woken by a word below its data threshold ticks,
-        finds nothing to send, and the clock sleeps again."""
+    def test_a_flit_edge_is_one_event(self):
+        """A kernel woken by a word below its data threshold ticks, finds
+        nothing to send, and the clock sleeps again: one event."""
         from repro.core.kernel import NIKernel
-        from repro.network.link import Link, LinkCommit
+        from repro.network.link import Link
 
         sim = Simulator()
         clock = Clock(sim, 500.0 / 3.0, name="flit")
         kernel = NIKernel("A", sim, flit_period_ps=clock.period_ps)
         channel = kernel.add_channel(cdc_cycles=0)
-        wires = LinkCommit()
-        kernel.attach_links(Link("out", wires), Link("in", wires))
-        clock.add_component(wires)
+        kernel.attach_links(Link("out"), Link("in"))
         clock.add_component(kernel)
         channel.regs.enabled = True
         channel.regs.data_threshold = 4
         channel.space = 8
         clock.start()
         sim.run_for(5 * clock.period_ps)
-        # Edge 0: tick and commit (nothing is gated yet), then asleep.
-        assert sim.executed_events == 2 and clock.sleeping
+        # Edge 0 (nothing is gated yet), then asleep.
+        assert sim.executed_events == 1 and clock.sleeping
         channel.source_queue.push(1)
         sim.run_for(5 * clock.period_ps)
         assert clock.edges_executed == 2 and clock.sleeping
-        assert sim.executed_events == 3
+        assert sim.executed_events == 2
 
 
 # ---------------------------------------------------------------------------
 # The one scheduler: ClockGroup and fuse_clocks, with hand-built clocks
 # ---------------------------------------------------------------------------
 class Scripted(ClockedComponent):
-    """Busy for ``work`` more edges; logs every tick and commit as
-    ``(time, name, phase)`` and runs ``on_tick[cycle]`` (stimulus for a
+    """Busy for ``work`` more edges; logs every tick as
+    ``(time, name, "tick")`` and runs ``on_tick[cycle]`` (stimulus for a
     component on another clock) inside that cycle's tick."""
 
     def __init__(self, name, log, work=0, on_tick=None):
@@ -594,9 +593,6 @@ class Scripted(ClockedComponent):
             self.work -= 1
         if cycle in self.on_tick:
             self.on_tick[cycle]()
-
-    def post_tick(self, cycle):
-        self.log.append((self._clock.sim.now, self.name, "commit"))
 
     def is_idle(self):
         return self.work == 0
@@ -723,16 +719,50 @@ class TestClockGroup:
         sim.run(until=5 * 2000 - 1)
         assert sleeper_clock.sleeping
         sim.run(until=5 * 2000)
-        # Woken by its sibling's tick at t=10000: awake, but it neither
-        # ticked nor committed in that group edge ...
+        # Woken by its sibling's tick at t=10000: awake, but it did not
+        # tick in that group edge ...
         assert not sleeper_clock.sleeping
         assert sleeper_clock.cycle == 0 and sleeper_clock.cycle_now == 5
         assert [entry for entry in log if entry[1] == "sleeper"] == [
-            (0, "sleeper", "tick"), (0, "sleeper", "commit")]
+            (0, "sleeper", "tick")]
         sim.run(until=20 * 2000)
         # ... and runs its one edge of work at the next boundary.
-        assert [entry for entry in log if entry[1] == "sleeper"][2:] == [
-            (12000, "sleeper", "tick"), (12000, "sleeper", "commit")]
+        assert [entry for entry in log if entry[1] == "sleeper"][1:] == [
+            (12000, "sleeper", "tick")]
+
+    def test_group_settles_after_the_coincident_edges_of_later_clocks(self):
+        """A clock created later runs its coincident edge after this
+        group's ticks and before its horizons are taken: what that edge
+        pushes is folded into the horizon (next tick at 10), not answered
+        with a tick that finds nothing to do (at 4)."""
+
+        class Due(Scripted):
+            due = 3
+
+            def tick(self, cycle):
+                super().tick(cycle)
+                if cycle >= self.due:
+                    self.due = FAR_FUTURE
+
+            def next_action_cycle(self, cycle):
+                return self.due
+
+        def push():
+            first.due = 10
+            first.notify_active()
+
+        sim = Simulator()
+        early, late = self._clocks(2, sim)
+        log = []
+        first = Due("first", log)
+        early.add_component(first)
+        late.add_component(Scripted("second", log, work=5, on_tick={3: push}))
+        early.start()
+        late.start()
+        sim.run(until=20 * 2000)
+        assert [time // 2000 for time, who, _ in log
+                if who == "first"] == [0, 3, 10]
+        assert early.sleeping and not sim._settles
 
     def test_clock_started_alone_is_a_group_of_one(self):
         sim = Simulator()
@@ -887,14 +917,14 @@ class TestSlots:
 
 
 # ---------------------------------------------------------------------------
-# Link delivery vs the wake protocol: while a link holds a flit its commit
-# component must report busy, so the consumer's clock keeps ticking until
-# the flit is consumed.  One that reported idle with a flit in a link
-# register would let the clock sleep and strand it.
+# Link delivery vs the wake protocol: while a flit is on a wire its sink
+# must report a dense horizon, so its clock keeps ticking until the flit is
+# accepted.  One that claimed FAR_FUTURE with a flit in its arrival queue
+# would let the clock sleep and strand it.
 # ---------------------------------------------------------------------------
 class TestLinkWakeProtocol:
     def _build(self):
-        from repro.network.link import Link, LinkCommit
+        from tests.test_link import LinkTap, wire
 
         class Producer(ClockedComponent):
             """Sends one flit at cycle 1, then reports idle forever."""
@@ -906,86 +936,63 @@ class TestLinkWakeProtocol:
 
             def tick(self, cycle):
                 if not self.sent and cycle >= 1:
-                    self.link.send(self.flit)
+                    self.link.send(self.flit, cycle)
                     self.sent = True
 
             def is_idle(self):
                 return self.sent
 
-        class Consumer(ClockedComponent):
-            """Drains the link; deliberately always reports idle.
-
-            Only the commit component's busy state may hold the clock
-            awake: if LinkCommit.is_idle() lied, the clock would sleep with
-            the flit still in the link and nothing would be received.
-            """
-
-            def __init__(self, link):
-                self.link = link
-                self.received = []
-
-            def tick(self, cycle):
-                flit = self.link.take()
-                if flit is not None:
-                    self.received.append(flit)
-
-            def is_idle(self):
-                return True
-
         sim = Simulator()
         clock = Clock(sim, 500.0, name="flit")
-        wires = LinkCommit()
-        link = Link("l", wires)
+        consumer = LinkTap()
+        link = wire("l", consumer)
         header = PacketHeader(path=(0,), remote_qid=0, is_gt=True)
         flit, = packet_to_flits(Packet(header, [1, 2]))
         # Tick order mirrors the real pipeline: producer (kernel) first,
-        # then the consumer (router); the links commit on post_tick.
+        # then the consumer (router).
         clock.add_component(Producer(link, flit))
-        consumer = Consumer(link)
         clock.add_component(consumer)
-        clock.add_component(wires)
         return sim, clock, link, consumer, flit
 
     def _run(self, sim, clock):
         clock.start()
         sim.run(until=sim.now + 40 * clock.period_ps)
 
-    def test_broken_idle_report_would_strand_the_flit(self):
-        """A truthful commit component delivers and lets the clock sleep.
-        (What a lying one does is pinned by the two tests below: the
-        clock's activity signal for ``LinkCommit`` is its horizon.)"""
+    def test_truthful_sink_receives_and_lets_the_clock_sleep(self):
+        """(What a lying one does is pinned by the two tests below: the
+        clock's activity signal for a link's sink is its horizon.)"""
         sim, clock, link, consumer, flit = self._build()
         self._run(sim, clock)
-        assert consumer.received == [flit]
-        assert link.commit.is_idle()
+        assert consumer.received == [(2, flit)]
+        assert consumer.is_idle() and clock.sleeping
         assert sim.pending_events() == 0
 
     def test_gating_horizon_rescues_a_broken_idle_report(self):
-        """The commit component's dense next-action horizon keeps the clock
-        awake until the flit is consumed even if ``is_idle`` lies."""
+        """The sink's dense next-action horizon keeps the clock awake
+        until the flit is accepted even if ``is_idle`` lies."""
         sim, clock, link, consumer, flit = self._build()
-        link.commit.is_idle = lambda: True
+        consumer.is_idle = lambda: True
         self._run(sim, clock)
-        assert consumer.received == [flit]
+        assert consumer.received == [(2, flit)]
         assert link.occupancy == 0
 
     def test_broken_horizon_would_strand_the_flit(self):
-        """The negative control proving delivery rests on
-        ``LinkCommit.next_action_cycle``, not luck: one that claims
-        FAR_FUTURE with a flit staged lets the clock sleep on it — and the
-        always-tick reference, which never asks, still delivers."""
+        """The negative control proving delivery rests on the sink's
+        ``next_action_cycle``, not luck: one that claims FAR_FUTURE with a
+        flit on the wire lets the clock sleep on it — and the always-tick
+        reference, which never asks, still delivers."""
         sim, clock, link, consumer, flit = self._build()
-        link.commit.next_action_cycle = lambda cycle: FAR_FUTURE
+        consumer.next_action_cycle = lambda cycle: FAR_FUTURE
         self._run(sim, clock)
-        # The clock slept with the flit still inside the link.
+        # The clock slept with the flit still on the wire.
         assert consumer.received == []
         assert link.occupancy == 1
 
         with always_tick():
             sim, clock, link, consumer, flit = self._build()
-        link.commit.next_action_cycle = lambda cycle: FAR_FUTURE
+        consumer.next_action_cycle = lambda cycle: FAR_FUTURE
         self._run(sim, clock)
-        assert consumer.received == [flit]
+        assert consumer.received == [(2, flit)]
         assert link.occupancy == 0
 
 

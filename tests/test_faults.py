@@ -19,11 +19,12 @@ from repro.api import SystemBuilder, scenarios
 from repro.core.channel import Channel
 from repro.faults import FaultAwareRouting, FaultError, FaultPlan
 from repro.ip.traffic import ConstantBitRateTraffic
-from repro.network.link import Link, LinkCommit
 from repro.network.noc import RouteError
 from repro.network.packet import Packet, PacketHeader, packet_to_flits
 from repro.network.topology import Topology
 from repro.protocol.transactions import ResponseError, TransactionStatus
+
+from tests.test_link import wire
 
 
 def make_packet(words=(1, 2, 3)):
@@ -35,16 +36,15 @@ def send_packet(link, packet, start_cycle=0):
     """Push every flit of a packet through a link, draining the sink side."""
     cycle = start_cycle
     for flit in packet_to_flits(packet):
-        link.send(flit)
-        link.commit.post_tick(cycle)
-        link.take()
+        link.send(flit, cycle)
         cycle += 1
+        link.sink.take(cycle)
     return cycle
 
 
 class TestLinkPoisoning:
     def test_healthy_link_leaves_packets_alone(self):
-        link = Link("l", LinkCommit())
+        link = wire()
         packet = make_packet()
         send_packet(link, packet)
         assert not packet.poisoned
@@ -52,7 +52,7 @@ class TestLinkPoisoning:
         assert link.words_poisoned == 0
 
     def test_failed_link_poisons_new_packets_but_still_carries_them(self):
-        link = Link("l", LinkCommit())
+        link = wire()
         link.fail()
         packet = make_packet([1, 2, 3, 4])
         send_packet(link, packet)
@@ -63,14 +63,16 @@ class TestLinkPoisoning:
         assert link.flits_carried == len(packet_to_flits(packet))
 
     def test_fail_poisons_the_in_flight_packet(self):
-        link = Link("l", LinkCommit())
-        packet = make_packet()
-        link.send(packet_to_flits(packet)[0])
+        link = wire()
+        packet, bystander = make_packet(), make_packet()
+        wire("other", link.sink, port=1).send(packet_to_flits(bystander)[0], 0)
+        link.send(packet_to_flits(packet)[0], 0)
         link.fail()
-        assert packet.poisoned
+        assert packet.poisoned and not bystander.poisoned
+        assert link.packets_poisoned == 1
 
     def test_repair_restores_healthy_behaviour(self):
-        link = Link("l", LinkCommit())
+        link = wire()
         link.fail()
         link.repair()
         packet = make_packet()
@@ -86,7 +88,7 @@ class TestLinkPoisoning:
             def random(self):
                 return 1.0
 
-        link = Link("l", LinkCommit())
+        link = wire()
         link.set_lossy(0.5, AlwaysDrop())
         packet = make_packet()
         send_packet(link, packet)
@@ -102,7 +104,7 @@ class TestLinkPoisoning:
             def random(self):
                 return 0.0
 
-        link = Link("l", LinkCommit())
+        link = wire()
         link.set_lossy(1.0, AlwaysDrop())
         link.clear_lossy()
         packet = make_packet()
@@ -110,13 +112,12 @@ class TestLinkPoisoning:
         assert not packet.poisoned
 
     def test_set_lossy_validates_probability(self):
-        link = Link("l", LinkCommit())
+        link = wire()
         with pytest.raises(ValueError):
             link.set_lossy(1.5, None)
 
     def test_a_packet_is_poisoned_once(self):
-        wires = LinkCommit()
-        link_a, link_b = Link("a", wires), Link("b", wires)
+        link_a, link_b = wire("a"), wire("b")
         link_a.fail()
         link_b.fail()
         packet = make_packet()

@@ -15,28 +15,17 @@ from repro.core.registers import (
     channel_register_address,
 )
 from repro.core.scheduler import RoundRobinArbiter, WeightedRoundRobinArbiter
-from repro.network.link import Link, LinkCommit
+from repro.network.link import Link
 from repro.network.noc import Attachment
 from repro.network.packet import packet_to_flits
 from repro.network.router import Router
-from repro.sim.clock import Clock, ClockedComponent, run_cycles
+from repro.sim.clock import Clock, run_cycles
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
 
-class _LinkDrain(ClockedComponent):
-    """Consumes whatever appears on a link (a stand-in NI)."""
-
-    def __init__(self, link):
-        self.link = link
-        self.flits = []
-
-    def tick(self, cycle):
-        flit = self.link.take()
-        if flit is not None:
-            self.flits.append(flit)
-
 from tests.test_kernel import KernelPair
+from tests.test_link import wire
 from tests.test_router import make_packet
 from tests.test_scheduler import make_channels
 
@@ -49,23 +38,21 @@ class TestRouterTraceTimestamps:
         sim = Simulator()
         clock = Clock(sim, 500.0 / 3.0, name="flit")
         router = Router("R", 3, tracer=tracer, sim=sim)
-        wires = LinkCommit()
-        in_link = Link("in0", wires)
-        out_links = [Link(f"out{p}", wires) for p in range(3)]
+        in_link = Link("in0")
+        out_links = [wire(f"out{p}") for p in range(3)]    # stand-in NIs
         router.connect_input(0, in_link)
         for port, link in enumerate(out_links):
             router.connect_output(port, link)
         clock.add_component(router)
-        clock.add_component(wires)
-        for link in out_links:
-            clock.add_component(_LinkDrain(link))
+        for tap in [link.sink for link in out_links]:
+            clock.add_component(tap)
         return sim, clock, router, in_link, out_links
 
     def test_forward_events_use_simulation_time(self):
         tracer = Tracer()
         sim, clock, router, in_link, out_links = self._clocked_router(tracer)
         for flit in packet_to_flits(make_packet(path=(1,), payload_words=8)):
-            in_link.send(flit)          # 3-flit BE packet
+            in_link.send(flit, clock.cycle_now)     # 3-flit BE packet
             run_cycles(sim, clock, 2)
         run_cycles(sim, clock, 4)
         events = tracer.filter(kind="forward", source="R")
@@ -81,14 +68,12 @@ class TestRouterTraceTimestamps:
     def test_unclocked_router_still_records_time_zero(self):
         tracer = Tracer()
         router = Router("R", 2, tracer=tracer)   # no sim: harness mode
-        wires = LinkCommit()
-        in_link, out_link = Link("in", wires), Link("out", wires)
+        in_link, out_link = Link("in"), wire("out")
         router.connect_input(0, in_link)
         router.connect_output(1, out_link)
         in_link.send(packet_to_flits(make_packet(path=(1,),
-                                                 payload_words=1))[0])
-        wires.post_tick(0)
-        router.tick(0)
+                                                 payload_words=1))[0], 0)
+        router.tick(1)
         events = tracer.filter(kind="forward")
         assert len(events) == 1
         assert events[0].time_ps == 0
@@ -101,8 +86,7 @@ class TestAttachLinksWiring:
     def test_attach_links_fully_wires_both_links(self):
         sim = Simulator()
         kernel = NIKernel("K", sim)
-        wires = LinkCommit()
-        to_net, from_net = Link("k->net", wires), Link("net->k", wires)
+        to_net, from_net = Link("k->net"), Link("net->k")
         # Leave stale port indices behind to prove they are overwritten.
         to_net.source_port = 7
         from_net.sink_port = 7
@@ -116,9 +100,8 @@ class TestAttachLinksWiring:
         sim = Simulator()
         kernel_a = NIKernel("A", sim)
         kernel_b = NIKernel("B", sim)
-        wires = LinkCommit()
-        links_a = (Link("a_to", wires), Link("a_from", wires))
-        links_b = (Link("b_to", wires), Link("b_from", wires))
+        links_a = (Link("a_to"), Link("a_from"))
+        links_b = (Link("b_to"), Link("b_from"))
         kernel_a.attach(Attachment(name="A", router_node=(0, 0),
                                    local_index=0, local_port=0,
                                    to_network=links_a[0],

@@ -21,11 +21,13 @@ from repro.core.registers import (
     encode_ctrl,
     slot_register_address,
 )
-from repro.network.link import Link, LinkCommit
+from repro.network.link import Link, LinkContentionError
 from repro.network.packet import MAX_HEADER_CREDITS, FLIT_WORDS, packet_to_flits
 from repro.sim.clock import FAR_FUTURE, Clock, always_tick
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter
+
+from tests.test_link import wire
 
 
 class KernelPair:
@@ -47,12 +49,11 @@ class KernelPair:
             self.b.add_channel(queue_words, queue_words, cdc_cycles=0)
         self.a.add_port("p", list(range(channels)))
         self.b.add_port("p", list(range(channels)))
-        wires = LinkCommit()
-        ab = Link("a->b", wires)
-        ba = Link("b->a", wires)
+        ab = Link("a->b")
+        ba = Link("b->a")
         self.a.attach_links(to_network=ab, from_network=ba)
         self.b.attach_links(to_network=ba, from_network=ab)
-        for component in (self.a, self.b, wires):
+        for component in (self.a, self.b):
             self.clock.add_component(component)
 
     def open_channel(self, index=0, gt=False, slots=(), queue_words=8):
@@ -263,8 +264,7 @@ class TestUnusedSlotAccounting:
     def test_hand_ticked_kernel_counts_only_its_ticks(self):
         kernel = NIKernel("x", Simulator())
         kernel.add_channel(cdc_cycles=0)
-        wires = LinkCommit()
-        kernel.attach_links(Link("out", wires), Link("in", wires))
+        kernel.attach_links(wire("out"), Link("in"))
         kernel.write_register(slot_register_address(1), 1)
         kernel.write_register(slot_register_address(2), 1)
         for cycle in (0, 1, 2, 9, 10, 25):      # slots 0, 1, 2, 1, 2, 1
@@ -295,6 +295,44 @@ class TestUnusedSlotAccounting:
         # Cycles 0 .. 20 own slots 0 and 1, cycles 21 .. 47 slots 1, 5, 6, 7.
         assert self.unused(default.a) == 6 + 15
         assert default.clock.edges_executed < 5
+
+
+class TestArrivals:
+    """The receiving side of the one-step link: ``Link.send`` puts the flit
+    in ``NIKernel._arrivals``; ``_receive`` accepts the one sent before its
+    cycle.  Both kernels are ticked by hand, A before B as on the clock."""
+
+    @staticmethod
+    def pair(words):
+        pair = KernelPair()
+        pair.open_channel()
+        pair.a.channel(0).source_queue.push_many(list(range(words)))
+        return pair
+
+    def test_flit_sent_in_a_cycle_is_not_read_in_that_cycle(self):
+        pair = self.pair(words=2)
+        wire_ab = pair.a.to_network
+        pair.a.tick(0)
+        pair.b.tick(0)          # after its sender, in the same cycle
+        assert wire_ab.occupancy == 1
+        assert pair.b.stats.counter("words_received").value == 0
+        pair.b.tick(1)
+        assert wire_ab.occupancy == 0
+        assert pair.b.stats.counter("words_received").value == 2
+
+    def test_flit_on_the_wire_keeps_the_kernel_busy(self):
+        pair = self.pair(words=2)
+        assert pair.b.is_idle() and pair.b.next_action_cycle(0) == FAR_FUTURE
+        pair.a.tick(0)
+        assert not pair.b.is_idle() and pair.b.next_action_cycle(0) == 1
+
+    def test_undrained_flit_raises_and_names_the_link(self):
+        pair = self.pair(words=5)           # two flits, sent in cycles 0, 1
+        pair.a.tick(0)
+        pair.a.tick(1)
+        with pytest.raises(LinkContentionError, match=(
+                "link a->b: sink did not drain flit")):
+            pair.b.tick(2)
 
 
 class TestKernelErrors:
@@ -425,9 +463,7 @@ class PollKernel(NIKernel):
         return True
 
     def next_action_cycle(self, cycle: int) -> int:
-        link = self.from_network
-        if link is not None and (
-                link._stage is not None or link._incoming is not None):
+        if self._arrivals:
             return cycle + 1
         if self._slot_cache_version != self.slot_table.version:
             return cycle + 1
@@ -443,12 +479,14 @@ class PollKernel(NIKernel):
         return FAR_FUTURE
 
     def _receive(self, cycle: int) -> None:
-        link = self.from_network
-        if link is None:
+        arrivals = self._arrivals
+        if not arrivals or arrivals[0].sent_cycle >= cycle:
             return
-        flit = link.take()
-        if flit is None:
-            return
+        flit = arrivals.popleft()
+        if flit.sent_cycle < cycle - 1:
+            raise LinkContentionError(
+                f"link {flit.link.name}: sink did not drain flit {flit!r}")
+        flit.link._in_flight -= 1
         packet = flit.packet
         qid = packet.header.remote_qid
         if qid >= len(self.channels):
@@ -495,7 +533,7 @@ class PollKernel(NIKernel):
         # Continue an in-flight GT packet: its length was bounded by the
         # consecutive slots reserved for the channel, so the slot is ours.
         if self._gt_flits:
-            self.to_network.send(self._gt_flits.popleft())
+            self.to_network.send(self._gt_flits.popleft(), cycle)
             self._ctr_gt_flits_sent.value += 1
             return True
         if self._slot_cache_version != self.slot_table.version:
@@ -513,7 +551,7 @@ class PollKernel(NIKernel):
                                    max_payload=min(self.max_packet_words,
                                                    FLIT_WORDS * run - 1))
         flits = packet_to_flits(packet)
-        self.to_network.send(flits[0])
+        self.to_network.send(flits[0], cycle)
         self._gt_flits.extend(flits[1:])
         self._ctr_gt_flits_sent.value += 1
         self._ctr_gt_packets_sent.value += 1
@@ -532,7 +570,7 @@ class OracleRig:
     clock's (a clock created before it, whose coincident edge runs first)
     or above it (created after, as the builders do).  With ``split`` the
     second kernel sits on a flit clock of its own, so every link's sink is
-    on another clock than the ``LinkCommit`` its sender notifies.
+    on another clock than its sender.
     """
 
     def __init__(self, kernel_cls, num_slots, cdc_cycles, split, setup):
@@ -552,9 +590,7 @@ class OracleRig:
             kernel.add_port("p", list(range(_CHANNELS)))
             self.kernels.append(kernel)
         a, b = self.kernels
-        wires_a = LinkCommit()
-        wires_b = LinkCommit() if split else wires_a
-        ab, ba = Link("a->b", wires_a), Link("b->a", wires_b)
+        ab, ba = Link("a->b"), Link("b->a")
         a.attach_links(to_network=ab, from_network=ba)
         b.attach_links(to_network=ba, from_network=ab)
         self.links = [ab, ba]
@@ -563,10 +599,7 @@ class OracleRig:
         ab._sink_be_space = lambda port: self.sink_space[0]
         ba._sink_be_space = lambda port: self.sink_space[1]
         self.clock.add_component(a)
-        self.clock.add_component(wires_a)
         clock_b.add_component(b)
-        if split:
-            clock_b.add_component(wires_b)
         for kernel, peer in ((a, b), (b, a)):
             for index, channel in enumerate(kernel.channels):
                 channel.regs.remote_qid = index
@@ -629,11 +662,10 @@ class OracleRig:
                     else value for key, value in stats.summary().items()}
 
         def flit(flit):
-            if flit is None:
-                return None
             header = flit.packet.header
-            return (flit.index, header.is_gt, header.remote_qid,
-                    header.credits, header.flush, tuple(flit.packet.payload))
+            return (flit.sent_cycle, flit.index, header.is_gt,
+                    header.remote_qid, header.credits, header.flush,
+                    tuple(flit.packet.payload))
 
         return {
             "kernels": [summary(kernel.stats) for kernel in self.kernels],
@@ -645,7 +677,7 @@ class OracleRig:
             "pending": [(len(kernel._gt_flits), len(kernel._be_flits),
                          kernel.slot_table.entries())
                         for kernel in self.kernels],
-            "links": [(flit(link._stage), flit(link._incoming))
+            "links": [[flit(on_wire) for on_wire in link._flits_in_flight()]
                       for link in self.links],
             "reads": self.reads,
         }
@@ -689,7 +721,7 @@ def test_kernel_matches_the_poll_oracle_at_every_instant(
         num_slots, cdc_cycles, split, setup, stimulus):
     """Oracle under ``always_tick()``, production in the default regime and
     production under ``always_tick()`` agree on every counter, queue and
-    link register, on and off the flit grid, after every flit cycle —
+    flit on a wire, on and off the flit grid, after every flit cycle —
     including ``gt_slots_unused`` while the production kernel sleeps."""
     with always_tick():
         oracle = OracleRig(PollKernel, num_slots, cdc_cycles, split, setup)

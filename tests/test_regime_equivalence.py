@@ -77,6 +77,27 @@ _STOP_PS = {
 }
 
 
+def _assert_nothing_on_a_wire(system):
+    """Idleness sees flits on the wire: every link empty, every arrival
+    queue empty, and what the kernels sent and received is what their
+    links carried."""
+    noc = system.noc
+    assert [link.name for link in noc.links.values() if link.occupancy] == []
+    sinks = [*noc.routers.values(), *system.kernels.values()]
+    assert [sink.name for sink in sinks if sink._arrivals] == []
+
+    def flits(way):
+        return sum(kernel.stats.counter(f"{kind}_flits_{way}").value
+                   for kernel in system.kernels.values()
+                   for kind in ("gt", "be"))
+
+    attachments = noc.attachments.values()
+    assert (sum(a.to_network.flits_carried for a in attachments)
+            == flits("sent"))
+    assert (sum(a.from_network.flits_carried for a in attachments)
+            == flits("received"))
+
+
 @pytest.mark.parametrize("name", _params())
 def test_run_until_idle_stops_at_the_same_instant_in_both_regimes(name):
     bound = 1500 if name in _STOP_PS else 300
@@ -98,6 +119,9 @@ def test_run_until_idle_stops_at_the_same_instant_in_both_regimes(name):
         reference, reference_cycles = stop()
     assert (reference_cycles, reference.sim.now) == (cycles, system.sim.now)
     assert reference.deep_fingerprint() == system.deep_fingerprint()
+    if name in _STOP_PS:
+        _assert_nothing_on_a_wire(system)
+        _assert_nothing_on_a_wire(reference)
 
 
 def _scan_says_idle(model) -> bool:

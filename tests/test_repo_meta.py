@@ -38,10 +38,15 @@ def test_ci_runs_reprolint():
 #: exact.
 _DELETED_NAMES = ("send_burst", "push_run", "BurstBarrier", "CounterColumn",
                   "unbatched", "_gate_recheck",
-                  # Links are wires committed by one LinkCommit per NoC: the
-                  # idioms that clocked a link by itself stay gone too.
+                  # Links are wires, and crossing one is one step
+                  # (Link.send delivers into the sink's arrival queue): the
+                  # idioms that clocked a link by itself, the commit phase
+                  # of a clock edge and the link's registers stay gone.
                   "add_component(link", "add_component(in_link",
-                  "link.post_tick(", "Link.is_idle", "Link.next_action_cycle",
+                  "Link.is_idle", "Link.next_action_cycle",
+                  "LinkCommit", "post_tick", "_commit_edge",
+                  "_post_tick_components", "link.take(", "link._stage",
+                  "link._incoming",
                   "._consecutive_slots(",
                   # One scheduler (every clock runs in a ClockGroup), two
                   # regimes (default, always_tick()): the idle-skip-only
@@ -114,8 +119,8 @@ def _tree_texts(*directories):
 
 
 def test_deleted_engine_names_stay_deleted():
-    """One per-flit pipeline, one commit per NoC, one clock scheduler, one
-    front door, one ledger: nothing may quietly reintroduce a name of the
+    """One per-flit pipeline, one phase per clock edge, one clock scheduler,
+    one front door, one ledger: nothing may quietly reintroduce a name of the
     removed batching layer or of the idle-skip-only regime (a second data
     path or a third regime would need another axis in every equivalence
     suite), put a link back on a clock, give a clock its own edge loop, or

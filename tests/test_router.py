@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.network.link import Link, LinkCommit
+from repro.network.link import Link, LinkContentionError
 from repro.network.packet import Packet, PacketError, PacketHeader, packet_to_flits
 from repro.network.router import BufferOverflowError, Router, SlotConflictError
 from repro.network.slot_table import RouterSlotTable
 from repro.sim.clock import FAR_FUTURE
+
+from tests.test_link import LinkTap, wire
 
 
 def make_packet(path, payload_words=2, gt=False, qid=0, channel_key=None):
@@ -20,20 +22,19 @@ def make_packet(path, payload_words=2, gt=False, qid=0, channel_key=None):
 class RouterHarness:
     """A router with links on every port and manual clocking.
 
-    Each :meth:`step` performs one flit cycle: the links commit the flits
-    injected during the previous step, the router ticks, the links commit
-    again, and everything that appeared on the outputs is collected.
+    Each :meth:`step` performs one flit cycle: the router ticks, accepting
+    the flits injected since the previous step (sent in the cycle before
+    this one), and everything it sent on its outputs is collected.
     """
 
     def __init__(self, num_ports=3, **kwargs):
         self.router = Router("R", num_ports, **kwargs)
         self.num_ports = num_ports
-        self.wires = LinkCommit()
         self.in_links = []
         self.out_links = []
         for port in range(num_ports):
-            in_link = Link(f"in{port}", self.wires)
-            out_link = Link(f"out{port}", self.wires)
+            in_link = Link(f"in{port}")
+            out_link = wire(f"out{port}")
             self.router.connect_input(port, in_link)
             self.router.connect_output(port, out_link)
             self.in_links.append(in_link)
@@ -42,17 +43,13 @@ class RouterHarness:
         self.collected = {port: [] for port in range(num_ports)}
 
     def inject(self, port, flit):
-        self.in_links[port].send(flit)
+        self.in_links[port].send(flit, self.cycle - 1)
 
     def step(self):
-        self.wires.post_tick(self.cycle)
         self.router.tick(self.cycle)
-        self.wires.post_tick(self.cycle)
-        for port, link in enumerate(self.out_links):
-            flit = link.take()
-            if flit is not None:
-                self.collected[port].append(flit)
         self.cycle += 1
+        for port, link in enumerate(self.out_links):
+            self.collected[port] += link.sink.take(self.cycle)
 
     def run(self, cycles):
         for _ in range(cycles):
@@ -167,37 +164,26 @@ class TestBEForwarding:
 
     def test_be_backpressure_holds_flit_when_output_is_blocked(self):
         router = Router("R", 2, be_buffer_flits=4)
-        # Separate commits: the output link's offer is never committed, so
-        # it stays blocked while the input link is clocked by hand.
-        in_link = Link("in", LinkCommit())
-        out_link = Link("out", LinkCommit())
+        in_link = Link("in")
+        out_link = wire("out", LinkTap(space=0))    # can_send_be() is False
         router.connect_input(0, in_link)
         router.connect_output(1, out_link)
-        # Pre-occupy the output link so can_send_be() is False.
-        out_link.send(packet_to_flits(make_packet(path=(1,)))[0])
         flit = packet_to_flits(make_packet(path=(1,)))[0]
-        in_link.send(flit)
-        in_link.commit.post_tick(0)
-        router.tick(0)
+        in_link.send(flit, 0)
+        router.tick(1)
         assert router.input_fill(0, gt=False) == 1
         assert router.stats.counter("be_backpressure_stalls").value == 1
 
     def test_be_buffer_overflow_detected(self):
         router = Router("R", 2, be_buffer_flits=1)
-        # Separate commits: the output link's offer is never committed, so
-        # it stays blocked while the input link is clocked by hand.
-        in_link = Link("in", LinkCommit())
-        out_link = Link("out", LinkCommit())
+        in_link = Link("in")
         router.connect_input(0, in_link)
-        router.connect_output(1, out_link)
-        out_link.send(packet_to_flits(make_packet(path=(1,)))[0])  # block output
-        in_link.send(packet_to_flits(make_packet(path=(1,)))[0])
-        in_link.commit.post_tick(0)
-        router.tick(0)          # buffer now full, output blocked
-        in_link.send(packet_to_flits(make_packet(path=(1,)))[0])
-        in_link.commit.post_tick(1)
+        router.connect_output(1, wire("out", LinkTap(space=0)))   # blocked
+        in_link.send(packet_to_flits(make_packet(path=(1,)))[0], 0)
+        router.tick(1)          # buffer now full, output blocked
+        in_link.send(packet_to_flits(make_packet(path=(1,)))[0], 1)
         with pytest.raises(BufferOverflowError):
-            router.tick(1)
+            router.tick(2)
 
     def test_be_space_reports_free_buffer(self):
         router = Router("R", 2, be_buffer_flits=4)
@@ -211,6 +197,83 @@ class TestBEForwarding:
         harness.inject(0, flit)
         with pytest.raises(PacketError):
             harness.step()
+
+
+class TestArrivals:
+    """The input side of the one-step link: ``Link.send`` puts the flit in
+    ``Router._arrivals``; ``tick`` accepts what was sent before its cycle."""
+
+    @staticmethod
+    def rig(downstream_space=1 << 30):
+        router = Router("R", 2, be_buffer_flits=2)
+        in_link = Link("in")
+        out_link = wire("out", LinkTap(space=downstream_space))
+        router.connect_input(0, in_link)
+        router.connect_output(1, out_link)
+        return router, in_link, out_link
+
+    @staticmethod
+    def be_flit():
+        return packet_to_flits(make_packet(path=(1,)))[0]
+
+    def test_flit_sent_in_a_cycle_is_not_read_in_that_cycle(self):
+        """A router ticked after its sender in cycle 3 leaves the flit of
+        cycle 3 on the wire; the tick of cycle 4 accepts and forwards it."""
+        router, in_link, out_link = self.rig()
+        flit = self.be_flit()
+        in_link.send(flit, 3)
+        router.tick(3)
+        assert in_link.occupancy == 1 and out_link.sink.take(4) == []
+        assert router.stats.counter("be_flits_in").value == 0
+        router.tick(4)
+        assert in_link.occupancy == 0 and out_link.sink.take(5) == [flit]
+
+    def test_flit_on_the_wire_keeps_the_router_busy(self):
+        router, in_link, _ = self.rig()
+        assert router.is_idle() and router.next_action_cycle(0) == FAR_FUTURE
+        in_link.send(self.be_flit(), 0)
+        assert not router.is_idle() and router.next_action_cycle(0) == 1
+        router.tick(1)
+        assert router.is_idle() and router.next_action_cycle(1) == FAR_FUTURE
+
+    def test_accepting_a_flit_frees_its_link(self):
+        """``_in_flight`` comes down as the router accepts: a BE sender
+        that fills the buffer through the wire can go on once it drains."""
+        router, in_link, out_link = self.rig(downstream_space=0)
+        for cycle in (0, 1):
+            assert in_link.can_send_be()
+            in_link.send(self.be_flit(), cycle)
+            router.tick(cycle + 1)
+        assert in_link.occupancy == 0 and not in_link.can_send_be()  # full
+        out_link.sink.space = 1
+        router.tick(3)
+        assert in_link.can_send_be()
+
+    def test_undrained_flit_raises_and_names_the_link(self):
+        router, in_link, _ = self.rig()
+        first = self.be_flit()
+        in_link.send(first, 0)
+        in_link.send(self.be_flit(), 1)         # the router slept through 1
+        with pytest.raises(LinkContentionError, match=(
+                "link in: sink did not drain flit")):
+            router.tick(2)
+
+    @pytest.mark.parametrize("space", [0, 1, 2])
+    @pytest.mark.parametrize("on_the_wire", [0, 1])
+    def test_inlined_backpressure_is_can_send_be(self, space, on_the_wire):
+        """``_forward_be`` inlines ``Link.can_send_be``: same expression on
+        ``_in_flight``, same answer."""
+        router, in_link, out_link = self.rig(downstream_space=space)
+        if on_the_wire:
+            out_link.send(packet_to_flits(make_packet(path=(0,), gt=True))[0],
+                          0)
+        in_link.send(self.be_flit(), 0)
+        allowed = out_link.can_send_be()
+        assert allowed == (space > on_the_wire)
+        router.tick(1)
+        assert out_link.occupancy == on_the_wire + allowed
+        assert (router.stats.counter("be_backpressure_stalls").value
+                == (not allowed))
 
 
 class TestSameErrorsSameMessages:
@@ -311,20 +374,17 @@ class TestSameErrorsSameMessages:
 
     def test_be_buffer_overflow_message(self):
         router = Router("R", 2, be_buffer_flits=1)
-        in_link = Link("in", LinkCommit())
-        out_link = Link("out", LinkCommit())
+        in_link = Link("in")
         router.connect_input(0, in_link)
-        router.connect_output(1, out_link)
-        out_link.send(packet_to_flits(make_packet(path=(1,)))[0])  # blocked
+        router.connect_output(1, wire("out", LinkTap(space=0)))   # blocked
         for cycle in (0, 1):
-            in_link.send(packet_to_flits(make_packet(path=(1,)))[0])
-            in_link.commit.post_tick(cycle)
+            in_link.send(packet_to_flits(make_packet(path=(1,)))[0], cycle)
             if cycle:
                 with pytest.raises(BufferOverflowError, match=(
                         "router R: BE buffer overflow at input 0")):
-                    router.tick(cycle)
+                    router.tick(cycle + 1)
             else:
-                router.tick(cycle)
+                router.tick(cycle + 1)
 
     def test_gt_conflict_message(self):
         harness = RouterHarness(strict_gt=True)
@@ -372,7 +432,7 @@ class TestRouterConstruction:
     def test_port_bounds_checked(self):
         router = Router("R", 2)
         with pytest.raises(ValueError):
-            router.connect_input(5, Link("x", LinkCommit()))
+            router.connect_input(5, Link("x"))
 
     def test_statistics_track_in_and_out_flits(self):
         harness = RouterHarness()
@@ -418,25 +478,25 @@ class ScanRouter(Router):
         for state in self._inputs:
             if state.gt_queue or state.be_queue:
                 return False
-        return True
+        return not self._arrivals
 
     def next_action_cycle(self, cycle: int) -> int:
         for state in self._inputs:
             if state.gt_queue or state.be_queue:
                 return cycle + 1
-        for _port, link in self._wired_in_links:
-            if link._stage is not None or link._incoming is not None:
-                return cycle + 1
+        if self._arrivals:
+            return cycle + 1
         return FAR_FUTURE
 
     def _accept_incoming(self, cycle: int) -> None:
-        for port, link in self._wired_in_links:
-            # Inlined link.take(): one attribute read on the (very common)
-            # idle-link path instead of a method call per link per cycle.
-            flit = link._stage
-            if flit is None:
-                continue
-            link._stage = None
+        arrivals = self._arrivals
+        while arrivals and arrivals[0].sent_cycle < cycle:
+            flit = arrivals.popleft()
+            if flit.sent_cycle < cycle - 1:
+                raise LinkContentionError(
+                    f"link {flit.link.name}: sink did not drain flit {flit!r}")
+            flit.link._in_flight -= 1
+            port = flit.link.sink_port
             state = self._inputs[port]
             if flit.packet.header.is_gt:
                 state.gt_queue.append(flit)
@@ -580,7 +640,7 @@ class ScanRouter(Router):
             else:
                 state.be_active_output = None
                 self._be_output_locked_input[output] = None
-        link.send(flit)
+        link.send(flit, cycle)
         if gt:
             self._ctr_gt_flits_out.value += 1
         else:
@@ -612,16 +672,6 @@ def be_head_request(state) -> int:
     return flit.packet.peek_route()
 
 
-class _SpaceSink:
-    """Downstream stand-in whose BE space the script sets cycle by cycle."""
-
-    def __init__(self):
-        self.space = 1
-
-    def be_space(self, port):
-        return self.space
-
-
 class OracleBench:
     """One router under a scripted stimulus, recording what it forwards.
 
@@ -635,13 +685,12 @@ class OracleBench:
     def __init__(self, router_cls, num_ports, be_buffer_flits, streams):
         self.router = router_cls("R", num_ports, strict_gt=False,
                                  be_buffer_flits=be_buffer_flits)
-        self.wires = LinkCommit()
         self.in_links, self.out_links, self.sinks = [], [], []
         for port in range(num_ports):
-            in_link = Link(f"in{port}", self.wires)
-            out_link = Link(f"out{port}", self.wires)
-            sink = _SpaceSink()
-            out_link.sink = sink
+            in_link = Link(f"in{port}")
+            # Downstream stand-in: the script sets its BE space each cycle.
+            sink = LinkTap(space=1)
+            out_link = wire(f"out{port}", sink)
             self.router.connect_input(port, in_link)
             self.router.connect_output(port, out_link)
             self.in_links.append(in_link)
@@ -668,24 +717,22 @@ class OracleBench:
 
     def step(self, cycle, blocked_outputs, label=None):
         """One flit cycle of the script; the router is ticked by hand with
-        ``label`` as its cycle argument (any value: it arbitrates on a
-        private stamp, not on the number it is told)."""
+        ``label`` as its cycle argument (any value not used before: a
+        wire carries one flit per cycle number, and the router arbitrates
+        on a private stamp, not on the number it is told)."""
         label = cycle if label is None else label
         for port, (gt_lane, be_lane) in enumerate(self.pending):
             link = self.in_links[port]
             if gt_lane and gt_lane[0][0] <= cycle:
-                link.send(gt_lane.pop(0)[1])
+                link.send(gt_lane.pop(0)[1], label - 1)
             elif be_lane and be_lane[0][0] <= cycle and link.can_send_be():
-                link.send(be_lane.pop(0)[1])
-        self.wires.post_tick(label)
+                link.send(be_lane.pop(0)[1], label - 1)
         for output, sink in enumerate(self.sinks):
             sink.space = 0 if output in blocked_outputs else 1
         self.router.tick(label)
-        self.wires.post_tick(label)
         forwarded = []
-        for output, link in enumerate(self.out_links):
-            flit = link.take()
-            if flit is not None:
+        for output, sink in enumerate(self.sinks):
+            for flit in sink.take(label + 1):
                 forwarded.append((cycle, output,
                                   flit.packet.header.channel_key, flit.index))
         self.log += forwarded
@@ -736,8 +783,9 @@ def _oracle_cases(draw):
     return (num_ports, draw(st.integers(1, 4)), draw(_streams(num_ports)),
             draw(st.lists(st.sets(st.integers(0, num_ports - 1)),
                           max_size=40)),
-            # What tick() is told the cycle is: anything, in any order.
-            draw(st.lists(st.integers(-3, 1000), max_size=40)))
+            # What tick() is told the cycle is: any clock cycle, in any
+            # order, no number twice.
+            draw(st.lists(st.integers(1, 1000), max_size=40, unique=True)))
 
 
 #: Pinned cases of the comparison below, one per situation the request
@@ -752,7 +800,7 @@ PINNED_CASES = {
     # while input 1's head waits for it.  Ticked with shuffled labels.
     "body_into_empty_queue_and_lock_held_by_an_idle_input":
         (3, 2, [([(1, 1, 1)], [(2, 3, 0)]), ([], [(2, 1, 1)]), ([], [])],
-         [], [7, 7, 3, 1000, -2, 0, 0, 5]),
+         [], [7, 8, 3, 1000, 2, 1, 4, 6]),
     # Two single-flit packets queue on input 0 behind a blocked output 1
     # (refused sends leave the wish standing); once it opens, the tail pop
     # exposes a head for output 2, scanned later in the same tick.
@@ -763,7 +811,7 @@ PINNED_CASES = {
     # lower input wins, the loser stays head and goes next.
     "gt_conflict_loser_stays_head":
         (3, 1, [([(2, 2, 0)], []), ([(2, 2, 0)], [(2, 2, 0)]), ([], [])],
-         [], [5, 5, 5, 5]),
+         [], [5, 3, 9, 6]),
 }
 
 
@@ -780,7 +828,8 @@ def _run_case(case, watch=None):
                 for cls in (Router, ScanRouter))
     for cycle in range(400):
         blocked_now = blocked[cycle] if cycle < len(blocked) else ()
-        label = labels[cycle] if cycle < len(labels) else cycle
+        # Past the drawn labels (1 .. 1000): a range none of them is in.
+        label = labels[cycle] if cycle < len(labels) else 2000 + cycle
         if watch is not None:
             watch(new, cycle)
         assert (new.step(cycle, blocked_now, label)

@@ -9,13 +9,9 @@ from repro.sim.engine import SimulationError, Simulator
 class Recorder(ClockedComponent):
     def __init__(self):
         self.ticks = []
-        self.post_ticks = []
 
     def tick(self, cycle):
         self.ticks.append(cycle)
-
-    def post_tick(self, cycle):
-        self.post_ticks.append(cycle)
 
 
 class TestSimulator:
@@ -108,6 +104,57 @@ class TestSimulator:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
+    def test_settle_runs_after_the_last_event_of_its_timestamp(self):
+        """What an event leaves in ``_settles`` runs once, after every event
+        of that timestamp whatever its priority, before time moves on — and
+        may schedule ahead of what was already queued."""
+        sim = Simulator()
+        order = []
+
+        def settle():
+            order.append(("settle", sim.now))
+            sim.schedule_at(7, lambda: order.append(("from settle", sim.now)))
+
+        def first():
+            order.append(("first", sim.now))
+            sim._settles.append(settle)
+            sim.schedule_at(5, lambda: order.append(("zero delay", sim.now)))
+
+        sim.schedule_at(5, first, priority=0)
+        sim.schedule_at(5, lambda: order.append(("late", sim.now)),
+                        priority=1 << 30)
+        sim.schedule_at(9, lambda: order.append(("next", sim.now)))
+        sim.run(until=20)
+        assert order == [("first", 5), ("zero delay", 5), ("late", 5),
+                         ("settle", 5), ("from settle", 7), ("next", 9)]
+
+    def test_a_cut_run_leaves_no_finished_timestamp_unsettled(self):
+        """``max_events``, ``until`` and ``step()`` stop between events:
+        the settle is still owed while events of its timestamp remain,
+        and has run when the call that executed the last of them returns."""
+        def build():
+            sim = Simulator()
+            settled = []
+            sim.schedule_at(5, lambda: sim._settles.append(
+                lambda: settled.append(sim.now)))
+            sim.schedule_at(5, lambda: None)
+            sim.schedule_at(9, lambda: None)
+            return sim, settled
+
+        sim, settled = build()
+        sim.run(max_events=1)
+        assert settled == [] and sim._settles       # timestamp 5 unfinished
+        sim.run(max_events=1)
+        assert settled == [5] and sim.now == 5
+        sim, settled = build()
+        assert sim.step() and settled == []
+        assert sim.step() and settled == [5] and sim.now == 5
+        sim, settled = build()
+        sim.run(until=6)
+        assert settled == [5] and sim.now == 6
+        sim, settled = build()
+        assert sim.run_until_idle(until=5) is False and settled == [5]
+
     def test_executed_event_counter(self):
         sim = Simulator()
         for i in range(3):
@@ -136,28 +183,23 @@ class TestClock:
         assert recorder.ticks[:4] == [0, 1, 2, 3]
         assert clock.cycle == recorder.ticks[-1]
 
-    def test_post_tick_runs_after_all_ticks_in_the_same_cycle(self):
+    def test_components_tick_in_registration_order(self):
         sim = Simulator()
         clock = Clock(sim, 100.0)
         order = []
 
-        class A(ClockedComponent):
+        class Named(ClockedComponent):
+            def __init__(self, name):
+                self.name = name
+
             def tick(self, cycle):
-                order.append(("tick_a", cycle))
+                order.append((self.name, cycle))
 
-            def post_tick(self, cycle):
-                order.append(("post_a", cycle))
-
-        class B(ClockedComponent):
-            def tick(self, cycle):
-                order.append(("tick_b", cycle))
-
-        clock.add_component(A())
-        clock.add_component(B())
+        for name in "ab":
+            clock.add_component(Named(name))
         clock.start()
         sim.run(until=10000)
-        first_cycle = [entry for entry in order if entry[1] == 0]
-        assert first_cycle == [("tick_a", 0), ("tick_b", 0), ("post_a", 0)]
+        assert order == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
 
     def test_two_clock_domains_interleave_by_frequency(self):
         sim = Simulator()
